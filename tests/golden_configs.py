@@ -1,33 +1,72 @@
-"""Shared serving configs pinned by ``tests/data/serve_goldens.json``.
+"""Shared serving and planning configs pinned by ``tests/data/*_goldens.json``.
 
-``build_golden_reports()`` runs every pinned config through the library and
-returns ``{name: report.to_json()}``.  The goldens were captured before the
-streaming-summary refactor landed, so the test asserting equality is the
-bit-identity contract for ``summary="exact"`` (the default): lazy arrivals,
-the incremental load index and the heapify seeding must all reproduce the
-pre-refactor event order and report bytes exactly.
+``build_golden_reports()`` runs every pinned serving config through the
+library and returns ``{name: report.to_json()}`` — plus, for the traced
+runs, the sha256 of the Chrome trace JSON — pinned by ``serve_goldens.json``.
+``build_plan_goldens()`` returns ``{name: json.dumps(payload)}`` for the
+three capacity planners, pinned by ``plan_goldens.json``.  The first six
+serving goldens were captured before the streaming-summary refactor landed,
+so the test asserting equality is the bit-identity contract for
+``summary="exact"`` (the default): lazy arrivals, the incremental load index
+and the heapify seeding must all reproduce the pre-refactor event order and
+report bytes exactly.  The streaming, pipeline, trace and planner entries
+were captured before ``serve()`` and ``serve_pipeline()`` shared one event
+loop and the planners one search driver, and pin those refactors the same
+way.
 
 Regenerate (only when a report-shape change is intended and documented)::
 
     PYTHONPATH=src:tests python -c \
         "import json, golden_configs; json.dump(golden_configs.build_golden_reports(), \
          open('tests/data/serve_goldens.json', 'w'), indent=1)"
+    PYTHONPATH=src:tests python -c \
+        "import json, golden_configs; json.dump(golden_configs.build_plan_goldens(), \
+         open('tests/data/plan_goldens.json', 'w'), indent=1)"
 """
 
-from repro.plan import Autoscaler
+import hashlib
+import json
+
+from repro.obs import Observability, TraceRecorder, chrome_trace_json
+from repro.plan import (
+    Autoscaler,
+    plan_capacity,
+    plan_llm_capacity,
+    plan_pipeline_capacity,
+)
 from repro.serve import (
     BurstyTraffic,
     DiurnalTraffic,
+    PipelineSpec,
     PoissonTraffic,
     ReplayTraffic,
     TokenProfile,
     WorkloadMix,
     serve,
     serve_llm,
+    serve_pipeline,
 )
 
 MIXED = WorkloadMix.of(["deit-tiny", "levit-128"], [2.0, 1.0])
 SINGLE = WorkloadMix.of(["deit-tiny"])
+CHAIN = "rag = encoder[tokens=128] -> rerank:encoder[tokens=64] -> deit-tiny"
+CHAIN_POOLS = {"encoder": "2xvitality", "rerank": "1xvitality",
+               "deit-tiny": "1xvitality,1xgpu:taylor"}
+CASCADE = PipelineSpec.cascade("cascade", "deit-tiny", "levit-128", 0.6)
+CASCADE_POOLS = {"draft": "1xvitality,1xgpu", "verify": "1xvitality"}
+
+
+def _autoscaler() -> Autoscaler:
+    return Autoscaler("queue-depth", "vitality", max_replicas=4,
+                      interval=0.25, provision_seconds=0.1)
+
+
+def _trace_digest(run) -> str:
+    """sha256 of the Chrome trace JSON a traced run records."""
+
+    obs = Observability(trace=TraceRecorder())
+    run(obs)
+    return hashlib.sha256(chrome_trace_json(obs.trace).encode()).hexdigest()
 
 
 def build_golden_reports() -> dict[str, str]:
@@ -58,4 +97,62 @@ def build_golden_reports() -> dict[str, str]:
         PoissonTraffic(20.0, WorkloadMix.of(["decoder"])),
         prefill_fleet="1xvitality", decode_fleet="1xvitality",
         duration=2.0, seed=9).to_json()
+    reports["poisson-hetero-streaming"] = serve(
+        PoissonTraffic(200.0, MIXED), "2xvitality,1xgpu:taylor",
+        policy="timeout", duration=2.0, seed=7, window_seconds=0.5,
+        summary="streaming").to_json()
+    reports["diurnal-autoscale-streaming"] = serve(
+        DiurnalTraffic(120.0, MIXED, period=3.0), "1xvitality",
+        policy="size", duration=3.0, seed=11, window_seconds=0.5,
+        autoscaler=_autoscaler(), summary="streaming").to_json()
+    for summary in ("exact", "streaming"):
+        reports[f"pipeline-chain-{summary}"] = serve_pipeline(
+            PoissonTraffic(90.0, SINGLE), CHAIN, CHAIN_POOLS, duration=2.0,
+            seed=4, window_seconds=0.5, stage_slo_seconds={"rerank": 0.006},
+            summary=summary).to_json()
+        reports[f"pipeline-cascade-{summary}"] = serve_pipeline(
+            BurstyTraffic(150.0, SINGLE), CASCADE, CASCADE_POOLS,
+            policy="fifo", router="energy-aware", duration=2.0, seed=3,
+            summary=summary).to_json()
+        reports[f"pipeline-autoscale-{summary}"] = serve_pipeline(
+            DiurnalTraffic(300.0, SINGLE, period=3.0), CHAIN, CHAIN_POOLS,
+            policy="timeout", duration=3.0, seed=2, window_seconds=0.5,
+            autoscalers={"encoder": Autoscaler(
+                "queue-depth", "vitality", max_replicas=4, interval=0.25,
+                provision_seconds=0.1)},
+            summary=summary).to_json()
+    reports["trace-serve-autoscale-sha256"] = _trace_digest(
+        lambda obs: serve(
+            DiurnalTraffic(120.0, MIXED, period=3.0), "1xvitality",
+            policy="size", duration=3.0, seed=11, autoscaler=_autoscaler(),
+            obs=obs))
+    reports["trace-pipeline-cascade-sha256"] = _trace_digest(
+        lambda obs: serve_pipeline(
+            BurstyTraffic(150.0, SINGLE), CASCADE, CASCADE_POOLS,
+            policy="fifo", router="energy-aware", duration=2.0, seed=3,
+            obs=obs))
     return reports
+
+
+def build_plan_goldens() -> dict[str, str]:
+    """One payload per planner; the first two re-simulate their boundary
+    (it was pruned before validation) and the LLM one measures its
+    colocated reference."""
+
+    payloads = {
+        "plan-capacity": plan_capacity(
+            rate=2500.0, models=["deit-tiny", "levit-128"],
+            weights=[2.0, 1.0], slo_seconds=0.02, duration=1.0,
+            targets=("vitality", "vitality[pe=32x32]"), max_replicas=4,
+            top_k=2, policy="timeout", seed=1),
+        "plan-pipeline-capacity": plan_pipeline_capacity(
+            rate=120.0, pipeline="plan2 = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.02, duration=1.0, slo_percentile=0.95,
+            targets="vitality", max_replicas_per_stage=2, top_k=1,
+            policy="fifo", seed=0, stage_slo_seconds={"encoder": 0.01}),
+        "plan-llm-capacity": plan_llm_capacity(
+            8.0, "decoder", ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+            duration=1.0, max_replicas=4, top_k=2),
+    }
+    return {name: json.dumps(payload, indent=1)
+            for name, payload in payloads.items()}

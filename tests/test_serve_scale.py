@@ -5,7 +5,11 @@ Four guarantees of the scale work, pinned:
 - **Bit-identity of the default path** — ``summary="exact"`` reports are
   byte-for-byte what the pre-streaming simulator produced
   (``tests/data/serve_goldens.json``, captured before lazy arrivals, the
-  ``LoadIndex`` router and heapified event seeding landed);
+  ``LoadIndex`` router and heapified event seeding landed), and so are the
+  streaming, pipeline and trace-digest entries beside them and the planner
+  payloads in ``tests/data/plan_goldens.json`` (captured before ``serve``
+  and ``serve_pipeline`` shared one event loop and the planners one search
+  driver);
 - **Laziness is unobservable** — a pattern exposing only the materialised
   ``arrivals()`` list serves bit-identically to its generator-native self;
 - **Streaming summaries honour the documented error bound** — running-sum
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_configs import build_golden_reports
+from golden_configs import build_golden_reports, build_plan_goldens
 from repro.plan import Autoscaler, plan_capacity
 from repro.serve import (
     BurstyTraffic,
@@ -37,6 +41,7 @@ from repro.serve import (
 )
 
 GOLDENS = Path(__file__).parent / "data" / "serve_goldens.json"
+PLAN_GOLDENS = Path(__file__).parent / "data" / "plan_goldens.json"
 MIX = WorkloadMix.of(["deit-tiny", "levit-128"], [2.0, 1.0])
 LLM_MIX = WorkloadMix.of(["decoder"], tokens=TokenProfile.of("64:256", "16:64"))
 
@@ -51,6 +56,13 @@ class TestExactBitIdentity:
     def test_reports_match_pre_streaming_goldens(self):
         expected = json.loads(GOLDENS.read_text())
         actual = build_golden_reports()
+        assert set(actual) == set(expected)
+        for name in expected:
+            assert actual[name] == expected[name], name
+
+    def test_plan_payloads_match_goldens(self):
+        expected = json.loads(PLAN_GOLDENS.read_text())
+        actual = build_plan_goldens()
         assert set(actual) == set(expected)
         for name in expected:
             assert actual[name] == expected[name], name
