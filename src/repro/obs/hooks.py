@@ -113,38 +113,51 @@ class Observability:
 
     # ------------------------------------------------------- classic serving
 
-    def request_routed(self, request, replica, now: float, depth: int) -> None:
-        """A request landed on a replica's queue (classic or prefill)."""
+    def request_routed(self, request, replica, now: float, depth: int,
+                       entry: bool = True) -> None:
+        """A request landed on a replica's queue (classic, prefill or one
+        pipeline stage); ``entry`` is False for a pipeline hop past the entry
+        stage, which is not counted as another arrival."""
 
         if self._passive:
             return
-        if self.metrics is not None:
+        if self.metrics is not None and entry:
             self.metrics.on_arrival(now)
         self._queue_counter(replica, now, depth)
 
-    def batch_dispatched(self, replica, batch, now: float, finish: float) -> None:
-        """Classic dispatch: whole batch runs as one monolithic job."""
+    def batch_dispatched(self, replica, batch, now: float, finish: float,
+                         stage: str | None = None) -> None:
+        """One batch ran as one monolithic job.  A classic batch completes
+        its requests; a pipeline ``stage`` batch is one hop, whose requests
+        complete through :meth:`pipeline_completed` when they exit.  Stage
+        batches tag their dispatch and per-request spans with the stage, so
+        per-request tracks partition arrival→completion."""
 
         if self._passive:
             return
         if self.trace is not None:
             self._track(replica)
             model = batch[0].model
+            args = {"replica": replica.name, "model": model,
+                    "batch_size": len(batch)}
+            if stage is not None:
+                args["stage"] = stage
             self.trace.span(f"{model} x{len(batch)}", start=now, end=finish,
                             pid=PID_FLEET, tid=replica.index + 1, cat="dispatch",
-                            args={"replica": replica.name, "model": model,
-                                  "batch_size": len(batch)})
+                            args=args)
             for request in batch:
                 self._request_span(PHASE_QUEUE, request.index, request.model,
-                                   replica.name, request.arrival, now)
+                                   replica.name, request.arrival, now,
+                                   stage=stage)
                 self._request_span(PHASE_SERVICE, request.index, request.model,
-                                   replica.name, now, finish)
+                                   replica.name, now, finish, stage=stage)
         if self.metrics is not None:
             self.metrics.on_dispatch(replica.name, now, finish, len(batch),
                                      requests=len(batch))
-            for request in batch:
-                self.metrics.on_completion(finish, finish - request.arrival,
-                                           queue_wait=now - request.arrival)
+            if stage is None:
+                for request in batch:
+                    self.metrics.on_completion(finish, finish - request.arrival,
+                                               queue_wait=now - request.arrival)
         self._queue_counter(replica, now, len(replica.queue))
 
     def replica_retired(self, replica, now: float) -> None:
@@ -167,42 +180,6 @@ class Observability:
                                      "detail": event.detail})
 
     # ------------------------------------------------------ pipeline serving
-
-    def pipeline_routed(self, request, replica, now: float, depth: int,
-                        entry: bool) -> None:
-        """A request landed on one stage's queue; ``entry`` marks arrival at
-        the pipeline's entry stage (the only hop counted as an arrival)."""
-
-        if self._passive:
-            return
-        if self.metrics is not None and entry:
-            self.metrics.on_arrival(now)
-        self._queue_counter(replica, now, depth)
-
-    def stage_dispatched(self, replica, batch, now: float, finish: float,
-                         stage: str) -> None:
-        """One stage batch ran; per-request queue/service spans carry the
-        stage name so per-request tracks partition arrival→completion."""
-
-        if self._passive:
-            return
-        if self.trace is not None:
-            self._track(replica)
-            model = batch[0].model
-            self.trace.span(f"{model} x{len(batch)}", start=now, end=finish,
-                            pid=PID_FLEET, tid=replica.index + 1, cat="dispatch",
-                            args={"replica": replica.name, "model": model,
-                                  "batch_size": len(batch), "stage": stage})
-            for request in batch:
-                self._request_span(PHASE_QUEUE, request.index, request.model,
-                                   replica.name, request.arrival, now,
-                                   stage=stage)
-                self._request_span(PHASE_SERVICE, request.index, request.model,
-                                   replica.name, now, finish, stage=stage)
-        if self.metrics is not None:
-            self.metrics.on_dispatch(replica.name, now, finish, len(batch),
-                                     requests=len(batch))
-        self._queue_counter(replica, now, len(replica.queue))
 
     def stage_handoff(self, index: int, model: str, replica_name: str,
                       now: float, arrival: float, stage: str) -> None:

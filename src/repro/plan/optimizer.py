@@ -23,6 +23,11 @@ this traffic?*  The search composes the layers below it:
 Cost is silicon area (mm² per fleet) when every candidate kind models it,
 falling back to energy per request for platform targets; both are reported
 per candidate either way.
+
+Steps 2–4 are one driver (:func:`_search`, :func:`_boundary`,
+:func:`_frontier`) that :func:`plan_pipeline_capacity` and
+:func:`plan_llm_capacity` share: each planner supplies only its candidates,
+cost, ``measure`` partial and payload.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import itertools
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, target_area_mm2
@@ -52,7 +58,12 @@ from repro.serve.pipeline import (
     serve_pipeline,
 )
 from repro.serve.simulator import DEFAULT_DISPATCH_OVERHEAD, serve
-from repro.serve.traffic import PoissonTraffic, TrafficPattern, WorkloadMix
+from repro.serve.traffic import (
+    PoissonTraffic,
+    TrafficPattern,
+    WorkloadMix,
+    check_finite,
+)
 from repro.plan.queueing import ServiceTimes, estimate_fleet, estimate_llm_pools
 
 logger = logging.getLogger(__name__)
@@ -108,6 +119,95 @@ def _rank_shortlist(feasible: Sequence[dict], keys: Sequence[str],
     return ranked[:top_k]
 
 
+def _search(candidates: Sequence[dict], *, rank_keys: Sequence[str],
+            cost: Callable[[dict], tuple], measure: Callable[..., dict],
+            name: Callable[[dict], str], noun: str, top_k: int,
+            jobs: int | None, cache, duration: float,
+            progress: Callable[[str], None] | None
+            ) -> tuple[list[dict], dict | None]:
+    """The search every planner runs: prune, rank, validate, choose.
+
+    Keeps the analytically feasible candidates, ranks them with
+    :func:`_rank_shortlist`, validates the shortlist through ``measure`` —
+    serially, or across ``jobs`` worker processes — and returns the
+    validated rows with the cheapest one that attained its SLO (``None`` if
+    none did).  ``name`` labels a candidate in progress notes.
+    """
+
+    feasible = [candidate for candidate in candidates
+                if candidate["predicted_feasible"]]
+    shortlist = _rank_shortlist(feasible, rank_keys, cost, top_k)
+    _note(progress, f"analytic prune: {len(candidates)} {noun}s, "
+                    f"{len(feasible)} feasible, validating {len(shortlist)}")
+    if jobs is not None and jobs > 1 and len(shortlist) > 1:
+        workers = min(jobs, len(shortlist))
+        _note(progress, f"validating {len(shortlist)} {noun}s across "
+                        f"{workers} processes")
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            validated = list(pool.map(measure, shortlist))
+    else:
+        validated = []
+        for candidate in shortlist:
+            _note(progress, f"validating {name(candidate)} "
+                            f"({duration:.1f}s simulated)")
+            # Serial validation shares the prune's engine cache: every
+            # (model, target, batch) shape the analytic pass already
+            # simulated is free here (and a --cache-dir DiskResultCache
+            # persists both phases).
+            validated.append(measure(candidate, cache=cache))
+    attained = [candidate for candidate in validated
+                if candidate["slo_attained"]]
+    chosen = min(attained, key=cost) if attained else None
+    _note(progress, f"chosen: {name(chosen)}" if chosen is not None
+                    else f"chosen: none (no validated {noun} met the SLO)")
+    return validated, chosen
+
+
+def _boundary(smaller: dict, validated: Sequence[dict], keys: Sequence[str],
+              *, measure: Callable[..., dict], name: Callable[[dict], str],
+              cache, progress: Callable[[str], None] | None) -> dict:
+    """``keys`` of the measured row of ``smaller``, the candidate one replica
+    below the choice: reused when the shortlist already validated it (no
+    second simulation), measured now otherwise."""
+
+    row = next((row for row in validated if name(row) == name(smaller)), None)
+    if row is None:
+        _note(progress, f"checking boundary {name(smaller)}")
+        row = measure(smaller, cache=cache)
+    return {key: row[key] for key in keys}
+
+
+def _frontier(validated: Sequence[dict], cost_key: str,
+              name: Callable[[dict], str]) -> list[dict]:
+    """The cost-vs-violation Pareto frontier of the validated rows whose
+    cost is known; marks each row's ``pareto`` membership in place."""
+
+    points = [dict(row) for row in validated if row[cost_key] is not None]
+    frontier = pareto_frontier(points, [cost_key, "slo_violation_rate"])
+    names = {name(point) for point in frontier}
+    for row in validated:
+        row["pareto"] = name(row) in names
+    return frontier
+
+
+def _measured(candidate: dict, keys: Sequence[str], report, *, slo_seconds,
+              slo_percentile, label) -> dict:
+    """One validated row: ``keys`` copied from the candidate, its predicted
+    percentile, and the figures ``report`` measured."""
+
+    measured = report.latency.quantile(slo_percentile)
+    return {
+        **{key: candidate[key] for key in keys},
+        f"predicted_{label}_ms": candidate[f"predicted_{label}_ms"],
+        f"{label}_ms": measured * 1e3,
+        "slo_attained": measured <= slo_seconds,
+        "slo_violation_rate": report.slo_violation_rate,
+        "throughput_rps": report.throughput_rps,
+        "energy_per_request_mj": report.energy_per_request_joules * 1e3,
+        "replica_seconds": report.replica_seconds,
+    }
+
+
 def _measure_fleet(candidate: dict, *, traffic, policy, router, duration,
                    seed, slo_seconds, dispatch_overhead_seconds, percentiles,
                    slo_percentile, label, cache=None) -> dict:
@@ -123,20 +223,9 @@ def _measure_fleet(candidate: dict, *, traffic, policy, router, duration,
                    duration=duration, seed=seed, slo_seconds=slo_seconds,
                    dispatch_overhead_seconds=dispatch_overhead_seconds,
                    percentiles=percentiles, cache=cache)
-    measured = report.latency.quantile(slo_percentile)
-    return {
-        "kind": candidate["kind"],
-        "replicas": candidate["replicas"],
-        "fleet": candidate["fleet"],
-        "area_mm2": candidate["area_mm2"],
-        f"predicted_{label}_ms": candidate[f"predicted_{label}_ms"],
-        f"{label}_ms": measured * 1e3,
-        "slo_attained": measured <= slo_seconds,
-        "slo_violation_rate": report.slo_violation_rate,
-        "throughput_rps": report.throughput_rps,
-        "energy_per_request_mj": report.energy_per_request_joules * 1e3,
-        "replica_seconds": report.replica_seconds,
-    }
+    return _measured(candidate, ("kind", "replicas", "fleet", "area_mm2"),
+                     report, slo_seconds=slo_seconds,
+                     slo_percentile=slo_percentile, label=label)
 
 
 def plan_capacity(rate: float, models: Sequence[str] | str, *,
@@ -172,8 +261,8 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
     line per search stage.
     """
 
-    if slo_seconds <= 0:
-        raise ValueError(f"slo_seconds must be positive, got {slo_seconds}")
+    check_finite(rate=rate, duration=duration, margin=margin,
+                 slo_seconds=slo_seconds)
     if max_replicas < 1:
         raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
     if top_k < 1:
@@ -224,74 +313,29 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
                 candidate["energy_per_request_mj"],
                 candidate["replicas"], candidate["kind"])
 
-    feasible = [candidate for candidate in candidates
-                if candidate["predicted_feasible"]]
-    shortlist = _rank_shortlist(feasible,
-                                [cost_key, f"predicted_{label}_ms"],
-                                cost, top_k)
-    _note(progress, f"analytic prune: {len(candidates)} candidates, "
-                    f"{len(feasible)} feasible, validating {len(shortlist)}")
-
     measure = partial(_measure_fleet, traffic=traffic, policy=policy,
                       router=router, duration=duration, seed=seed,
                       slo_seconds=slo_seconds,
                       dispatch_overhead_seconds=dispatch_overhead_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
                       label=label)
-    if jobs is not None and jobs > 1 and len(shortlist) > 1:
-        workers = min(jobs, len(shortlist))
-        _note(progress, f"validating {len(shortlist)} fleets across "
-                        f"{workers} processes")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            validated = list(pool.map(measure, shortlist))
-    else:
-        validated = []
-        for candidate in shortlist:
-            _note(progress, f"validating {candidate['fleet']} "
-                            f"({duration:.1f}s simulated)")
-            # Serial validation shares the prune's engine cache: every
-            # (model, target, batch) shape the analytic pass already
-            # simulated is free here (and a --cache-dir DiskResultCache
-            # persists both phases).
-            validated.append(measure(candidate, cache=service_times.cache))
-
-    attained = [candidate for candidate in validated if candidate["slo_attained"]]
-    chosen = min(attained, key=cost) if attained else None
-    _note(progress, f"chosen: {chosen['fleet']}" if chosen is not None
-                    else "chosen: none (no validated fleet met the SLO)")
+    name = itemgetter("fleet")
+    validated, chosen = _search(
+        candidates, rank_keys=[cost_key, f"predicted_{label}_ms"], cost=cost,
+        measure=measure, name=name, noun="fleet", top_k=top_k, jobs=jobs,
+        cache=service_times.cache, duration=duration, progress=progress)
 
     boundary = None
     if chosen is not None and chosen["replicas"] > 1:
         smaller = f"{chosen['replicas'] - 1}x{chosen['kind']}"
-        already = next((candidate for candidate in validated
-                        if candidate["fleet"] == smaller), None)
-        if already is not None:      # shortlisted earlier: don't re-simulate
-            boundary = {key: already[key] for key in
-                        ("fleet", f"{label}_ms", "slo_attained",
-                         "slo_violation_rate", "throughput_rps")}
-        else:
-            _note(progress, f"checking boundary fleet {smaller}")
-            report = serve(traffic, smaller, policy=policy, router=router,
-                           duration=duration, seed=seed,
-                           slo_seconds=slo_seconds,
-                           dispatch_overhead_seconds=dispatch_overhead_seconds,
-                           percentiles=percentiles, cache=service_times.cache)
-            measured = report.latency.quantile(slo_percentile)
-            boundary = {
-                "fleet": smaller,
-                f"{label}_ms": measured * 1e3,
-                "slo_attained": measured <= slo_seconds,
-                "slo_violation_rate": report.slo_violation_rate,
-                "throughput_rps": report.throughput_rps,
-            }
-
-    frontier_points = [dict(candidate) for candidate in validated
-                       if candidate[cost_key] is not None]
-    frontier = pareto_frontier(frontier_points,
-                               [cost_key, "slo_violation_rate"])
-    frontier_fleets = {point["fleet"] for point in frontier}
-    for candidate in validated:
-        candidate["pareto"] = candidate["fleet"] in frontier_fleets
+        boundary = _boundary(
+            next(candidate for candidate in candidates
+                 if candidate["fleet"] == smaller), validated,
+            ("fleet", f"{label}_ms", "slo_attained", "slo_violation_rate",
+             "throughput_rps"),
+            measure=measure, name=name, cache=service_times.cache,
+            progress=progress)
+    frontier = _frontier(validated, cost_key, name)
 
     return {
         "config": {
@@ -331,21 +375,11 @@ def _measure_pipeline(candidate: dict, *, traffic, pipeline, policy, router,
         stage_slo_seconds=stage_slo_seconds, handoff_seconds=handoff_seconds,
         dispatch_overhead_seconds=dispatch_overhead_seconds,
         percentiles=percentiles, cache=cache)
-    measured = report.latency.quantile(slo_percentile)
     return {
-        "pools": candidate["pools"],
-        "pools_text": candidate["pools_text"],
-        "counts": candidate["counts"],
-        "replicas": candidate["replicas"],
-        "area_mm2": candidate["area_mm2"],
-        "bottleneck": candidate["bottleneck"],
-        f"predicted_{label}_ms": candidate[f"predicted_{label}_ms"],
-        f"{label}_ms": measured * 1e3,
-        "slo_attained": measured <= slo_seconds,
-        "slo_violation_rate": report.slo_violation_rate,
-        "throughput_rps": report.throughput_rps,
-        "energy_per_request_mj": report.energy_per_request_joules * 1e3,
-        "replica_seconds": report.replica_seconds,
+        **_measured(candidate, ("pools", "pools_text", "counts", "replicas",
+                                "area_mm2", "bottleneck"),
+                    report, slo_seconds=slo_seconds,
+                    slo_percentile=slo_percentile, label=label),
         "stage_utilization": {row["name"]: row["utilization"]
                               for row in report.pipeline["stages"]},
     }
@@ -386,8 +420,10 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
 
     if isinstance(pipeline, str):
         pipeline = PipelineSpec.parse(pipeline)
-    if slo_seconds <= 0:
-        raise ValueError(f"slo_seconds must be positive, got {slo_seconds}")
+    check_finite(rate=rate, duration=duration, margin=margin,
+                 slo_seconds=slo_seconds,
+                 **{f"stage_slo_seconds[{name!r}]": slo
+                    for name, slo in (stage_slo_seconds or {}).items()})
     if max_replicas_per_stage < 1:
         raise ValueError(f"max_replicas_per_stage must be >= 1, "
                          f"got {max_replicas_per_stage}")
@@ -477,14 +513,6 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                 candidate["energy_per_request_mj"],
                 candidate["replicas"], candidate["pools_text"])
 
-    feasible = [candidate for candidate in candidates
-                if candidate["predicted_feasible"]]
-    shortlist = _rank_shortlist(feasible,
-                                [cost_key, f"predicted_{label}_ms"],
-                                cost, top_k)
-    _note(progress, f"analytic prune: {len(candidates)} candidates, "
-                    f"{len(feasible)} feasible, validating {len(shortlist)}")
-
     measure = partial(_measure_pipeline, traffic=traffic, pipeline=pipeline,
                       policy=policy, router=router, duration=duration,
                       seed=seed, slo_seconds=slo_seconds,
@@ -493,71 +521,26 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                       dispatch_overhead_seconds=dispatch_overhead_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
                       label=label)
-    if jobs is not None and jobs > 1 and len(shortlist) > 1:
-        workers = min(jobs, len(shortlist))
-        _note(progress, f"validating {len(shortlist)} candidates across "
-                        f"{workers} processes")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            validated = list(pool.map(measure, shortlist))
-    else:
-        validated = []
-        for candidate in shortlist:
-            _note(progress, f"validating {candidate['pools_text']} "
-                            f"({duration:.1f}s simulated)")
-            validated.append(measure(candidate, cache=service_times.cache))
-
-    attained = [candidate for candidate in validated
-                if candidate["slo_attained"]]
-    chosen = min(attained, key=cost) if attained else None
-    _note(progress, f"chosen: {chosen['pools_text']}" if chosen is not None
-                    else "chosen: none (no validated candidate met the SLO)")
+    name = itemgetter("pools_text")
+    validated, chosen = _search(
+        candidates, rank_keys=[cost_key, f"predicted_{label}_ms"], cost=cost,
+        measure=measure, name=name, noun="candidate", top_k=top_k, jobs=jobs,
+        cache=service_times.cache, duration=duration, progress=progress)
 
     boundary = None
     if chosen is not None and chosen["counts"][chosen["bottleneck"]] > 1:
         neck = chosen["bottleneck"]
-        smaller_counts = dict(chosen["counts"])
-        smaller_counts[neck] -= 1
-        smaller_pools = {name: f"{count}x{kinds[name]}"
-                         for name, count in smaller_counts.items()}
-        smaller_text = ";".join(f"{name}={smaller_pools[name]}"
-                                for name in stage_names)
-        already = next((candidate for candidate in validated
-                        if candidate["pools_text"] == smaller_text), None)
-        if already is not None:      # shortlisted earlier: don't re-simulate
-            boundary = {key: already[key] for key in
-                        ("pools", "pools_text", "counts", f"{label}_ms",
-                         "slo_attained", "slo_violation_rate",
-                         "throughput_rps")}
-            boundary["stage_shrunk"] = neck
-        else:
-            _note(progress, f"checking boundary candidate {smaller_text}")
-            report = serve_pipeline(
-                traffic, pipeline, smaller_pools, policy=policy,
-                router=router, duration=duration, seed=seed,
-                slo_seconds=slo_seconds,
-                stage_slo_seconds=stage_slo_seconds,
-                handoff_seconds=handoff_seconds,
-                dispatch_overhead_seconds=dispatch_overhead_seconds,
-                percentiles=percentiles, cache=service_times.cache)
-            measured = report.latency.quantile(slo_percentile)
-            boundary = {
-                "pools": smaller_pools,
-                "pools_text": smaller_text,
-                "counts": smaller_counts,
-                f"{label}_ms": measured * 1e3,
-                "slo_attained": measured <= slo_seconds,
-                "slo_violation_rate": report.slo_violation_rate,
-                "throughput_rps": report.throughput_rps,
-                "stage_shrunk": neck,
-            }
-
-    frontier_points = [dict(candidate) for candidate in validated
-                       if candidate[cost_key] is not None]
-    frontier = pareto_frontier(frontier_points,
-                               [cost_key, "slo_violation_rate"])
-    frontier_pools = {point["pools_text"] for point in frontier}
-    for candidate in validated:
-        candidate["pareto"] = candidate["pools_text"] in frontier_pools
+        smaller = dict(chosen["counts"])
+        smaller[neck] -= 1
+        boundary = _boundary(
+            next(candidate for candidate in candidates
+                 if candidate["counts"] == smaller), validated,
+            ("pools", "pools_text", "counts", f"{label}_ms", "slo_attained",
+             "slo_violation_rate", "throughput_rps"),
+            measure=measure, name=name, cache=service_times.cache,
+            progress=progress)
+        boundary["stage_shrunk"] = neck
+    frontier = _frontier(validated, cost_key, name)
 
     return {
         "config": {
@@ -585,12 +568,17 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
     }
 
 
-def _llm_measurements(report, slo_percentile: float, label: str) -> dict:
+def _llm_measurements(report, *, slo_percentile: float, label: str,
+                      ttft_slo_seconds: float, tpot_slo_seconds: float) -> dict:
     """The measured figures shared by validation and colocated reference."""
 
+    ttft_ms = report.ttft.quantile(slo_percentile) * 1e3
+    tpot_ms = report.tpot.quantile(slo_percentile) * 1e3
     return {
-        f"ttft_{label}_ms": report.ttft.quantile(slo_percentile) * 1e3,
-        f"tpot_{label}_ms": report.tpot.quantile(slo_percentile) * 1e3,
+        "slo_attained": (ttft_ms <= ttft_slo_seconds * 1e3
+                         and tpot_ms <= tpot_slo_seconds * 1e3),
+        f"ttft_{label}_ms": ttft_ms,
+        f"tpot_{label}_ms": tpot_ms,
         "ttft_attainment": report.llm["ttft_attainment"],
         "tpot_attainment": report.llm["tpot_attainment"],
         "slo_attainment": report.llm["slo_attainment"],
@@ -622,9 +610,6 @@ def _measure_llm_split(candidate: dict, *, traffic, duration, seed,
         ttft_slo_seconds=ttft_slo_seconds,
         tpot_slo_seconds=tpot_slo_seconds,
         percentiles=percentiles, cache=cache)
-    measured = _llm_measurements(report, slo_percentile, label)
-    attained = (measured[f"ttft_{label}_ms"] <= ttft_slo_seconds * 1e3
-                and measured[f"tpot_{label}_ms"] <= tpot_slo_seconds * 1e3)
     return {
         "prefill_fleet": candidate["prefill_fleet"],
         "decode_fleet": candidate["decode_fleet"],
@@ -634,8 +619,9 @@ def _measure_llm_split(candidate: dict, *, traffic, duration, seed,
         "area_mm2": candidate["area_mm2"],
         f"predicted_ttft_{label}_ms": candidate[f"predicted_ttft_{label}_ms"],
         "predicted_tpot_ms": candidate["predicted_tpot_ms"],
-        "slo_attained": attained,
-        **measured,
+        **_llm_measurements(report, slo_percentile=slo_percentile,
+                            label=label, ttft_slo_seconds=ttft_slo_seconds,
+                            tpot_slo_seconds=tpot_slo_seconds),
     }
 
 
@@ -675,8 +661,9 @@ def plan_llm_capacity(rate: float, model: str, *,
     Deterministic for fixed arguments.
     """
 
-    if min(ttft_slo_seconds, tpot_slo_seconds) <= 0:
-        raise ValueError("TTFT and TPOT SLOs must be positive")
+    check_finite(rate=rate, duration=duration, margin=margin,
+                 ttft_slo_seconds=ttft_slo_seconds,
+                 tpot_slo_seconds=tpot_slo_seconds)
     if max_replicas < 2:
         raise ValueError(f"max_replicas must be >= 2 (one replica per pool), "
                          f"got {max_replicas}")
@@ -727,14 +714,6 @@ def plan_llm_capacity(rate: float, model: str, *,
                 else float("inf"),
                 candidate["decode_replicas"])
 
-    feasible = [candidate for candidate in candidates
-                if candidate["predicted_feasible"]]
-    shortlist = _rank_shortlist(feasible,
-                                ["replicas", f"predicted_ttft_{label}_ms"],
-                                cost, top_k)
-    _note(progress, f"analytic prune: {len(candidates)} splits, "
-                    f"{len(feasible)} feasible, validating {len(shortlist)}")
-
     measure = partial(_measure_llm_split, traffic=traffic, duration=duration,
                       seed=seed, prompt_tokens=prompt_tokens,
                       output_tokens=output_tokens,
@@ -745,27 +724,12 @@ def plan_llm_capacity(rate: float, model: str, *,
                       tpot_slo_seconds=tpot_slo_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
                       label=label)
-    if jobs is not None and jobs > 1 and len(shortlist) > 1:
-        workers = min(jobs, len(shortlist))
-        _note(progress, f"validating {len(shortlist)} splits across "
-                        f"{workers} processes")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            validated = list(pool.map(measure, shortlist))
-    else:
-        validated = []
-        for candidate in shortlist:
-            _note(progress, f"validating {candidate['prefill_fleet']} + "
-                            f"{candidate['decode_fleet']} "
-                            f"({duration:.1f}s simulated)")
-            validated.append(measure(candidate, cache=cache))
-
-    attained = [candidate for candidate in validated
-                if candidate["slo_attained"]]
-    chosen = min(attained, key=cost) if attained else None
-    _note(progress,
-          f"chosen: {chosen['prefill_fleet']} + {chosen['decode_fleet']}"
-          if chosen is not None
-          else "chosen: none (no validated split met the SLOs)")
+    validated, chosen = _search(
+        candidates, rank_keys=["replicas", f"predicted_ttft_{label}_ms"],
+        cost=cost, measure=measure,
+        name=lambda split: f"{split['prefill_fleet']} + {split['decode_fleet']}",
+        noun="split", top_k=top_k, jobs=jobs, cache=cache, duration=duration,
+        progress=progress)
 
     colocated_reference = None
     if chosen is not None:
@@ -780,13 +744,11 @@ def plan_llm_capacity(rate: float, model: str, *,
             ttft_slo_seconds=ttft_slo_seconds,
             tpot_slo_seconds=tpot_slo_seconds,
             percentiles=percentiles, cache=cache)
-        measured = _llm_measurements(report, slo_percentile, label)
         colocated_reference = {
             "fleet": f"{chosen['replicas']}x{target}",
-            "slo_attained":
-                measured[f"ttft_{label}_ms"] <= ttft_slo_seconds * 1e3
-                and measured[f"tpot_{label}_ms"] <= tpot_slo_seconds * 1e3,
-            **measured,
+            **_llm_measurements(report, slo_percentile=slo_percentile,
+                                label=label, ttft_slo_seconds=ttft_slo_seconds,
+                                tpot_slo_seconds=tpot_slo_seconds),
         }
 
     return {

@@ -12,13 +12,13 @@ request under load.  The pieces:
   ``RunSpec`` dispatches;
 * :mod:`cluster` — heterogeneous fleets of engine targets with least-loaded
   and energy-aware routing;
-* :mod:`simulator` — the deterministic event loop, :func:`serve` and
-  :func:`compare`;
+* :mod:`simulator` — the deterministic event-loop kernel shared by
+  :func:`serve` and :func:`serve_pipeline`, plus :func:`compare`;
 * :mod:`llm` — autoregressive serving: continuous (iteration-level) batching
   vs monolithic gangs, chunked prefill, KV-cache admission and
   prefill/decode-disaggregated fleets via :func:`serve_llm`;
 * :mod:`pipeline` — multi-stage request DAGs (RAG chains, cascade
-  draft→verify) traversing per-stage replica pools via
+  draft→verify) traversing per-stage replica pools of that kernel via
   :func:`serve_pipeline`;
 * :mod:`metrics` — per-request records folded into the JSON-serialisable
   :class:`ServeReport` (p50/p95/p99, throughput, utilisation, SLO violations,

@@ -68,7 +68,7 @@ from repro.serve.simulator import (
     RUNTIME_SEQUENCE_BASE,
     check_summary,
 )
-from repro.serve.traffic import Request, TrafficPattern
+from repro.serve.traffic import Request, TrafficPattern, check_finite
 from repro.serve.traffic import iter_arrivals as _iter_arrivals
 from repro.serve.traffic import traffic_models
 from repro.workloads import get_family
@@ -376,10 +376,10 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
     if kv_bucket < 1:
         raise ValueError(f"kv_bucket must be >= 1, got {kv_bucket}")
-    if step_overhead_seconds < 0 or handoff_seconds < 0:
-        raise ValueError("step_overhead_seconds and handoff_seconds must be >= 0")
-    if min(ttft_slo_seconds, tpot_slo_seconds, slo_seconds) <= 0:
-        raise ValueError("SLOs must be positive")
+    check_finite(duration=duration, ttft_slo_seconds=ttft_slo_seconds,
+                 tpot_slo_seconds=tpot_slo_seconds, slo_seconds=slo_seconds)
+    check_finite(step_overhead_seconds=step_overhead_seconds,
+                 handoff_seconds=handoff_seconds, allow_zero=True)
     check_summary(summary)
     kv = KVCacheConfig() if kv is None else kv
     cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if cache is None else cache

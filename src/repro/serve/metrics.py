@@ -316,6 +316,26 @@ def _replica_window_overlap(replicas, makespan: float, start: float,
         for replica in replicas)
 
 
+def _replica_reports(replicas, makespan: float) -> tuple[ReplicaReport, ...]:
+    """Each replica's share of the run, the same under either summary fold."""
+
+    return tuple(
+        ReplicaReport(
+            name=replica.name, target=replica.spec.target,
+            attention=replica.spec.attention, requests=replica.served,
+            batches=replica.batches, busy_seconds=replica.busy_seconds,
+            utilization=replica.busy_seconds / makespan,
+            energy_joules=replica.energy_joules,
+            started_at=replica.started_at, retired_at=replica.retired_at,
+            role=getattr(replica, "role", None),
+            kv_capacity_tokens=getattr(replica, "kv_capacity", None),
+            kv_peak_tokens=getattr(replica, "kv_peak", None),
+            decode_steps=getattr(replica, "decode_steps", None),
+            stage=getattr(replica, "stage", None))
+        for replica in replicas
+    )
+
+
 class ReportAccumulator:
     """Bounded-memory fold of a serving run — ``summary="streaming"``.
 
@@ -434,21 +454,6 @@ class ReportAccumulator:
         makespan = max(duration, self.last_completion)
         total_energy = sum(replica.energy_joules for replica in replicas)
         total_batches = sum(replica.batches for replica in replicas)
-        per_replica = tuple(
-            ReplicaReport(
-                name=replica.name, target=replica.spec.target,
-                attention=replica.spec.attention, requests=replica.served,
-                batches=replica.batches, busy_seconds=replica.busy_seconds,
-                utilization=replica.busy_seconds / makespan,
-                energy_joules=replica.energy_joules,
-                started_at=replica.started_at, retired_at=replica.retired_at,
-                role=getattr(replica, "role", None),
-                kv_capacity_tokens=getattr(replica, "kv_capacity", None),
-                kv_peak_tokens=getattr(replica, "kv_peak", None),
-                decode_steps=getattr(replica, "decode_steps", None),
-                stage=getattr(replica, "stage", None))
-            for replica in replicas
-        )
         return ServeReport(
             config=config,
             offered=offered,
@@ -467,7 +472,7 @@ class ReportAccumulator:
             per_model=tuple(sorted(((model, sketch.summary())
                                     for model, sketch in self.per_model.items()),
                                    key=lambda entry: entry[0])),
-            per_replica=per_replica,
+            per_replica=_replica_reports(replicas, makespan),
             cache=cache_stats,
             replica_seconds=sum(replica.lifetime_seconds(makespan)
                                 for replica in replicas),
@@ -545,21 +550,6 @@ def build_report(config: dict[str, object], records: Sequence[RequestRecord],
     for record in records:
         by_model.setdefault(record.model, []).append(record.latency)
 
-    per_replica = tuple(
-        ReplicaReport(
-            name=replica.name, target=replica.spec.target,
-            attention=replica.spec.attention, requests=replica.served,
-            batches=replica.batches, busy_seconds=replica.busy_seconds,
-            utilization=replica.busy_seconds / makespan,
-            energy_joules=replica.energy_joules,
-            started_at=replica.started_at, retired_at=replica.retired_at,
-            role=getattr(replica, "role", None),
-            kv_capacity_tokens=getattr(replica, "kv_capacity", None),
-            kv_peak_tokens=getattr(replica, "kv_peak", None),
-            decode_steps=getattr(replica, "decode_steps", None),
-            stage=getattr(replica, "stage", None))
-        for replica in replicas
-    )
     return ServeReport(
         config=config,
         offered=offered,
@@ -577,7 +567,7 @@ def build_report(config: dict[str, object], records: Sequence[RequestRecord],
         per_model=tuple(sorted(((model, LatencySummary.of(values, percentiles))
                                 for model, values in by_model.items()),
                                key=lambda entry: entry[0])),
-        per_replica=per_replica,
+        per_replica=_replica_reports(replicas, makespan),
         cache=cache_stats,
         replica_seconds=sum(replica.lifetime_seconds(makespan)
                             for replica in replicas),

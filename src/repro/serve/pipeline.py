@@ -4,19 +4,24 @@ A :class:`PipelineSpec` names a DAG of stages, each serving one (possibly
 configured) workload on its own replica pool — retrieval→generation chains,
 encoder/reranker mixes, cascade draft→verify.  :func:`serve_pipeline` runs
 the discrete-event simulation: every request enters at the entry stage,
-queues and batches on that stage's pool exactly like classic :func:`serve`,
-then *hops* — after a fixed handoff delay — to a successor stage drawn from
-the stage's routing table, until it exits.  Probabilistic routes model
-cascades (a draft stage exits with the seeded acceptance probability and
-escalates to the verifier otherwise); deterministic routes model linear
-chains, spelled with the arrow grammar::
+queues and batches on that stage's pool, then *hops* — after a fixed
+handoff delay — to a successor stage drawn from the stage's routing table,
+until it exits.  Probabilistic routes model cascades (a draft stage exits
+with the seeded acceptance probability and escalates to the verifier
+otherwise); deterministic routes model linear chains, spelled with the arrow
+grammar::
 
     rag = encoder[tokens=512] -> rerank:encoder[tokens=128] -> deit-tiny
 
-Each stage keeps its own queues, batching and routing over its own pool
-(pools may be different hardware kinds), so the whole run is a tandem
-queueing network; :mod:`repro.plan.queueing` carries the matching analytic
-composition and ``plan_pipeline_capacity`` sizes all pools jointly.
+The event loop is the one :func:`~repro.serve.serve` runs (the kernel in
+:mod:`repro.serve.simulator`), with one kernel pool per stage: routing,
+batching, dispatch, per-stage autoscaling, the run-end flush and the report
+fold are shared.  This module adds only what a pipeline means — the spec,
+per-stage statistics, the seeded route draw after each batch, the hop to the
+next stage's pool and the ``pipeline`` report block.  Pools may be different
+hardware kinds, so the whole run is a tandem queueing network;
+:mod:`repro.plan.queueing` carries the matching analytic composition and
+``plan_pipeline_capacity`` sizes all pools jointly.
 
 Determinism contract: arrivals come from the traffic pattern's seeded
 stream, route draws come from one dedicated generator seeded from the run
@@ -31,44 +36,31 @@ arrival at the entry stage to completion at the exit stage, and the report's
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import logging
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from repro.engine import ResultCache, RunSpec, simulate
-from repro.serve.batching import BatchPolicy, make_policy
-from repro.serve.cluster import (
-    Estimate,
-    Fleet,
-    LoadIndex,
-    Replica,
-    ReplicaSpec,
-    Router,
-    make_router,
-)
+from repro.engine import ResultCache
+from repro.serve.batching import BatchPolicy
+from repro.serve.cluster import Fleet, Replica, Router
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     LatencySummary,
-    ReportAccumulator,
     RequestRecord,
-    ScaleEvent,
     ServeReport,
-    build_report,
 )
 from repro.serve.simulator import (
-    DEFAULT_CACHE_ENTRIES,
     DEFAULT_DISPATCH_OVERHEAD,
     DEFAULT_SLO,
-    RUNTIME_SEQUENCE_BASE,
-    check_summary,
+    _Kernel,
+    _Pool,
 )
-from repro.serve.traffic import Request, TrafficPattern, _check_workload_name
-from repro.serve.traffic import iter_arrivals as _iter_arrivals
-
-logger = logging.getLogger(__name__)
+from repro.serve.traffic import (
+    Request,
+    TrafficPattern,
+    _check_workload_name,
+    check_finite,
+)
 
 #: Default stage-to-stage handoff delay (seconds): the host-side cost of
 #: shipping one request's intermediate state to the next stage's pool.
@@ -313,12 +305,11 @@ class PipelineSpec:
 class _Flight:
     """Mutable per-request traversal state (index → flight while in flight)."""
 
-    __slots__ = ("arrival", "queue_wait", "hops")
+    __slots__ = ("arrival", "queue_wait")
 
     def __init__(self, arrival: float):
         self.arrival = arrival
         self.queue_wait = 0.0
-        self.hops = 0
 
 
 class _StageStats:
@@ -363,19 +354,17 @@ class _StageStats:
                 self._service.summary())
 
 
-class _StageState:
-    """One stage's runtime bundle: spec, pool, routing index, autoscaler."""
+class _Stage(_Pool):
+    """One stage's kernel pool plus its spec, request stats and routes."""
 
-    __slots__ = ("stage", "pool", "index", "autoscaler", "stats", "successors")
+    __slots__ = ("spec", "stats", "successors")
 
-    def __init__(self, stage: PipelineStage, pool: Fleet,
-                 index: LoadIndex | None, autoscaler, stats: _StageStats):
-        self.stage = stage
-        self.pool = pool
-        self.index = index
-        self.autoscaler = autoscaler
+    def __init__(self, spec: PipelineStage, fleet: Fleet, autoscaler,
+                 stats: _StageStats):
+        super().__init__(fleet, autoscaler, spec.name)
+        self.spec = spec
         self.stats = stats
-        self.successors = stage.routes or (StageRoute(None, 1.0),)
+        self.successors = spec.routes or (StageRoute(None, 1.0),)
 
 
 def _stage_pool(pool: "Fleet | str", ordinal: int, stage_name: str) -> Fleet:
@@ -423,20 +412,7 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
 
     if isinstance(pipeline, str):
         pipeline = PipelineSpec.parse(pipeline)
-    if isinstance(policy, str):
-        policy = make_policy(policy)
-    if isinstance(router, str):
-        router = make_router(router)
-    if dispatch_overhead_seconds < 0:
-        raise ValueError(f"dispatch_overhead_seconds must be >= 0, "
-                         f"got {dispatch_overhead_seconds}")
-    if handoff_seconds < 0:
-        raise ValueError(f"handoff_seconds must be >= 0, got {handoff_seconds}")
-    if slo_seconds <= 0:
-        raise ValueError(f"slo_seconds must be positive, got {slo_seconds}")
-    if window_seconds is not None and window_seconds <= 0:
-        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-    check_summary(summary)
+    check_finite(handoff_seconds=handoff_seconds, allow_zero=True)
     stage_names = [stage.name for stage in pipeline.stages]
     missing = [name for name in stage_names if name not in pools]
     if missing:
@@ -453,8 +429,7 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     for name, slo in stage_slo_seconds.items():
         if name not in stage_names:
             raise ValueError(f"stage_slo_seconds names unknown stage {name!r}")
-        if slo <= 0:
-            raise ValueError(f"stage SLO for {name!r} must be positive, got {slo}")
+        check_finite(**{f"stage_slo_seconds[{name!r}]": slo})
     autoscalers = dict(autoscalers or {})
     for name in autoscalers:
         if name not in stage_names:
@@ -462,80 +437,32 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     if len({id(scaler) for scaler in autoscalers.values()}) != len(autoscalers):
         raise ValueError("each stage needs its own Autoscaler instance "
                          "(they carry per-fleet state)")
-    cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if cache is None else cache
 
-    uses_index = getattr(router, "uses_load_index", False)
     streaming = summary == "streaming"
-    states: dict[str, _StageState] = {}
-    for ordinal, stage in enumerate(pipeline.stages):
-        pool = _stage_pool(pools[stage.name], ordinal, stage.name)
-        pool.reset()
-        for replica in pool.replicas:
-            replica.stage = stage.name
-        states[stage.name] = _StageState(
-            stage, pool,
-            LoadIndex(pool.replicas) if uses_index else None,
-            autoscalers.get(stage.name),
-            _StageStats(streaming, percentiles,
-                        stage_slo_seconds.get(stage.name)))
-    all_replicas = [replica for name in stage_names
-                    for replica in states[name].pool.replicas]
-    if obs is not None:
-        obs.begin_run(all_replicas, "serve-pipeline")
-
-    logger.info("serve_pipeline: %s over %.3fs, %d stages "
-                "(policy=%s router=%s summary=%s)",
-                pipeline.name, duration, len(pipeline.stages), policy.name,
-                router.name, summary)
-
-    records: list[RequestRecord] = []
-    accumulator = None
-    if streaming:
-        accumulator = ReportAccumulator(
-            slo_seconds=slo_seconds, percentiles=percentiles,
-            window_seconds=window_seconds)
-
-    estimates: dict[tuple[str, ReplicaSpec], Estimate] = {}
-
-    def estimate(model: str, replica: Replica) -> Estimate:
-        key = (model, replica.spec)
-        cached = estimates.get(key)
-        if cached is None:
-            result = simulate(RunSpec(model, target=replica.spec.target,
-                                      attention=replica.spec.attention),
-                              cache=cache)
-            cached = Estimate(dispatch_overhead_seconds + result.end_to_end_latency,
-                              result.end_to_end_energy)
-            estimates[key] = cached
-        return cached
+    stages = {stage.name: _Stage(
+                  stage, _stage_pool(pools[stage.name], ordinal, stage.name),
+                  autoscalers.get(stage.name),
+                  _StageStats(streaming, percentiles,
+                              stage_slo_seconds.get(stage.name)))
+              for ordinal, stage in enumerate(pipeline.stages)}
+    kernel = _Kernel(traffic, list(stages.values()), policy, router,
+                     duration=duration, seed=seed, slo_seconds=slo_seconds,
+                     dispatch_overhead_seconds=dispatch_overhead_seconds,
+                     cache=cache, percentiles=percentiles,
+                     window_seconds=window_seconds, summary=summary, obs=obs,
+                     label="serve-pipeline")
+    records, accumulator = kernel.records, kernel.accumulator
+    entry = stages[pipeline.entry]
 
     # One dedicated generator for route draws, consumed in event order —
     # string seeding hashes deterministically, so the draw sequence is part
     # of the run's bit-reproducibility contract.
     route_rng = random.Random(f"pipeline-routes:{pipeline.name}:{seed}")
-
-    sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
-    arrival_stream = _iter_arrivals(traffic, duration, seed)
-    offered = 0
-    handoffs = 0
-    first = next(arrival_stream, None)
-    exhausted = first is None
-    events: list[tuple[float, int, str, object]] = []
-    if first is not None:
-        events.append((first.arrival, first.index, "arrival", first))
-    for name in stage_names:
-        scaler = states[name].autoscaler
-        if scaler is not None:
-            scaler.begin(states[name].pool, observer=obs)
-            if scaler.interval <= duration:
-                events.append((scaler.interval, next(sequence), "scale", name))
-    heapq.heapify(events)
-
     flights: dict[int, _Flight] = {}
-    entry_state = states[pipeline.entry]
+    handoffs = 0
 
-    def choose_route(state: _StageState) -> str | None:
-        routes = state.successors
+    def choose_route(stage: _Stage) -> str | None:
+        routes = stage.successors
         if len(routes) == 1:
             return routes[0].to
         pick = route_rng.random()
@@ -546,206 +473,86 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
                 return route.to
         return routes[-1].to
 
-    def finish_request(state: _StageState, request: Request, replica: Replica,
-                       now: float, finish: float, batch_size: int) -> None:
-        flight = flights[request.index]
-        wait = now - request.arrival
-        flight.queue_wait += wait
-        state.stats.observe(wait, finish - now)
-        target = choose_route(state)
-        if target is None:
+    def admit(request: Request) -> Request:
+        flights[request.index] = _Flight(request.arrival)
+        return Request(index=request.index, model=entry.spec.model,
+                       arrival=request.arrival)
+
+    def complete(stage: _Stage, replica: Replica, batch: list[Request],
+                 now: float, finish: float) -> None:
+        nonlocal handoffs
+        for request in batch:
+            flight = flights[request.index]
+            wait = now - request.arrival
+            flight.queue_wait += wait
+            stage.stats.observe(wait, finish - now)
+            target = choose_route(stage)
+            if target is not None:
+                handoffs += 1
+                successor = stages[target]
+                arrival = finish + handoff_seconds
+                kernel.schedule(arrival, successor, Request(
+                    index=request.index, model=successor.spec.model,
+                    arrival=arrival))
+                if obs is not None:
+                    obs.stage_handoff(request.index, request.model,
+                                      replica.name, finish, arrival,
+                                      stage.spec.name)
+                continue
             del flights[request.index]
             # The report's dispatch is synthetic — arrival plus the summed
             # per-stage waits — so RequestRecord.queue_wait is the total
             # time spent queued across every stage the request visited.
-            synthetic_dispatch = flight.arrival + flight.queue_wait
+            dispatch = flight.arrival + flight.queue_wait
             if accumulator is not None:
-                accumulator.observe(pipeline.name, flight.arrival,
-                                    synthetic_dispatch, finish)
+                accumulator.observe(pipeline.name, flight.arrival, dispatch,
+                                    finish)
             else:
                 records.append(RequestRecord(
                     index=request.index, model=pipeline.name,
                     arrival=flight.arrival, replica=replica.name,
-                    batch_size=batch_size, dispatch=synthetic_dispatch,
+                    batch_size=len(batch), dispatch=dispatch,
                     completion=finish))
             if obs is not None:
                 obs.pipeline_completed(request.index, pipeline.name,
                                        flight.arrival, flight.queue_wait, finish)
-            return
-        nonlocal handoffs
-        handoffs += 1
-        flight.hops += 1
-        next_state = states[target]
-        next_arrival = finish + handoff_seconds
-        hop = Request(index=request.index, model=next_state.stage.model,
-                      arrival=next_arrival)
-        heapq.heappush(events, (next_arrival, next(sequence), "hop",
-                                (next_state, hop)))
-        if obs is not None:
-            obs.stage_handoff(request.index, request.model, replica.name,
-                              finish, next_arrival, state.stage.name)
 
-    def dispatch(state: _StageState, replica: Replica, now: float) -> None:
-        while replica.idle(now) and replica.queue:
-            batch = policy.take(replica.queue, now,
-                                draining=(exhausted or not replica.active))
-            if batch is None:
-                deadline = policy.deadline(replica.queue)
-                if deadline is not None and deadline > now:
-                    heapq.heappush(events, (deadline, next(sequence), "poll",
-                                            (state, replica)))
-                break
-            for request in batch:
-                replica.queued_seconds -= estimate(request.model,
-                                                   replica).latency_seconds
-            if not replica.queue:
-                replica.queued_seconds = 0.0    # shed float residue when empty
-            spec = RunSpec(batch[0].model, target=replica.spec.target,
-                           attention=replica.spec.attention,
-                           batch_size=len(batch))
-            result = simulate(spec, cache=cache)
-            service = dispatch_overhead_seconds + result.end_to_end_latency
-            finish = now + service
-            replica.busy_until = finish
-            replica.busy_seconds += service
-            replica.energy_joules += result.end_to_end_energy
-            replica.batches += 1
-            replica.served += len(batch)
-            if obs is not None:
-                obs.stage_dispatched(replica, batch, now, finish,
-                                     state.stage.name)
-            for request in batch:
-                finish_request(state, request, replica, now, finish, len(batch))
-            heapq.heappush(events, (finish, next(sequence), "free",
-                                    (state, replica)))
-            logger.debug("t=%.6f dispatch %s[%s]: %s x%d (service %.6fs)",
-                         now, replica.name, state.stage.name, batch[0].model,
-                         len(batch), service)
-        if (not replica.active and replica.retired_at is None
-                and not replica.queue and replica.idle(now)):
-            replica.retired_at = now
-            if obs is not None:
-                obs.replica_retired(replica, now)
-        if state.index is not None and replica.active:
-            state.index.update(replica, now)
+    kernel.run(complete, admit=admit, entry=entry)
 
-    def enqueue(state: _StageState, request: Request, now: float) -> None:
-        if state.index is not None:
-            replica = state.index.argmin(now)
-            if replica is None:              # every replica is draining
-                replica = router.choose(state.pool.replicas, request.model,
-                                        now, estimate)
-        else:
-            candidates = state.pool.active_replicas or state.pool.replicas
-            replica = router.choose(candidates, request.model, now, estimate)
-        replica.queue.append(request)
-        replica.queued_seconds += estimate(request.model, replica).latency_seconds
-        if state.index is not None and replica.active:
-            state.index.update(replica, now)
-        if obs is not None:
-            obs.pipeline_routed(request, replica, now, len(replica.queue),
-                                entry=(state is entry_state))
-        dispatch(state, replica, now)
-
-    tick = obs.event_tick if obs is not None else None
-    while events:
-        now, _, kind, payload = heapq.heappop(events)
-        if tick is not None:
-            tick(now)
-        if kind == "arrival":
-            offered += 1
-            upcoming = next(arrival_stream, None)
-            if upcoming is None:
-                exhausted = True
-            else:
-                heapq.heappush(events, (upcoming.arrival, upcoming.index,
-                                        "arrival", upcoming))
-            flights[payload.index] = _Flight(payload.arrival)
-            entry_request = Request(index=payload.index,
-                                    model=entry_state.stage.model,
-                                    arrival=payload.arrival)
-            enqueue(entry_state, entry_request, now)
-            if exhausted:
-                # Last entry arrival processed: flush every pool so policies
-                # holding out for bigger batches drain (hops arriving later
-                # dispatch immediately in draining mode).
-                for name in stage_names:
-                    state = states[name]
-                    for other in state.pool.replicas:
-                        dispatch(state, other, now)
-        elif kind == "hop":
-            state, request = payload
-            enqueue(state, request, now)
-        elif kind == "scale":
-            state = states[payload]
-            scaler = state.autoscaler
-            additions, drained = scaler.check(now, state.pool)
-            for _ in range(additions):
-                heapq.heappush(events, (now + scaler.provision_seconds,
-                                        next(sequence), "provision", payload))
-            for replica in drained:
-                if state.index is not None:
-                    state.index.remove(replica)
-                dispatch(state, replica, now)
-            next_check = now + scaler.interval
-            if next_check <= duration:
-                heapq.heappush(events, (next_check, next(sequence), "scale",
-                                        payload))
-        elif kind == "provision":
-            state = states[payload]
-            replica = state.autoscaler.provision(now, state.pool)
-            replica.stage = state.stage.name
-            if state.index is not None:
-                state.index.update(replica, now)
-        else:                                # "free" and "poll" re-evaluate
-            state, replica = payload
-            dispatch(state, replica, now)
-
-    all_replicas = [replica for name in stage_names
-                    for replica in states[name].pool.replicas]
     makespan = duration
     if accumulator is not None:
         makespan = max(duration, accumulator.last_completion)
     elif records:
         makespan = max(duration, max(record.completion for record in records))
-
     stage_rows = []
-    for name in stage_names:
-        state = states[name]
-        latency, wait, service = state.stats.summaries()
-        pool_replicas = state.pool.replicas
-        utilization = (sum(replica.busy_seconds for replica in pool_replicas)
-                       / (len(pool_replicas) * makespan)
-                       if pool_replicas and makespan else 0.0)
-        slo = state.stats.slo_seconds
+    for stage in stages.values():
+        latency, wait, service = stage.stats.summaries()
+        replicas = stage.fleet.replicas
+        slo = stage.stats.slo_seconds
         stage_rows.append({
-            "name": name,
-            "model": state.stage.model,
-            "pool": state.pool.describe(),
-            "requests": state.stats.count,
+            "name": stage.spec.name,
+            "model": stage.spec.model,
+            "pool": stage.fleet.describe(),
+            "requests": stage.stats.count,
             "latency": latency.to_dict(),
             "queue_wait": wait.to_dict(),
             "service": service.to_dict(),
-            "utilization": utilization,
+            "utilization": (sum(replica.busy_seconds for replica in replicas)
+                            / (len(replicas) * makespan)
+                            if replicas and makespan else 0.0),
             "slo_seconds": slo,
-            "slo_attainment": (1.0 - state.stats.violations / state.stats.count
-                               if slo is not None and state.stats.count
+            "slo_attainment": (1.0 - stage.stats.violations / stage.stats.count
+                               if slo is not None and stage.stats.count
                                else None),
         })
-    pipeline_block: dict[str, object] = {
-        "name": pipeline.name,
-        "entry": pipeline.entry,
-        "handoff_seconds": handoff_seconds,
-        "handoffs": handoffs,
-        "stages": stage_rows,
-    }
 
     config: dict[str, object] = {
         "traffic": traffic.to_dict(),
         "pipeline": pipeline.to_dict(),
-        "pools": {name: states[name].pool.describe() for name in stage_names},
-        "policy": policy.to_dict(),
-        "router": router.name,
+        "pools": {name: stage.fleet.describe()
+                  for name, stage in stages.items()},
+        "policy": kernel.policy.to_dict(),
+        "router": kernel.router.name,
         "duration": duration,
         "seed": seed,
         "slo_seconds": slo_seconds,
@@ -754,40 +561,13 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     }
     if stage_slo_seconds:
         config["stage_slo_seconds"] = dict(sorted(stage_slo_seconds.items()))
-    scale_events: tuple[ScaleEvent, ...] = ()
     if autoscalers:
         config["autoscalers"] = {name: autoscalers[name].to_dict()
                                  for name in sorted(autoscalers)}
-        merged: list[ScaleEvent] = []
-        for name in stage_names:
-            scaler = states[name].autoscaler
-            if scaler is not None:
-                merged.extend(scaler.collect_events(states[name].pool))
-        scale_events = tuple(sorted(
-            merged, key=lambda event: (event.time, event.action, event.replica)))
-    if tuple(percentiles) != DEFAULT_PERCENTILES:
-        config["percentiles"] = sorted(set(percentiles))
-    if window_seconds is not None:
-        config["window_seconds"] = window_seconds
-    if accumulator is not None:
-        config["summary"] = summary
-        report = accumulator.finalize(config, offered=offered,
-                                      duration=duration, replicas=all_replicas,
-                                      cache_stats=cache.stats(),
-                                      scale_events=scale_events,
-                                      pipeline=pipeline_block)
-    else:
-        records.sort(key=lambda record: record.index)
-        report = build_report(config, records, offered=offered,
-                              duration=duration, slo_seconds=slo_seconds,
-                              replicas=all_replicas, cache_stats=cache.stats(),
-                              percentiles=percentiles,
-                              scale_events=scale_events,
-                              window_seconds=window_seconds,
-                              pipeline=pipeline_block)
-    logger.info("serve_pipeline: completed %d/%d requests (%d handoffs), "
-                "p99 %.4fs", report.completed, report.offered, handoffs,
-                report.latency.p99)
-    if obs is not None:
-        obs.end_run(report)
-    return report
+    return kernel.report(config, pipeline={
+        "name": pipeline.name,
+        "entry": pipeline.entry,
+        "handoff_seconds": handoff_seconds,
+        "handoffs": handoffs,
+        "stages": stage_rows,
+    })

@@ -293,9 +293,16 @@ def traffic_models(traffic: TrafficPattern) -> list[str] | None:
     return None
 
 
-def _check_duration(duration: float) -> None:
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+def check_finite(*, allow_zero: bool = False, **values: float) -> None:
+    """Reject run parameters (one per keyword) that are nan, infinite or not
+    positive — or negative, with ``allow_zero``; the error names the bad one.
+    Unchecked, a nan SLO is never violated and an infinite duration never
+    ends."""
+
+    bound = ">= 0" if allow_zero else "positive"
+    for name, value in values.items():
+        if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+            raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
@@ -337,7 +344,7 @@ class PoissonTraffic:
             now += rng.expovariate(self.rate)
 
     def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
+        check_finite(duration=duration)
         rng = random.Random(seed)
         return _lazy_requests(self._times(duration, rng), self.mix, rng)
 
@@ -395,7 +402,7 @@ class BurstyTraffic:
             now, burst = phase_end, not burst
 
     def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
+        check_finite(duration=duration)
         rng = random.Random(seed)
         return _lazy_requests(self._times(duration, rng), self.mix, rng)
 
@@ -444,7 +451,7 @@ class DiurnalTraffic:
             now += rng.expovariate(self.peak_rate)
 
     def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
+        check_finite(duration=duration)
         rng = random.Random(seed)
         return _lazy_requests(self._times(duration, rng), self.mix, rng)
 
@@ -499,7 +506,7 @@ class ReplayTraffic:
         return cls(tuple(trace))
 
     def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
+        check_finite(duration=duration)
         # Replay still sorts its trace up front (a trace is in memory anyway);
         # laziness here is about matching the streaming protocol.
         ordered = sorted(entry for entry in self.trace if entry[0] < duration)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -224,6 +225,20 @@ class TestLLMPlanning:
                                       "decoder")
         assert not estimate.stable
         assert estimate.ttft_mean_seconds is None or estimate.tpot_seconds is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
+                                           "ttft_slo_seconds",
+                                           "tpot_slo_seconds"])
+    def test_plan_llm_capacity_rejects_non_finite_inputs(self, parameter,
+                                                         value):
+        cache = ResultCache()
+        kwargs = dict(rate=8.0, model="decoder", ttft_slo_seconds=0.2,
+                      tpot_slo_seconds=0.01, duration=1.0, max_replicas=4,
+                      cache=cache)
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            plan_llm_capacity(**{**kwargs, parameter: value})
+        assert cache.stats().misses == 0
 
     def test_plan_llm_capacity_chooses_and_validates(self):
         payload = plan_llm_capacity(

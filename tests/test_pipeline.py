@@ -17,10 +17,12 @@ The acceptance assertions of the pipeline subsystem live here:
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.cli import main
+from repro.engine import ResultCache
 from repro.experiments import get_experiment, list_experiments
 from repro.experiments.pipeline_exps import rag_pipeline_study
 from repro.plan import Autoscaler, estimate_pipeline, plan_pipeline_capacity
@@ -292,6 +294,33 @@ class TestServePipeline:
                            duration=0.1, handoff_seconds=-1.0)
 
 
+class TestServeIsOneStagePipeline:
+    """Differential oracle: :func:`serve` is the one-pool case of the kernel
+    ``serve_pipeline`` runs, so one-stage pipeline traffic on the same fleet
+    serves identically — every request, wait and replica figure."""
+
+    FLEET = "2xvitality,1xgpu:taylor"
+
+    @pytest.mark.parametrize("summary", ["exact", "streaming"])
+    @pytest.mark.parametrize("policy", ["fifo", "size", "timeout"])
+    def test_reports_agree(self, policy, summary):
+        kwargs = dict(policy=policy, duration=2.0, seed=3, summary=summary)
+        classic = serve(TRAFFIC(900.0), self.FLEET, **kwargs)
+        staged = serve_pipeline(TRAFFIC(900.0), "one = deit-tiny",
+                                {"deit-tiny": self.FLEET}, **kwargs)
+        assert classic.offered == staged.offered > 0
+        assert classic.completed == staged.completed == classic.offered
+        assert classic.latency == staged.latency
+        assert classic.queue_wait == staged.queue_wait
+
+        def figures(report):
+            return [(replica.busy_seconds, replica.energy_joules,
+                     replica.batches, replica.requests)
+                    for replica in report.per_replica]
+
+        assert figures(classic) == figures(staged)
+
+
 # ------------------------------------------------- tandem-queue estimator
 
 
@@ -424,6 +453,18 @@ class TestPlanPipelineCapacity:
         with pytest.raises(ValueError, match="targets"):
             plan_pipeline_capacity(10.0, TWO_STAGE, slo_seconds=0.1,
                                    duration=0.5, targets={"encoder": "vitality"})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
+                                           "slo_seconds", "stage_slo_seconds"])
+    def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
+        cache = ResultCache()
+        override = {"encoder": value} if parameter == "stage_slo_seconds" \
+            else value
+        with pytest.raises(ValueError, match=f"{parameter}.* must be finite"):
+            plan_pipeline_capacity(
+                **{**self.SCENARIO, "cache": cache, parameter: override})
+        assert cache.stats().misses == 0
 
 
 # ------------------------------------------------------------- experiment

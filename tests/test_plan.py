@@ -15,10 +15,12 @@ The acceptance assertions of the capacity-planning subsystem live here:
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.cli import main
+from repro.engine import ResultCache
 from repro.experiments.plan_exps import autoscale_study, capacity_planning
 from repro.plan import (
     Autoscaler,
@@ -216,6 +218,19 @@ class TestOptimizer:
         with pytest.raises(KeyError):
             plan_capacity(100.0, ["deit-tiny"], slo_seconds=0.1, duration=1.0,
                           targets=("tpu",))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("parameter",
+                             ["rate", "duration", "margin", "slo_seconds"])
+    def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
+        """A nan margin or SLO used to prune every fleet and return
+        ``chosen: None`` without an error; a bad duration surfaced only in
+        the first validation run, after the whole analytic prune."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            plan_capacity(**{**self.SCENARIO, "cache": cache, parameter: value})
+        assert cache.stats().misses == 0
 
 
 class TestAutoscaling:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 
 import pytest
@@ -24,6 +25,8 @@ from repro.serve import (
     make_traffic,
     percentile,
     serve,
+    serve_llm,
+    serve_pipeline,
 )
 
 MIX = WorkloadMix.of(["deit-tiny"])
@@ -314,6 +317,66 @@ class TestServeBehavior:
                   dispatch_overhead_seconds=-1.0)
         with pytest.raises(ValueError, match="unknown router"):
             serve(traffic, "1xvitality", router="round-robin", duration=1.0)
+
+
+def _serve_run(**overrides):
+    return serve(PoissonTraffic(rate=40.0, mix=MIX), "1xvitality",
+                 **{"duration": 0.5, **overrides})
+
+
+def _pipeline_run(**overrides):
+    return serve_pipeline(PoissonTraffic(rate=40.0, mix=MIX),
+                          "two = deit-tiny -> levit-128",
+                          {"deit-tiny": "1xvitality", "levit-128": "1xvitality"},
+                          **{"duration": 0.5, **overrides})
+
+
+def _llm_run(**overrides):
+    return serve_llm(PoissonTraffic(rate=5.0, mix=WorkloadMix.of(["decoder"])),
+                     "1xvitality", **{"duration": 0.5, **overrides})
+
+
+#: Every float run parameter of each simulator entry point.
+_RUN_PARAMETERS = [
+    pytest.param(run, parameter, id=f"{name}-{parameter}")
+    for name, run, parameters in (
+        ("serve", _serve_run, ("duration", "slo_seconds",
+                               "dispatch_overhead_seconds", "window_seconds")),
+        ("serve_pipeline", _pipeline_run, ("duration", "slo_seconds",
+                                           "dispatch_overhead_seconds",
+                                           "window_seconds", "handoff_seconds")),
+        ("serve_llm", _llm_run, ("duration", "slo_seconds", "ttft_slo_seconds",
+                                 "tpot_slo_seconds", "step_overhead_seconds",
+                                 "handoff_seconds")),
+    )
+    for parameter in parameters
+]
+
+
+class TestNonFiniteRunParameters:
+    """nan and inf fail at the entry point with the argument's name: before
+    the check, ``duration=inf`` never returned, ``duration=nan`` served
+    nothing, a nan SLO was never violated and a nan overhead made p99 nan."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("run, parameter", _RUN_PARAMETERS)
+    def test_rejected_with_its_name(self, run, parameter, value):
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            run(**{parameter: value})
+
+    def test_streaming_infinite_duration_fails_fast(self):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            _serve_run(duration=math.inf, summary="streaming")
+
+    def test_stage_slo_names_its_stage(self):
+        with pytest.raises(ValueError,
+                           match=r"stage_slo_seconds\['levit-128'\] must be finite"):
+            _pipeline_run(stage_slo_seconds={"levit-128": math.nan})
+
+    def test_traffic_rejects_non_finite_duration(self):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            PoissonTraffic(rate=10.0, mix=MIX).arrivals(math.nan, seed=0)
 
 
 class TestServeEdgeCases:
