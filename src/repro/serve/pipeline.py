@@ -487,35 +487,35 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
             flight.queue_wait += wait
             stage.stats.observe(wait, finish - now)
             target = choose_route(stage)
-            if target is not None:
-                handoffs += 1
-                successor = stages[target]
-                arrival = finish + handoff_seconds
-                kernel.schedule(arrival, successor, Request(
-                    index=request.index, model=successor.spec.model,
-                    arrival=arrival))
+            if target is None:
+                del flights[request.index]
+                # The report's dispatch is synthetic — arrival plus the summed
+                # per-stage waits — so RequestRecord.queue_wait is the total
+                # time spent queued across every stage the request visited.
+                synthetic_dispatch = flight.arrival + flight.queue_wait
+                if accumulator is not None:
+                    accumulator.observe(pipeline.name, flight.arrival,
+                                        synthetic_dispatch, finish)
+                else:
+                    records.append(RequestRecord(
+                        index=request.index, model=pipeline.name,
+                        arrival=flight.arrival, replica=replica.name,
+                        batch_size=len(batch), dispatch=synthetic_dispatch,
+                        completion=finish))
                 if obs is not None:
-                    obs.stage_handoff(request.index, request.model,
-                                      replica.name, finish, arrival,
-                                      stage.spec.name)
+                    obs.pipeline_completed(request.index, pipeline.name,
+                                           flight.arrival, flight.queue_wait,
+                                           finish)
                 continue
-            del flights[request.index]
-            # The report's dispatch is synthetic — arrival plus the summed
-            # per-stage waits — so RequestRecord.queue_wait is the total
-            # time spent queued across every stage the request visited.
-            dispatch = flight.arrival + flight.queue_wait
-            if accumulator is not None:
-                accumulator.observe(pipeline.name, flight.arrival, dispatch,
-                                    finish)
-            else:
-                records.append(RequestRecord(
-                    index=request.index, model=pipeline.name,
-                    arrival=flight.arrival, replica=replica.name,
-                    batch_size=len(batch), dispatch=dispatch,
-                    completion=finish))
+            handoffs += 1
+            successor = stages[target]
+            next_arrival = finish + handoff_seconds
+            kernel.schedule(next_arrival, successor, Request(
+                index=request.index, model=successor.spec.model,
+                arrival=next_arrival))
             if obs is not None:
-                obs.pipeline_completed(request.index, pipeline.name,
-                                       flight.arrival, flight.queue_wait, finish)
+                obs.stage_handoff(request.index, request.model, replica.name,
+                                  finish, next_arrival, stage.spec.name)
 
     kernel.run(complete, admit=admit, entry=entry)
 

@@ -223,9 +223,9 @@ class TestOptimizer:
     @pytest.mark.parametrize("parameter",
                              ["rate", "duration", "margin", "slo_seconds"])
     def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
-        """A nan margin or SLO used to prune every fleet and return
-        ``chosen: None`` without an error; a bad duration surfaced only in
-        the first validation run, after the whole analytic prune."""
+        """Unchecked, a nan margin or SLO prunes every fleet and returns
+        ``chosen: None`` without an error, and a bad duration surfaces only
+        in the first validation run, after the whole analytic prune."""
 
         cache = ResultCache()
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):

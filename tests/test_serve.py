@@ -354,9 +354,9 @@ _RUN_PARAMETERS = [
 
 
 class TestNonFiniteRunParameters:
-    """nan and inf fail at the entry point with the argument's name: before
-    the check, ``duration=inf`` never returned, ``duration=nan`` served
-    nothing, a nan SLO was never violated and a nan overhead made p99 nan."""
+    """nan and inf fail at the entry point with the argument's name.
+    Unchecked, ``duration=inf`` never returns, ``duration=nan`` serves
+    nothing, a nan SLO is never violated and a nan overhead makes p99 nan."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
