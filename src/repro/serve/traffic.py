@@ -334,8 +334,7 @@ class PoissonTraffic:
     name: str = "poisson"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        check_finite(rate=self.rate)
 
     def _times(self, duration: float, rng: random.Random) -> Iterator[float]:
         now = rng.expovariate(self.rate)
@@ -382,12 +381,11 @@ class BurstyTraffic:
         return self.rate * weighted / (self.mean_quiet + self.mean_burst)
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        check_finite(rate=self.rate, burst_factor=self.burst_factor,
+                     quiet_factor=self.quiet_factor, mean_quiet=self.mean_quiet,
+                     mean_burst=self.mean_burst)
         if self.burst_factor <= self.quiet_factor:
             raise ValueError("burst_factor must exceed quiet_factor")
-        if min(self.quiet_factor, self.mean_quiet, self.mean_burst) <= 0:
-            raise ValueError("bursty traffic parameters must be positive")
 
     def _times(self, duration: float, rng: random.Random) -> Iterator[float]:
         now, burst = 0.0, False
@@ -432,10 +430,7 @@ class DiurnalTraffic:
     name: str = "diurnal"
 
     def __post_init__(self):
-        if self.peak_rate <= 0:
-            raise ValueError(f"peak_rate must be positive, got {self.peak_rate}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        check_finite(peak_rate=self.peak_rate, period=self.period)
         if not 0 <= self.floor < 1:
             raise ValueError(f"floor must be in [0, 1), got {self.floor}")
 

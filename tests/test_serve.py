@@ -378,6 +378,23 @@ class TestNonFiniteRunParameters:
         with pytest.raises(ValueError, match="duration must be finite"):
             PoissonTraffic(rate=10.0, mix=MIX).arrivals(math.nan, seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("parameter, make", [
+        ("rate", lambda value: PoissonTraffic(rate=value, mix=MIX)),
+        ("rate", lambda value: BurstyTraffic(rate=value, mix=MIX)),
+        ("mean_burst", lambda value: BurstyTraffic(rate=10.0, mix=MIX,
+                                                   mean_burst=value)),
+        ("peak_rate", lambda value: DiurnalTraffic(peak_rate=value, mix=MIX)),
+        ("period", lambda value: DiurnalTraffic(peak_rate=10.0, mix=MIX,
+                                                period=value)),
+    ], ids=["poisson", "bursty", "bursty-dwell", "diurnal-peak",
+            "diurnal-period"])
+    def test_traffic_rejects_non_finite_rates(self, parameter, make, value):
+        """Unchecked, a nan rate generates no arrivals at all."""
+
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            make(value)
+
 
 class TestServeEdgeCases:
     """Corners the capacity search exercises: empty runs, hopeless SLOs,
