@@ -25,6 +25,15 @@ own:
 Stalled cycles are idle (clock-gated): the energy model charges the array
 for compute cycles only, and the memory-access energies stay with the
 accelerator's existing traffic accounting.
+
+The sums are evaluated in closed form, not pass by pass.  Each axis splits
+into at most two ``(size, count)`` runs — the full chunks, then the
+remainder — so a pass has at most eight shapes and every total is a sum of
+per-shape values times their counts.  A pass's compute window depends only
+on its m-chunk, so adjacent passes pair different compute windows only
+across an m-chunk boundary; those boundaries are counted per pair of
+m-chunk sizes.  The cost of one GEMM is therefore independent of its tile
+count, and the result is exactly what the pass-by-pass pipeline gives.
 """
 
 from __future__ import annotations
@@ -69,9 +78,12 @@ def _transfer_cycles(words: int, words_per_cycle: float) -> int:
     return math.ceil(words / words_per_cycle)
 
 
-def _chunks(total: int, size: int) -> list[int]:
+def _runs(total: int, size: int) -> list[tuple[int, int]]:
+    """``total`` cut into ``size`` chunks, as ``(chunk, count)`` runs in order."""
+
     full, rest = divmod(total, size)
-    return [size] * full + ([rest] if rest else [])
+    return [(chunk, count) for chunk, count in ((size, full), (rest, 1))
+            if chunk and count]
 
 
 def simulate_tiled_gemm(m: int, k: int, n: int, *,
@@ -86,51 +98,87 @@ def simulate_tiled_gemm(m: int, k: int, n: int, *,
 
     ``stationary_dram`` / ``streamed_dram`` say which interface feeds each
     operand (chosen by the caller from operand-residency checks); drained
-    outputs always write back to SRAM.
+    outputs always write back to SRAM.  Raises :class:`ValueError` naming the
+    argument when a dimension, ``batch`` or a plan tile is below 1,
+    ``utilization`` is outside ``(0, 1]``, or a rate is not positive (``inf``
+    is allowed).
     """
+
+    for name, value in (("m", m), ("k", k), ("n", n), ("batch", batch),
+                        ("plan.tile_m", plan.tile_m), ("plan.tile_k", plan.tile_k),
+                        ("plan.tile_n", plan.tile_n)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if not 0 < utilization <= 1:
+        raise ValueError(f"utilization must be in (0, 1], got {utilization!r}")
+    for name, rate in (("dram_words_per_cycle", dram_words_per_cycle),
+                       ("sram_words_per_cycle", sram_words_per_cycle),
+                       ("drain_words_per_cycle", drain_words_per_cycle)):
+        if not rate > 0:
+            raise ValueError(f"{name} must be > 0 (inf allowed), got {rate!r}")
 
     stationary_rate = dram_words_per_cycle if stationary_dram else sram_words_per_cycle
     streamed_rate = dram_words_per_cycle if streamed_dram else sram_words_per_cycle
 
-    computes: list[int] = []
-    loads: list[int] = []
-    drains: list[int] = []
-    dram_words = 0
-    sram_words = 0
+    def compute(chunk_m: int) -> int:
+        return math.ceil(chunk_m / utilization)
 
-    k_tiles = _chunks(k, plan.tile_k)
-    n_tiles = _chunks(n, plan.tile_n)
-    m_chunks = _chunks(m, plan.tile_m)
-    for _ in range(batch):
-        for chunk_m in m_chunks:
-            for tile_n in n_tiles:
-                for index_k, tile_k in enumerate(k_tiles):
-                    stationary_words = tile_k * tile_n
-                    streamed_words = chunk_m * tile_k
-                    computes.append(math.ceil(chunk_m / utilization))
-                    loads.append(_transfer_cycles(stationary_words, stationary_rate)
-                                 + _transfer_cycles(streamed_words, streamed_rate))
-                    output_words = (chunk_m * tile_n
-                                    if index_k == len(k_tiles) - 1 else 0)
-                    drains.append(_transfer_cycles(output_words, drain_words_per_cycle))
-                    if stationary_dram:
-                        dram_words += stationary_words
-                    else:
-                        sram_words += stationary_words
-                    if streamed_dram:
-                        dram_words += streamed_words
-                    else:
-                        sram_words += streamed_words
-                    sram_words += output_words
+    def load(chunk_m: int, tile_n: int, tile_k: int) -> int:
+        return (_transfer_cycles(tile_k * tile_n, stationary_rate)
+                + _transfer_cycles(chunk_m * tile_k, streamed_rate))
+
+    def drain(chunk_m: int, tile_n: int) -> int:
+        return _transfer_cycles(chunk_m * tile_n, drain_words_per_cycle)
+
+    m_runs = _runs(m, plan.tile_m)
+    n_runs = _runs(n, plan.tile_n)
+    k_runs = _runs(k, plan.tile_k)
+    m_chunks = sum(count for _, count in m_runs)
+    n_tiles = sum(count for _, count in n_runs)
+    k_tiles = sum(count for _, count in k_runs)
+    # Every m-chunk opens by loading the first (n, k) tile and closes by
+    # draining its last n-tile; only the last k-tile of an n-tile drains.
+    first_n, first_k = n_runs[0][0], k_runs[0][0]
+    last_n = n_runs[-1][0]
 
     # Array fill once per batched GEMM, as in the analytic model.
-    compute_cycles = rows + columns + sum(computes)
-    load_stall = loads[0] + sum(
-        max(0, loads[i] - computes[i - 1]) for i in range(1, len(loads)))
-    drain_stall = drains[-1] + sum(
-        max(0, drains[i] - computes[i + 1]) for i in range(len(drains) - 1))
+    compute_cycles = rows + columns
+    load_stall = load(m_runs[0][0], first_n, first_k)
+    drain_stall = drain(m_runs[-1][0], last_n)
+    for chunk_m, count in m_runs:
+        # Inside an m-chunk every load and drain overlaps the chunk's own
+        # compute window, except the opening load and the closing drain.
+        window = compute(chunk_m)
+        loads = sum(count_n * count_k * max(0, load(chunk_m, tile_n, tile_k) - window)
+                    for tile_n, count_n in n_runs for tile_k, count_k in k_runs)
+        drains = sum(count_n * max(0, drain(chunk_m, tile_n) - window)
+                     for tile_n, count_n in n_runs)
+        repeats = count * batch
+        compute_cycles += repeats * n_tiles * k_tiles * window
+        load_stall += repeats * (loads - max(0, load(chunk_m, first_n, first_k) - window))
+        drain_stall += repeats * (drains - max(0, drain(chunk_m, last_n) - window))
+
+    # Adjacent m-chunks as (before, after, times): a run into itself and into
+    # the next run within every batch, the last run into the first between
+    # batches.  The opening load overlaps the chunk before; the closing drain
+    # overlaps the chunk after.
+    boundaries = [(chunk_m, chunk_m, (count - 1) * batch) for chunk_m, count in m_runs]
+    boundaries += [(before, after, batch)
+                   for (before, _), (after, _) in zip(m_runs, m_runs[1:])]
+    boundaries.append((m_runs[-1][0], m_runs[0][0], batch - 1))
+    for before, after, times in boundaries:
+        load_stall += times * max(0, load(after, first_n, first_k) - compute(before))
+        drain_stall += times * max(0, drain(before, last_n) - compute(after))
+
+    stationary_words = batch * m_chunks * k * n
+    streamed_words = batch * n_tiles * m * k
+    dram_words = ((stationary_words if stationary_dram else 0)
+                  + (streamed_words if streamed_dram else 0))
+    sram_words = ((0 if stationary_dram else stationary_words)
+                  + (0 if streamed_dram else streamed_words)
+                  + batch * m * n)
     return GemmMemTrace(
-        tiles=len(computes),
+        tiles=batch * m_chunks * n_tiles * k_tiles,
         compute_cycles=compute_cycles,
         load_stall_cycles=load_stall,
         drain_stall_cycles=drain_stall,

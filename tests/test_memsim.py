@@ -1,14 +1,17 @@
 """Tests for the tile-level memory-hierarchy simulator (``repro.hardware.memsim``):
 knob-grammar edge cases, activation gating and cache identity, stall/roofline
-physics, golden pinning, JSON shapes and the bandwidth-aware DSE axis."""
+physics, the closed-form pipeline against a pass-by-pass oracle, input
+validation, golden pinning, JSON shapes and the bandwidth-aware DSE axis."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import ResultCache, RunSpec, get_target, simulate
 from repro.engine.results import RunResult
@@ -16,6 +19,7 @@ from repro.experiments import run_experiment
 from repro.experiments.dse_exps import explore_design_space, roofline_experiment
 from repro.hardware import KnobError, VITALITY_SCHEMA, matmul_cycles
 from repro.hardware.memsim import (
+    GemmMemTrace,
     MemSimConfig,
     buffer_words,
     simulate_tiled_gemm,
@@ -202,6 +206,35 @@ class TestTilePipeline:
         assert trace.load_stall_cycles > 0
         assert trace.tiles > 1
 
+    @pytest.mark.parametrize("name,overrides", [
+        ("m", {"m": 0}),
+        ("k", {"k": 0}),
+        ("n", {"n": -3}),
+        ("batch", {"batch": 0}),
+        ("plan.tile_m", {"plan": TilePlan(tile_m=0, tile_k=64, tile_n=64)}),
+        ("plan.tile_k", {"plan": TilePlan(tile_m=64, tile_k=0, tile_n=64)}),
+        ("plan.tile_n", {"plan": TilePlan(tile_m=64, tile_k=64, tile_n=-1)}),
+        ("utilization", {"utilization": 0.0}),
+        ("utilization", {"utilization": 1.5}),
+        ("utilization", {"utilization": math.nan}),
+        ("dram_words_per_cycle", {"dram_words_per_cycle": 0.0}),
+        ("dram_words_per_cycle", {"dram_words_per_cycle": -2.5}),
+        ("dram_words_per_cycle", {"dram_words_per_cycle": math.nan}),
+        ("sram_words_per_cycle", {"sram_words_per_cycle": -math.inf}),
+        ("drain_words_per_cycle", {"drain_words_per_cycle": math.nan}),
+    ])
+    def test_bad_inputs_raise_value_errors_naming_the_argument(self, name, overrides):
+        kwargs = dict(rows=64, columns=64, utilization=0.85, batch=1,
+                      plan=TilePlan(tile_m=64, tile_k=64, tile_n=64),
+                      dram_words_per_cycle=2.5, sram_words_per_cycle=128.0,
+                      drain_words_per_cycle=64.0, stationary_dram=True,
+                      streamed_dram=True)
+        dims = {"m": 197, "k": 192, "n": 576}
+        for key, value in overrides.items():
+            (dims if key in dims else kwargs)[key] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
+            simulate_tiled_gemm(dims["m"], dims["k"], dims["n"], **kwargs)
+
     def test_less_bandwidth_never_runs_faster(self):
         def cycles(words_per_cycle):
             return simulate_tiled_gemm(
@@ -211,6 +244,141 @@ class TestTilePipeline:
                 sram_words_per_cycle=128.0, drain_words_per_cycle=64.0,
                 stationary_dram=True, streamed_dram=True).cycles
         assert cycles(2.5) >= cycles(25.0) >= cycles(math.inf)
+
+
+def _loop_transfer_cycles(words: int, words_per_cycle: float) -> int:
+    if words <= 0 or math.isinf(words_per_cycle):
+        return 0
+    return math.ceil(words / words_per_cycle)
+
+
+def _loop_chunks(total: int, size: int) -> list[int]:
+    full, rest = divmod(total, size)
+    return [size] * full + ([rest] if rest else [])
+
+
+def _loop_simulate_tiled_gemm(m: int, k: int, n: int, *,
+                              rows: int, columns: int, utilization: float,
+                              batch: int, plan: TilePlan,
+                              dram_words_per_cycle: float,
+                              sram_words_per_cycle: float,
+                              drain_words_per_cycle: float,
+                              stationary_dram: bool,
+                              streamed_dram: bool) -> GemmMemTrace:
+    """The reference pipeline: one Python step per tile pass."""
+
+    stationary_rate = dram_words_per_cycle if stationary_dram else sram_words_per_cycle
+    streamed_rate = dram_words_per_cycle if streamed_dram else sram_words_per_cycle
+
+    computes: list[int] = []
+    loads: list[int] = []
+    drains: list[int] = []
+    dram_words = 0
+    sram_words = 0
+
+    k_tiles = _loop_chunks(k, plan.tile_k)
+    n_tiles = _loop_chunks(n, plan.tile_n)
+    m_chunks = _loop_chunks(m, plan.tile_m)
+    for _ in range(batch):
+        for chunk_m in m_chunks:
+            for tile_n in n_tiles:
+                for index_k, tile_k in enumerate(k_tiles):
+                    stationary_words = tile_k * tile_n
+                    streamed_words = chunk_m * tile_k
+                    computes.append(math.ceil(chunk_m / utilization))
+                    loads.append(_loop_transfer_cycles(stationary_words, stationary_rate)
+                                 + _loop_transfer_cycles(streamed_words, streamed_rate))
+                    output_words = (chunk_m * tile_n
+                                    if index_k == len(k_tiles) - 1 else 0)
+                    drains.append(_loop_transfer_cycles(output_words, drain_words_per_cycle))
+                    if stationary_dram:
+                        dram_words += stationary_words
+                    else:
+                        sram_words += stationary_words
+                    if streamed_dram:
+                        dram_words += streamed_words
+                    else:
+                        sram_words += streamed_words
+                    sram_words += output_words
+
+    # Array fill once per batched GEMM, as in the analytic model.
+    compute_cycles = rows + columns + sum(computes)
+    load_stall = loads[0] + sum(
+        max(0, loads[i] - computes[i - 1]) for i in range(1, len(loads)))
+    drain_stall = drains[-1] + sum(
+        max(0, drains[i] - computes[i + 1]) for i in range(len(drains) - 1))
+    return GemmMemTrace(
+        tiles=len(computes),
+        compute_cycles=compute_cycles,
+        load_stall_cycles=load_stall,
+        drain_stall_cycles=drain_stall,
+        dram_words=dram_words,
+        sram_words=sram_words,
+        macs=m * k * n * batch,
+    )
+
+
+#: Rates straddling the per-pass compute windows, plus ideal bandwidth.
+RATES = (math.inf, 0.37, 1.0, 2.5, 64.0, 130.0)
+
+
+@st.composite
+def _gemm_cases(draw):
+    """A GEMM of at most ~3k tile passes: every tile is at least 1/8 of its axis."""
+
+    m, k, n = (draw(st.integers(1, 256)) for _ in range(3))
+    tile_m, tile_k, tile_n = (draw(st.integers(max(1, dim // 8), dim))
+                              for dim in (m, k, n))
+    return dict(
+        m=m, k=k, n=n, rows=64, columns=64,
+        # Below ~1e-306 the compute window overflows float division.
+        utilization=draw(st.floats(min_value=1e-6, max_value=1.0)),
+        batch=draw(st.integers(1, 4)),
+        plan=TilePlan(tile_m=tile_m, tile_k=tile_k, tile_n=tile_n),
+        dram_words_per_cycle=draw(st.sampled_from(RATES)),
+        sram_words_per_cycle=draw(st.sampled_from(RATES)),
+        drain_words_per_cycle=draw(st.sampled_from(RATES)),
+        stationary_dram=draw(st.booleans()),
+        streamed_dram=draw(st.booleans()),
+    )
+
+
+def _case(m, k, n, tile_m, tile_k, tile_n, batch, *, utilization=1.0,
+          dram=0.37, sram=130.0, drain=2.5, stationary_dram=True,
+          streamed_dram=True):
+    return dict(m=m, k=k, n=n, rows=64, columns=64, utilization=utilization,
+                batch=batch, plan=TilePlan(tile_m=tile_m, tile_k=tile_k, tile_n=tile_n),
+                dram_words_per_cycle=dram, sram_words_per_cycle=sram,
+                drain_words_per_cycle=drain, stationary_dram=stationary_dram,
+                streamed_dram=streamed_dram)
+
+
+class TestClosedFormMatchesLoop:
+    """The closed-form pipeline equals the pass-by-pass loop field by field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_gemm_cases())
+    # Exact multiples: no remainder on any axis.
+    @example(case=_case(192, 128, 64, 64, 32, 16, 2))
+    # A single chunk per axis: one pass per batch.
+    @example(case=_case(100, 64, 64, 100, 64, 64, 3, utilization=0.85))
+    # batch >= 2 with full and remainder m-chunks: every m-chunk boundary
+    # repeats once per batch, and the last chunk meets the first between
+    # batches.
+    @example(case=_case(10, 8, 8, 4, 8, 8, 3, dram=2.5, drain=1.0))
+    @example(case=_case(197, 192, 576, 64, 64, 64, 4, utilization=0.85,
+                        dram=2.5, sram=128.0, drain=1.0, stationary_dram=False))
+    def test_every_field_equals_the_loop(self, case):
+        assert simulate_tiled_gemm(**case) == _loop_simulate_tiled_gemm(**case)
+
+    def test_one_by_one_tiling_finishes_with_one_pass_per_mac(self):
+        # 1,104,309,504 passes: about 22 minutes for a per-pass pipeline.
+        result = simulate(RunSpec(
+            "deit-tiny", target="vitality[dram_gbps=25,tile_m=1,tile_k=1,tile_n=1]"),
+            cache=ResultCache())
+        assert result.roofline
+        for record in result.roofline:
+            assert record.tiles == record.macs
 
 
 class TestBandwidthAwareDSE:
