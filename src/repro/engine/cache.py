@@ -9,6 +9,7 @@ later request is a dictionary lookup.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,6 +113,7 @@ class ResultCache:
 DEFAULT_CACHE = ResultCache()
 
 
+@functools.lru_cache(maxsize=1024)
 def _resolve(spec: RunSpec):
     """(target, canonical spec) for one run request.
 
@@ -123,6 +125,14 @@ def _resolve(spec: RunSpec):
     (``("deit-tiny", tokens=512)`` keys as ``"deit-tiny[tokens=512]"``), and
     the target collapses spec options that are no-ops for it (e.g. a
     ``scale_to_peak`` at or below ViTALiTy's native peak).
+
+    Memoised on the incoming frozen spec, so a serving run that simulates
+    one decode shape per step parses its names once, not once per step.
+    The answer depends only on the target registry (workload families are
+    fixed at import), and :func:`~repro.engine.register_target` clears the
+    memo on every registration.  It is LRU-bounded like a serving
+    :class:`ResultCache`; ``_resolve.__wrapped__`` is the unmemoised
+    resolver.
     """
 
     from dataclasses import replace

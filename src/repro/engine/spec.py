@@ -9,6 +9,7 @@ cross-product sweeps can be expanded mechanically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from repro.workloads import ModelWorkload, get_workload, scaled_to_tokens
@@ -77,8 +78,11 @@ class RunSpec:
                              f"got {self.attention!r}")
         if self.dataflow is not None and self.dataflow not in DATAFLOWS:
             raise ValueError(f"dataflow must be one of {DATAFLOWS}, got {self.dataflow!r}")
-        if self.scale_to_peak is not None and self.scale_to_peak <= 0:
-            raise ValueError("scale_to_peak must be positive")
+        if self.scale_to_peak is not None and not (
+                math.isfinite(self.scale_to_peak) and self.scale_to_peak > 0):
+            # nan would pass a bare ``<= 0`` and never equal itself as a key.
+            raise ValueError(f"scale_to_peak must be finite and positive, "
+                             f"got {self.scale_to_peak}")
 
     def workload(self) -> ModelWorkload:
         """Resolve the configured workload this spec runs on.

@@ -463,13 +463,16 @@ def register_target(target: Target, replace: bool = False) -> Target:
     and drops every configured instance derived from it — so the new backend
     cannot be shadowed by its predecessor's numbers.  (Privately held
     :class:`~repro.engine.ResultCache` instances must be invalidated by
-    their owners.)
+    their owners.)  Every registration also clears the spec-resolution memo
+    of :func:`~repro.engine.simulate`, so no spec resolves to a replaced
+    backend or one of its configured instances.
     """
+
+    from repro.engine.cache import DEFAULT_CACHE, _resolve
 
     if target.name in _TARGETS:
         if not replace:
             raise ValueError(f"target {target.name!r} is already registered")
-        from repro.engine.cache import DEFAULT_CACHE
         DEFAULT_CACHE.invalidate_target(target.name)
         derived = [name for name in _CONFIGURED
                    if name.partition("[")[0] == target.name]
@@ -477,6 +480,7 @@ def register_target(target: Target, replace: bool = False) -> Target:
             del _CONFIGURED[name]
             DEFAULT_CACHE.invalidate_target(name)
     _TARGETS[target.name] = target
+    _resolve.cache_clear()
     return target
 
 

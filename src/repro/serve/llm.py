@@ -138,8 +138,8 @@ class KVCacheConfig:
         if self.bytes_per_value < 1:
             raise ValueError(f"bytes_per_value must be >= 1, "
                              f"got {self.bytes_per_value}")
-        if self.dram_ratio <= 0 or self.platform_sram_kb <= 0:
-            raise ValueError("dram_ratio and platform_sram_kb must be positive")
+        check_finite(dram_ratio=self.dram_ratio,
+                     platform_sram_kb=self.platform_sram_kb)
 
     def bytes_per_token(self, workload) -> int:
         """KV bytes one cached token costs for ``workload``'s geometry."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     ResultCache,
@@ -12,12 +14,15 @@ from repro.engine import (
     Sweep,
     UnknownTargetError,
     VitalityTarget,
+    canonicalise_spec,
     get_target,
     list_targets,
+    register_target,
     scale_workload_tokens,
     simulate,
     sweep,
 )
+from repro.engine.cache import _resolve
 from repro.hardware import (
     SangerAccelerator,
     StepResult,
@@ -97,6 +102,14 @@ class TestRunSpec:
             RunSpec("deit-tiny", scale_to_peak=-1.0)
         with pytest.raises(ValueError):
             RunSpec("")
+
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scale_to_peak_rejected(self, peak):
+        """nan passed the ``<= 0`` check and returned unscaled numbers; inf
+        overflowed inside the target."""
+
+        with pytest.raises(ValueError, match="scale_to_peak"):
+            RunSpec("deit-tiny", scale_to_peak=peak)
 
     def test_to_dict_round_trip(self):
         spec = RunSpec("levit-128", target="salo", include_linear=False)
@@ -186,6 +199,107 @@ class TestTargetRegistry:
             assert fresh.attention_latency == 2 * stale.attention_latency
         finally:
             register_target(original, replace=True)
+
+
+class _Doubled:
+    """A stand-in backend: the wrapped target with doubled attention latency.
+
+    Configures like its base, so ``name[knob=...]`` instances derived from
+    it double too.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.knob_schema = inner.knob_schema
+        self.peak_macs_per_second = inner.peak_macs_per_second
+
+    def configured(self, name, design):
+        return _Doubled(self.inner.configured(name, design))
+
+    def canonical_spec(self, spec):
+        return self.inner.canonical_spec(spec)
+
+    def simulate(self, spec):
+        result = self.inner.simulate(spec)
+        return dataclasses.replace(result,
+                                   attention_latency=2 * result.attention_latency)
+
+
+def _outcome(run):
+    """A run's result, or its error's type and message, for comparison."""
+
+    try:
+        return run()
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+
+
+#: Drawn by the differential test: seed and configured workloads; bare,
+#: variant, configured (incl. non-canonical and reference spellings) and
+#: platform targets.
+_MODELS = ("deit-tiny", "deit-tiny[tokens=64]", "levit-128s",
+           "encoder[tokens=128]", "decoder[kv_tokens=256,phase=decode,tokens=1]")
+_TARGETS = ("vitality", "vitality-unpipelined", "vitality[pe=32x32]",
+            "vitality[freq=1ghz,pe=32x32]", "vitality[pe=64x64]",
+            "vitality[dram_gbps=25]", "sanger", "sanger[freq=1ghz]", "salo",
+            "cpu", "gpu", "gpu[compute=2]", "edge_gpu")
+
+
+class TestSpecResolutionMemo:
+    """``simulate`` resolves each distinct :class:`RunSpec` once per process;
+    every observable output equals the unmemoised resolver's."""
+
+    def test_replacing_a_base_target_refreshes_its_configured_names(self):
+        original = get_target("vitality")
+        spec = RunSpec("deit-tiny", target="vitality[pe=32x32]")
+        stock = simulate(spec, cache=ResultCache())
+        try:
+            register_target(_Doubled(original), replace=True)
+            doubled = simulate(spec, cache=ResultCache())
+            assert doubled.attention_latency == 2 * stock.attention_latency
+        finally:
+            register_target(original, replace=True)
+        assert simulate(spec, cache=ResultCache()) == stock
+
+    def test_serve_llm_resolves_each_distinct_spec_once(self, monkeypatch):
+        import repro.serve.llm as llm
+        from repro.serve import PoissonTraffic, WorkloadMix, serve_llm
+
+        passed = []
+
+        def recording(spec, **kwargs):
+            passed.append(spec)
+            return simulate(spec, **kwargs)
+
+        monkeypatch.setattr(llm, "simulate", recording)
+        _resolve.cache_clear()
+        serve_llm(PoissonTraffic(rate=30.0, mix=WorkloadMix.of(["decoder"])),
+                  fleet="2xvitality", duration=1.0, output_tokens=8, seed=0,
+                  cache=ResultCache())
+        resolutions = _resolve.cache_info()
+        assert resolutions.misses == len(set(passed)) < len(passed)
+        assert resolutions.hits + resolutions.misses == len(passed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from(_MODELS), target=st.sampled_from(_TARGETS),
+           batch_size=st.integers(1, 4),
+           attention=st.sampled_from((None, "vanilla", "taylor")),
+           scale_to_peak=st.sampled_from((None, 1e9, 1e15)))
+    def test_memoised_resolution_matches_the_resolver(
+            self, model, target, batch_size, attention, scale_to_peak):
+        spec = RunSpec(model, target=target, batch_size=batch_size,
+                       attention=attention, scale_to_peak=scale_to_peak)
+        resolved_target, canonical = _resolve.__wrapped__(spec)
+        assert canonicalise_spec(spec) == canonical
+        assert _resolve(spec)[0] is resolved_target
+        memoised, reference = ResultCache(), ResultCache()
+        for _ in range(2):              # a result-cache miss, then a hit
+            resolved_target, canonical = _resolve.__wrapped__(spec)
+            assert (_outcome(lambda: simulate(spec, cache=memoised))
+                    == _outcome(lambda: reference.get_or_run(
+                        canonical, resolved_target.simulate)))
+        assert memoised.stats() == reference.stats()
 
 
 class TestEngineMatchesHardwareModels:

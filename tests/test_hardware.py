@@ -25,7 +25,7 @@ from repro.hardware import (
     pipeline_latency,
     sequential_latency,
 )
-from repro.hardware.energy import MemoryTrafficModel
+from repro.hardware.core.memory import MemoryTrafficModel
 from repro.workloads import DEIT_BASE, DEIT_TINY, LEVIT_128, AttentionLayerSpec, LinearLayerSpec
 
 

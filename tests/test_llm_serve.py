@@ -113,6 +113,17 @@ class TestKVCache:
         # first's *completion* (its decode included), not just its prefill.
         assert blocked.queue_wait.max > ample.queue_wait.max + 0.005
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("parameter", ["dram_ratio", "platform_sram_kb"])
+    def test_bad_capacity_floats_rejected_at_construction(self, parameter,
+                                                          value):
+        """A nan or inf used to reach ``serve_llm``'s ``capacity_for`` and
+        fail in an int conversion whose message named neither argument."""
+
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            KVCacheConfig(**{parameter: value})
+
     def test_kv_never_exceeds_capacity(self):
         report = serve_llm(_traffic(30.0), fleet="1xvitality", duration=2.0,
                            kv=KVCacheConfig(capacity_tokens=2048),
