@@ -12,7 +12,10 @@ and the heapify seeding must all reproduce the pre-refactor event order and
 report bytes exactly.  The streaming, pipeline, trace and planner entries
 were captured before ``serve()`` and ``serve_pipeline()`` shared one event
 loop and the planners one search driver, and pin those refactors the same
-way.
+way.  The three-model streaming, streaming LLM and Prometheus-digest entries
+were captured before the streaming summaries folded their P² sketches a
+batch at a time, and pin that change: every per-model count, quantile and
+exported sample must come out as the one-value-at-a-time fold made them.
 
 Regenerate (only when a report-shape change is intended and documented)::
 
@@ -27,7 +30,13 @@ Regenerate (only when a report-shape change is intended and documented)::
 import hashlib
 import json
 
-from repro.obs import Observability, TraceRecorder, chrome_trace_json
+from repro.obs import (
+    MetricsCollector,
+    Observability,
+    TraceRecorder,
+    chrome_trace_json,
+    prometheus_text,
+)
 from repro.plan import (
     Autoscaler,
     plan_capacity,
@@ -49,6 +58,9 @@ from repro.serve import (
 
 MIXED = WorkloadMix.of(["deit-tiny", "levit-128"], [2.0, 1.0])
 SINGLE = WorkloadMix.of(["deit-tiny"])
+THREE = WorkloadMix.of(["deit-tiny", "levit-128", "deit-small"], [3.0, 2.0, 1.0])
+LLM_MIX = WorkloadMix.of(["decoder"], tokens=TokenProfile.of("64:256", "16:64"))
+TAIL = (0.5, 0.95, 0.99, 0.999)
 CHAIN = "rag = encoder[tokens=128] -> rerank:encoder[tokens=64] -> deit-tiny"
 CHAIN_POOLS = {"encoder": "2xvitality", "rerank": "1xvitality",
                "deit-tiny": "1xvitality,1xgpu:taylor"}
@@ -67,6 +79,15 @@ def _trace_digest(run) -> str:
     obs = Observability(trace=TraceRecorder())
     run(obs)
     return hashlib.sha256(chrome_trace_json(obs.trace).encode()).hexdigest()
+
+
+def _prometheus_digest(run) -> str:
+    """sha256 of the Prometheus text a run's metrics collector exports."""
+
+    obs = Observability(metrics=MetricsCollector(window_seconds=0.5,
+                                                 percentiles=TAIL))
+    run(obs)
+    return hashlib.sha256(prometheus_text(obs.metrics).encode()).hexdigest()
 
 
 def build_golden_reports() -> dict[str, str]:
@@ -131,6 +152,20 @@ def build_golden_reports() -> dict[str, str]:
             BurstyTraffic(150.0, SINGLE), CASCADE, CASCADE_POOLS,
             policy="fifo", router="energy-aware", duration=2.0, seed=3,
             obs=obs))
+    # Streaming summaries past one fold buffer, per model and per window:
+    # deit-tiny arrives first, so its summary is the one a second model
+    # splits off the run-wide latency summary.
+    reports["poisson-three-model-streaming"] = serve(
+        PoissonTraffic(400.0, THREE), "2xvitality,1xgpu:taylor",
+        policy="timeout", duration=3.0, seed=13, window_seconds=0.5,
+        percentiles=TAIL, summary="streaming").to_json()
+    reports["llm-continuous-streaming"] = serve_llm(
+        PoissonTraffic(30.0, LLM_MIX), "2xvitality", scheduler="continuous",
+        duration=20.0, seed=5, summary="streaming").to_json()
+    reports["prometheus-llm-continuous-sha256"] = _prometheus_digest(
+        lambda obs: serve_llm(
+            PoissonTraffic(30.0, LLM_MIX), "2xvitality",
+            scheduler="continuous", duration=20.0, seed=5, obs=obs))
     return reports
 
 
