@@ -73,7 +73,7 @@ def _summary_block(out: _Lines, name: str, help_text: str, latency,
     """One Prometheus summary (quantiles + _sum/_count) from a sketch."""
 
     out.header(name, "summary", help_text)
-    for fraction in sorted(latency._sketches):
+    for fraction in latency.fractions:
         out.sample(name, latency.quantile(fraction),
                    quantile=f"{fraction:g}", **labels)
     out.sample(f"{name}_sum", latency.total, **labels)

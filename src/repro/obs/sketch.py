@@ -7,21 +7,33 @@ P² algorithm: one quantile tracked with five markers in O(1) memory and O(1)
 update time, exact until five observations arrive and a piecewise-parabolic
 estimate afterwards.  :class:`StreamingLatency` bundles one sketch per
 requested percentile plus exact count/mean/max and folds down to the same
-:class:`~repro.serve.metrics.LatencySummary` the batch path produces, so a
-future ``serve()`` can swap the latency lists for sketches without changing
-a single report consumer.
+:class:`~repro.serve.metrics.LatencySummary` the exact path produces; it is
+what ``summary="streaming"`` serving runs and the metrics collector report.
+
+The fold is buffered: :meth:`StreamingLatency.add` appends to a pending list
+of at most :data:`FOLD_BUFFER` values, and a full list — or any read — folds
+it through :meth:`P2Quantile.extend`, which keeps the marker state in locals
+for the whole batch.  ``extend`` performs each value's P² update with the
+same float operations in the same order as a per-value ``add``, so every
+count, total, maximum and estimate is bit-identical to the one-value-at-a-time
+fold however the stream is batched or read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import operator
+from functools import reduce
+from typing import Iterable, Sequence
 
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     LatencySummary,
     percentile_label,
 )
+
+#: Values :meth:`StreamingLatency.add` holds before folding them as a batch.
+FOLD_BUFFER = 512
 
 
 class P2Quantile:
@@ -52,65 +64,114 @@ class P2Quantile:
                 else int(self._positions[4]))
 
     def add(self, value: float) -> None:
-        # Hot path: ``serve(summary="streaming")`` calls this several times
-        # per completed request, so the marker bookkeeping is unrolled (same
-        # arithmetic in the same order as the loop form — estimates stay
-        # bit-identical, only the interpreter overhead goes away).
+        self.extend((value,))
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Fold ``values`` in order, exactly as one :meth:`add` per value.
+
+        The marker state lives in locals for the whole batch and the three
+        interior-marker adjustments are unrolled; every height, position and
+        desired position sees the same float operations in the same order as
+        the textbook per-value loop, so estimates are bit-identical however
+        the stream is split into batches.
+        """
+
+        values = iter(values)
         heights = self._heights
         if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        if value < heights[1]:
-            if value < heights[0]:
-                heights[0] = value
-            positions[1] += 1.0
-            positions[2] += 1.0
-            positions[3] += 1.0
-            positions[4] += 1.0
-        elif value < heights[2]:
-            positions[2] += 1.0
-            positions[3] += 1.0
-            positions[4] += 1.0
-        elif value < heights[3]:
-            positions[3] += 1.0
-            positions[4] += 1.0
-        else:
-            if value >= heights[4]:
-                heights[4] = value
-            positions[4] += 1.0
+            for value in values:           # exact sample until five arrive
+                heights.append(value)
+                heights.sort()
+                if len(heights) == 5:
+                    break
+            else:
+                return
+        q0, q1, q2, q3, q4 = heights
+        n0, n1, n2, n3, n4 = self._positions
         desired = self._desired
-        rates = self._rates
-        desired[1] += rates[1]
-        desired[2] += rates[2]
-        desired[3] += rates[3]
-        desired[4] += 1.0
-        for index in (1, 2, 3):
-            position = positions[index]
-            drift = desired[index] - position
-            if (drift >= 1.0 and positions[index + 1] - position > 1.0) \
-                    or (drift <= -1.0 and positions[index - 1] - position < -1.0):
+        d1, d2, d3, d4 = desired[1], desired[2], desired[3], desired[4]
+        r1, r2, r3 = self._rates[1], self._rates[2], self._rates[3]
+        for value in values:
+            if value < q1:
+                if value < q0:
+                    q0 = value
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
+            elif value < q2:
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
+            elif value < q3:
+                n3 += 1.0
+                n4 += 1.0
+            else:
+                if value >= q4:
+                    q4 = value
+                n4 += 1.0
+            d1 += r1
+            d2 += r2
+            d3 += r3
+            d4 += 1.0
+            # Markers 1-3 in turn: when a marker drifts a whole position
+            # from where it should be and has room, move it one position
+            # along the P² parabola, or linearly if that leaves its
+            # neighbours' bracket.
+            drift = d1 - n1
+            if (drift >= 1.0 and n2 - n1 > 1.0) \
+                    or (drift <= -1.0 and n0 - n1 < -1.0):
                 sign = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, sign)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:                            # parabola escaped: go linear
-                    heights[index] = self._linear(index, sign)
-                positions[index] += sign
+                candidate = q1 + sign / (n2 - n0) * (
+                    (n1 - n0 + sign) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - sign) * (q1 - q0) / (n1 - n0))
+                if q0 < candidate < q2:
+                    q1 = candidate
+                elif sign > 0.0:
+                    q1 = q1 + sign * (q2 - q1) / (n2 - n1)
+                else:
+                    q1 = q1 + sign * (q0 - q1) / (n0 - n1)
+                n1 += sign
+            drift = d2 - n2
+            if (drift >= 1.0 and n3 - n2 > 1.0) \
+                    or (drift <= -1.0 and n1 - n2 < -1.0):
+                sign = 1.0 if drift >= 1.0 else -1.0
+                candidate = q2 + sign / (n3 - n1) * (
+                    (n2 - n1 + sign) * (q3 - q2) / (n3 - n2)
+                    + (n3 - n2 - sign) * (q2 - q1) / (n2 - n1))
+                if q1 < candidate < q3:
+                    q2 = candidate
+                elif sign > 0.0:
+                    q2 = q2 + sign * (q3 - q2) / (n3 - n2)
+                else:
+                    q2 = q2 + sign * (q1 - q2) / (n1 - n2)
+                n2 += sign
+            drift = d3 - n3
+            if (drift >= 1.0 and n4 - n3 > 1.0) \
+                    or (drift <= -1.0 and n2 - n3 < -1.0):
+                sign = 1.0 if drift >= 1.0 else -1.0
+                candidate = q3 + sign / (n4 - n2) * (
+                    (n3 - n2 + sign) * (q4 - q3) / (n4 - n3)
+                    + (n4 - n3 - sign) * (q3 - q2) / (n3 - n2))
+                if q2 < candidate < q4:
+                    q3 = candidate
+                elif sign > 0.0:
+                    q3 = q3 + sign * (q4 - q3) / (n4 - n3)
+                else:
+                    q3 = q3 + sign * (q2 - q3) / (n2 - n3)
+                n3 += sign
+        heights[:] = (q0, q1, q2, q3, q4)
+        self._positions[1:] = (n1, n2, n3, n4)
+        desired[1:] = (d1, d2, d3, d4)
 
-    def _parabolic(self, index: int, sign: float) -> float:
-        q, n = self._heights, self._positions
-        return q[index] + sign / (n[index + 1] - n[index - 1]) * (
-            (n[index] - n[index - 1] + sign)
-            * (q[index + 1] - q[index]) / (n[index + 1] - n[index])
-            + (n[index + 1] - n[index] - sign)
-            * (q[index] - q[index - 1]) / (n[index] - n[index - 1]))
-
-    def _linear(self, index: int, sign: float) -> float:
-        q, n = self._heights, self._positions
-        step = int(sign)
-        return q[index] + sign * (q[index + step] - q[index]) / (n[index + step] - n[index])
+    def copy(self) -> "P2Quantile":
+        twin = P2Quantile.__new__(P2Quantile)
+        twin.fraction = self.fraction
+        twin._heights = list(self._heights)
+        twin._positions = list(self._positions)
+        twin._desired = list(self._desired)
+        twin._rates = self._rates
+        return twin
 
     @property
     def value(self) -> float:
@@ -133,42 +194,95 @@ class StreamingLatency:
     count/mean (Welford-free running sum is fine for latencies) and max, and
     renders the same :class:`LatencySummary` shape the exact path produces —
     estimates instead of order statistics, O(1) memory instead of O(n).
+
+    :meth:`add` only appends to a pending list of at most
+    :data:`FOLD_BUFFER` values; a full list, and every read, folds it into
+    the running figures and each sketch's :meth:`P2Quantile.extend` in
+    arrival order.
     """
+
+    __slots__ = ("_sketches", "_pending", "_count", "_total", "_max")
 
     def __init__(self, percentiles: Sequence[float] = DEFAULT_PERCENTILES):
         fractions = tuple(sorted(set(percentiles) | set(DEFAULT_PERCENTILES)))
         self._sketches = {fraction: P2Quantile(fraction)
                           for fraction in fractions}
-        # Bound methods cached once: add() runs per completed request.
-        self._adds = tuple(sketch.add for sketch in self._sketches.values())
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
+        self._pending: list[float] = []
+        self._count = 0
+        self._total = 0.0
+        self._max = 0.0
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        for sketch_add in self._adds:
-            sketch_add(value)
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= FOLD_BUFFER:
+            self._flush()
+
+    def _flush(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        self._count += len(pending)
+        # A left fold, not sum(): Python 3.12's sum() compensates float
+        # rounding, which would change the running total's bits.
+        self._total = reduce(operator.add, pending, self._total)
+        # max() replaces only on a strict >, like a per-value update.
+        self._max = max(self._max, *pending)
+        for sketch in self._sketches.values():
+            sketch.extend(pending)
+        pending.clear()
+
+    @property
+    def count(self) -> int:
+        self._flush()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        self._flush()
+        return self._total
+
+    @property
+    def max(self) -> float:
+        self._flush()
+        return self._max
+
+    @property
+    def fractions(self) -> tuple[float, ...]:
+        """Every tracked quantile fraction, ascending (defaults included)."""
+
+        return tuple(self._sketches)
 
     def quantile(self, fraction: float) -> float:
+        self._flush()
         return self._sketches[fraction].value
+
+    def copy(self) -> "StreamingLatency":
+        """An independent summary holding everything added so far."""
+
+        self._flush()
+        twin = StreamingLatency.__new__(StreamingLatency)
+        twin._sketches = {fraction: sketch.copy()
+                          for fraction, sketch in self._sketches.items()}
+        twin._pending = []
+        twin._count, twin._total, twin._max = self._count, self._total, self._max
+        return twin
 
     def summary(self) -> LatencySummary:
         """Fold into the exact path's report type (same JSON keys)."""
 
+        self._flush()
+        sketches = self._sketches
         extras = tuple(
-            (percentile_label(fraction), self._sketches[fraction].value)
-            for fraction in sorted(self._sketches)
+            (percentile_label(fraction), sketch.value)
+            for fraction, sketch in sketches.items()
             if fraction not in DEFAULT_PERCENTILES)
-        if not self.count:
+        if not self._count:
             return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0,
                                   p99=0.0, max=0.0,
                                   extras=tuple((label, 0.0)
                                                for label, _ in extras))
         return LatencySummary(
-            count=self.count, mean=self.total / self.count,
-            p50=self._sketches[0.5].value, p95=self._sketches[0.95].value,
-            p99=self._sketches[0.99].value, max=self.max, extras=extras)
+            count=self._count, mean=self._total / self._count,
+            p50=sketches[0.5].value, p95=sketches[0.95].value,
+            p99=sketches[0.99].value, max=self._max, extras=extras)

@@ -390,21 +390,38 @@ class ReportAccumulator:
             self._window_tails.append(self._window_p2(0.99))
         return bucket
 
+    def _add_model(self, model: str):
+        """Start ``model``'s summary.  While one model has arrived its stream
+        is the run-wide latency stream, so its summary *is* ``self.latency``;
+        a second model gives the first a copy, taken before the new
+        request's latency is folded."""
+
+        per_model = self.per_model
+        if not per_model:
+            per_model[model] = self.latency
+            return self.latency
+        for name, summary in per_model.items():
+            if summary is self.latency:
+                per_model[name] = summary.copy()
+        summary = per_model[model] = self._sketch()
+        return summary
+
     def observe(self, model: str, arrival: float, dispatch: float,
                 completion: float) -> None:
         """Fold one completed request into every running summary."""
 
         latency = completion - arrival
+        by_model = self.per_model.get(model)
+        if by_model is None:
+            by_model = self._add_model(model)
+        if by_model is not self.latency:
+            by_model.add(latency)
         self.latency.add(latency)
         self.queue_wait.add(dispatch - arrival)
         if latency > self.slo_seconds:
             self.violations += 1
         if completion > self.last_completion:
             self.last_completion = completion
-        by_model = self.per_model.get(model)
-        if by_model is None:
-            by_model = self.per_model[model] = self._sketch()
-        by_model.add(latency)
         if self.window_seconds is not None:
             self._window_arrivals[self._window(arrival)] += 1
             bucket = self._window(completion)

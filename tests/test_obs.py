@@ -13,12 +13,15 @@ The load-bearing contracts pinned here:
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import logging
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.obs import (
@@ -38,8 +41,10 @@ from repro.obs import (
     prometheus_text,
     summarize_trace,
 )
+from repro.obs.sketch import FOLD_BUFFER
 from repro.plan import Autoscaler
 from repro.serve import (
+    DEFAULT_PERCENTILES,
     KVCacheConfig,
     make_policy,
     make_router,
@@ -49,6 +54,7 @@ from repro.serve import (
     serve_llm,
     serve_pipeline,
 )
+from repro.serve.metrics import LatencySummary, ReportAccumulator, percentile_label
 
 
 def classic_run(obs=None, autoscaler=None, rate=150.0, duration=2.0):
@@ -79,6 +85,133 @@ def request_span_sums(recorder):
 
 
 # --------------------------------------------------------------- P2 sketch
+
+
+def _loop_p2_add(self, value: float) -> None:
+    """The per-value oracle: ``P2Quantile.add`` as it was before the
+    batched :meth:`P2Quantile.extend`, applied to a sketch's state."""
+
+    # Hot path: ``serve(summary="streaming")`` calls this several times
+    # per completed request, so the marker bookkeeping is unrolled (same
+    # arithmetic in the same order as the loop form — estimates stay
+    # bit-identical, only the interpreter overhead goes away).
+    heights = self._heights
+    if len(heights) < 5:
+        heights.append(value)
+        heights.sort()
+        return
+    positions = self._positions
+    if value < heights[1]:
+        if value < heights[0]:
+            heights[0] = value
+        positions[1] += 1.0
+        positions[2] += 1.0
+        positions[3] += 1.0
+        positions[4] += 1.0
+    elif value < heights[2]:
+        positions[2] += 1.0
+        positions[3] += 1.0
+        positions[4] += 1.0
+    elif value < heights[3]:
+        positions[3] += 1.0
+        positions[4] += 1.0
+    else:
+        if value >= heights[4]:
+            heights[4] = value
+        positions[4] += 1.0
+    desired = self._desired
+    rates = self._rates
+    desired[1] += rates[1]
+    desired[2] += rates[2]
+    desired[3] += rates[3]
+    desired[4] += 1.0
+    for index in (1, 2, 3):
+        position = positions[index]
+        drift = desired[index] - position
+        if (drift >= 1.0 and positions[index + 1] - position > 1.0) \
+                or (drift <= -1.0 and positions[index - 1] - position < -1.0):
+            sign = 1.0 if drift >= 1.0 else -1.0
+            candidate = _loop_parabolic(self, index, sign)
+            if heights[index - 1] < candidate < heights[index + 1]:
+                heights[index] = candidate
+            else:                            # parabola escaped: go linear
+                heights[index] = _loop_linear(self, index, sign)
+            positions[index] += sign
+
+
+def _loop_parabolic(self, index: int, sign: float) -> float:
+    q, n = self._heights, self._positions
+    return q[index] + sign / (n[index + 1] - n[index - 1]) * (
+        (n[index] - n[index - 1] + sign)
+        * (q[index + 1] - q[index]) / (n[index + 1] - n[index])
+        + (n[index + 1] - n[index] - sign)
+        * (q[index] - q[index - 1]) / (n[index] - n[index - 1]))
+
+
+def _loop_linear(self, index: int, sign: float) -> float:
+    q, n = self._heights, self._positions
+    step = int(sign)
+    return q[index] + sign * (q[index + step] - q[index]) / (n[index + step] - n[index])
+
+
+class _LoopLatency:
+    """The per-value ``StreamingLatency`` oracle: each add updates the
+    running figures and every sketch (through :func:`_loop_p2_add`) at once."""
+
+    def __init__(self, percentiles=DEFAULT_PERCENTILES):
+        fractions = tuple(sorted(set(percentiles) | set(DEFAULT_PERCENTILES)))
+        self.sketches = {fraction: P2Quantile(fraction) for fraction in fractions}
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value > self.max:
+            self.max = value
+        for sketch in self.sketches.values():
+            _loop_p2_add(sketch, value)
+
+    def summary(self) -> LatencySummary:
+        extras = tuple(
+            (percentile_label(fraction), self.sketches[fraction].value)
+            for fraction in sorted(self.sketches)
+            if fraction not in DEFAULT_PERCENTILES)
+        if not self.count:
+            return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0,
+                                  p99=0.0, max=0.0,
+                                  extras=tuple((label, 0.0)
+                                               for label, _ in extras))
+        return LatencySummary(
+            count=self.count, mean=self.total / self.count,
+            p50=self.sketches[0.5].value, p95=self.sketches[0.95].value,
+            p99=self.sketches[0.99].value, max=self.max, extras=extras)
+
+
+def assert_same_fold(stream: StreamingLatency, oracle: _LoopLatency) -> None:
+    """Every field of a buffered summary equals the per-value oracle's."""
+
+    assert stream.summary() == oracle.summary()
+    assert (stream.count, stream.total, stream.max) == \
+        (oracle.count, oracle.total, oracle.max)
+    assert stream.fractions == tuple(oracle.sketches)
+    for fraction, expected in oracle.sketches.items():
+        sketch = stream._sketches[fraction]
+        assert sketch._heights == expected._heights
+        assert sketch._positions == expected._positions
+        assert sketch._desired == expected._desired
+        assert sketch.count == expected.count
+        assert stream.quantile(fraction) == expected.value
+
+
+def _stream(length: int, shape: str, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    if shape == "exponential":
+        return [rng.expovariate(200.0) for _ in range(length)]
+    if shape == "ties":
+        return [rng.choice((0.0, 0.001, 0.002, 0.002, 0.5)) for _ in range(length)]
+    return [rng.uniform(-1.0, 1.0) for _ in range(length)]
 
 
 def test_p2_exact_below_five_samples():
@@ -113,6 +246,96 @@ def test_streaming_latency_summary_matches_percentile():
     assert summary.mean == pytest.approx(sum(values) / len(values))
     assert summary.p50 == pytest.approx(percentile(values, 0.5), abs=0.02)
     assert summary.p99 == pytest.approx(percentile(values, 0.99), abs=0.05)
+
+
+@pytest.mark.parametrize("length", [0, 1, 4, 5, 6, FOLD_BUFFER - 1,
+                                    FOLD_BUFFER, FOLD_BUFFER + 1,
+                                    2 * FOLD_BUFFER + 3])
+def test_buffered_fold_equals_per_value_oracle_at_buffer_edges(length):
+    stream, oracle = StreamingLatency((0.999,)), _LoopLatency((0.999,))
+    for value in _stream(length, "exponential", seed=length):
+        stream.add(value)
+        oracle.add(value)
+    assert_same_fold(stream, oracle)
+
+
+_VALUES = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.sampled_from((0.0, 0.001, 0.002, 1.0)))
+_READS = ("summary", "count", "total", "max", "quantile", "copy")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_buffered_fold_equals_per_value_oracle(data):
+    """Reads at any point (each one flushes the pending values) and copies
+    taken mid-stream leave every field equal to the per-value fold's."""
+
+    extras = data.draw(st.sets(st.sampled_from((0.001, 0.25, 0.9, 0.999)),
+                               max_size=2))
+    length = data.draw(st.one_of(
+        st.integers(0, 12),
+        st.sampled_from((FOLD_BUFFER - 1, FOLD_BUFFER, FOLD_BUFFER + 1,
+                         2 * FOLD_BUFFER + 7))))
+    if length <= 12:
+        values = data.draw(st.lists(_VALUES, min_size=length,
+                                    max_size=length))
+    else:
+        values = _stream(length, data.draw(st.sampled_from(
+            ("exponential", "ties", "uniform"))), data.draw(st.integers(0, 999)))
+    reads = data.draw(st.dictionaries(st.integers(0, length),
+                                      st.sampled_from(_READS), max_size=4))
+    pairs = [(StreamingLatency(extras), _LoopLatency(extras))]
+    window_tail, window_oracle = P2Quantile(0.99), P2Quantile(0.99)
+    for index in range(length + 1):
+        read = reads.get(index)
+        stream, oracle = pairs[0]
+        if read == "copy":
+            pairs.append((stream.copy(), copy.deepcopy(oracle)))
+        elif read == "summary":
+            assert stream.summary() == oracle.summary()
+        elif read == "quantile":
+            for fraction, sketch in oracle.sketches.items():
+                assert stream.quantile(fraction) == sketch.value
+        elif read is not None:
+            assert getattr(stream, read) == getattr(oracle, read)
+        if index < length:
+            for stream, oracle in pairs:
+                stream.add(values[index])
+                oracle.add(values[index])
+            window_tail.add(values[index])
+            _loop_p2_add(window_oracle, values[index])
+    for stream, oracle in pairs:
+        assert_same_fold(stream, oracle)
+    assert (window_tail._heights, window_tail._positions,
+            window_tail._desired) == (window_oracle._heights,
+                                      window_oracle._positions,
+                                      window_oracle._desired)
+
+
+def test_shared_model_summary_is_copied_before_the_second_models_fold():
+    """While one model has arrived its summary is the run-wide one; the
+    second model's arrival splits it off before folding that request."""
+
+    accumulator = ReportAccumulator(slo_seconds=0.05, percentiles=(0.999,))
+    overall = _LoopLatency((0.999,))
+    by_model = {"a": _LoopLatency((0.999,)), "b": _LoopLatency((0.999,)),
+                "c": _LoopLatency((0.999,))}
+    rng = random.Random(5)
+    models = ["a"] * (FOLD_BUFFER + 40) + [rng.choice("abc") for _ in range(900)]
+    for index, model in enumerate(models):
+        arrival = index * 1e-3
+        completion = arrival + rng.expovariate(300.0)
+        latency = completion - arrival
+        accumulator.observe(model, arrival, arrival, completion)
+        overall.add(latency)
+        by_model[model].add(latency)
+        if index == FOLD_BUFFER + 39:
+            assert accumulator.per_model["a"] is accumulator.latency
+    assert accumulator.per_model["a"] is not accumulator.latency
+    assert_same_fold(accumulator.latency, overall)
+    for model, oracle in by_model.items():
+        assert_same_fold(accumulator.per_model[model], oracle)
 
 
 # ---------------------------------------------------------- trace recorder
@@ -315,6 +538,32 @@ def test_prometheus_text_parses():
     assert "repro_request_latency_seconds" in families
     assert "repro_request_ttft_seconds" in families
     assert "repro_replica_utilization" in families
+
+
+def test_prometheus_summaries_export_flushed_values():
+    """With fewer completions than one fold buffer every value is still
+    pending at export time: ``_count``, ``_sum`` and each quantile must
+    come out as the per-value oracle computes them."""
+
+    tail = (0.5, 0.95, 0.99, 0.999)
+    metrics = MetricsCollector(percentiles=tail)
+    oracles = {"repro_request_latency_seconds": _LoopLatency(tail),
+               "repro_request_queue_wait_seconds": _LoopLatency(tail)}
+    latencies = _stream(FOLD_BUFFER // 2, "exponential", seed=3)
+    waits = _stream(FOLD_BUFFER // 2, "ties", seed=4)
+    for index, (latency, wait) in enumerate(zip(latencies, waits)):
+        metrics.on_completion(index * 1e-2, latency, queue_wait=wait)
+        oracles["repro_request_latency_seconds"].add(latency)
+        oracles["repro_request_queue_wait_seconds"].add(wait)
+    samples = dict(line.split(" ")[:2]
+                   for line in prometheus_text(metrics).splitlines()
+                   if line and not line.startswith("#"))
+    for name, oracle in oracles.items():
+        assert float(samples[f"{name}_count"]) == oracle.count == len(latencies)
+        assert float(samples[f"{name}_sum"]) == oracle.total
+        for fraction, sketch in oracle.sketches.items():
+            assert float(samples[f'{name}{{quantile="{fraction:g}"}}']) \
+                == sketch.value
 
 
 def test_metrics_windows_bounded():
