@@ -51,7 +51,11 @@ from repro.serve.llm import (
     KVCacheConfig,
     serve_llm,
 )
-from repro.serve.metrics import DEFAULT_PERCENTILES, percentile_label
+from repro.serve.metrics import (
+    DEFAULT_PERCENTILES,
+    check_fractions,
+    percentile_label,
+)
 from repro.serve.pipeline import (
     DEFAULT_STAGE_HANDOFF,
     PipelineSpec,
@@ -263,6 +267,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
 
     check_finite(rate=rate, duration=duration, margin=margin,
                  slo_seconds=slo_seconds)
+    check_fractions("slo_percentile", (slo_percentile,))
     if max_replicas < 1:
         raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
     if top_k < 1:
@@ -424,6 +429,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                  slo_seconds=slo_seconds,
                  **{f"stage_slo_seconds[{name!r}]": slo
                     for name, slo in (stage_slo_seconds or {}).items()})
+    check_fractions("slo_percentile", (slo_percentile,))
     if max_replicas_per_stage < 1:
         raise ValueError(f"max_replicas_per_stage must be >= 1, "
                          f"got {max_replicas_per_stage}")
@@ -664,6 +670,7 @@ def plan_llm_capacity(rate: float, model: str, *,
     check_finite(rate=rate, duration=duration, margin=margin,
                  ttft_slo_seconds=ttft_slo_seconds,
                  tpot_slo_seconds=tpot_slo_seconds)
+    check_fractions("slo_percentile", (slo_percentile,))
     if max_replicas < 2:
         raise ValueError(f"max_replicas must be >= 2 (one replica per pool), "
                          f"got {max_replicas}")

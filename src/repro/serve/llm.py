@@ -62,6 +62,7 @@ from repro.serve.metrics import (
     RequestRecord,
     ServeReport,
     build_report,
+    check_fractions,
 )
 from repro.serve.simulator import (
     DEFAULT_CACHE_ENTRIES,
@@ -380,6 +381,7 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
                  tpot_slo_seconds=tpot_slo_seconds, slo_seconds=slo_seconds)
     check_finite(step_overhead_seconds=step_overhead_seconds,
                  handoff_seconds=handoff_seconds, allow_zero=True)
+    check_fractions("percentiles", percentiles)
     check_summary(summary)
     kv = KVCacheConfig() if kv is None else kv
     cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if cache is None else cache

@@ -54,6 +54,17 @@ class RequestRecord:
         return self.completion - self.arrival
 
 
+def check_fractions(name: str, fractions: Sequence[float]) -> None:
+    """Reject quantile fractions that are not finite and strictly inside
+    (0, 1); the error names the argument.  Unchecked, an exact-summary run
+    meets a bad fraction only after the whole simulation."""
+
+    for fraction in fractions:
+        if not 0.0 < fraction < 1.0:
+            raise ValueError(f"{name} must be finite and in (0, 1), "
+                             f"got {fraction!r}")
+
+
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile (``fraction`` in [0, 1]) of a non-empty sample."""
 

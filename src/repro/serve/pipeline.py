@@ -48,6 +48,7 @@ from repro.serve.metrics import (
     LatencySummary,
     RequestRecord,
     ServeReport,
+    check_fractions,
 )
 from repro.serve.simulator import (
     DEFAULT_DISPATCH_OVERHEAD,
@@ -413,6 +414,7 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     if isinstance(pipeline, str):
         pipeline = PipelineSpec.parse(pipeline)
     check_finite(handoff_seconds=handoff_seconds, allow_zero=True)
+    check_fractions("percentiles", percentiles)
     stage_names = [stage.name for stage in pipeline.stages]
     missing = [name for name in stage_names if name not in pools]
     if missing:

@@ -74,6 +74,7 @@ from repro.serve.metrics import (
     RequestRecord,
     ServeReport,
     build_report,
+    check_fractions,
 )
 from repro.serve.traffic import Request, TrafficPattern, check_finite
 from repro.serve.traffic import iter_arrivals as _iter_arrivals
@@ -439,6 +440,7 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
     default) skips every hook.
     """
 
+    check_fractions("percentiles", percentiles)
     if isinstance(fleet, str):
         fleet = Fleet.parse(fleet)
     kernel = _Kernel(traffic, [_Pool(fleet, autoscaler)], policy, router,

@@ -240,7 +240,8 @@ class TestLLMPlanning:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
                                            "ttft_slo_seconds",
-                                           "tpot_slo_seconds"])
+                                           "tpot_slo_seconds",
+                                           "slo_percentile"])
     def test_plan_llm_capacity_rejects_non_finite_inputs(self, parameter,
                                                          value):
         cache = ResultCache()

@@ -456,7 +456,8 @@ class TestPlanPipelineCapacity:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
-                                           "slo_seconds", "stage_slo_seconds"])
+                                           "slo_seconds", "stage_slo_seconds",
+                                           "slo_percentile"])
     def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
         cache = ResultCache()
         override = {"encoder": value} if parameter == "stage_slo_seconds" \

@@ -32,6 +32,8 @@ from repro.plan import (
     estimate_fleet,
     make_scale_policy,
     plan_capacity,
+    plan_llm_capacity,
+    plan_pipeline_capacity,
 )
 from repro.serve import (
     DiurnalTraffic,
@@ -220,8 +222,8 @@ class TestOptimizer:
                           targets=("tpu",))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("parameter",
-                             ["rate", "duration", "margin", "slo_seconds"])
+    @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
+                                           "slo_seconds", "slo_percentile"])
     def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
         """Unchecked, a nan margin or SLO prunes every fleet and returns
         ``chosen: None`` without an error, and a bad duration surfaces only
@@ -230,6 +232,28 @@ class TestOptimizer:
         cache = ResultCache()
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             plan_capacity(**{**self.SCENARIO, "cache": cache, parameter: value})
+        assert cache.stats().misses == 0
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5])
+    @pytest.mark.parametrize("planner, kwargs", [
+        (plan_capacity, dict(rate=1200.0, models=["deit-tiny"],
+                             slo_seconds=0.02, duration=1.0)),
+        (plan_pipeline_capacity, dict(
+            rate=120.0, pipeline="plan2 = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.02, duration=1.0)),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 duration=1.0)),
+    ], ids=["capacity", "pipeline", "llm"])
+    def test_slo_percentile_outside_the_unit_interval_fails_first(
+            self, planner, kwargs, value):
+        """Unchecked, 1.0 and above died in the analytic estimators with
+        ``math domain error``, and 0.0 broke the LLM planner's payload."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=r"slo_percentile must be finite "
+                                             r"and in \(0, 1\)"):
+            planner(**kwargs, slo_percentile=value, cache=cache)
         assert cache.stats().misses == 0
 
 

@@ -365,6 +365,26 @@ class TestNonFiniteRunParameters:
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             run(**{parameter: value})
 
+    @pytest.mark.parametrize("summary", ["exact", "streaming"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
+                                       1.0, 1.5],
+                             ids=["nan", "inf", "-inf", "zero", "one", "1.5"])
+    @pytest.mark.parametrize("run", [_serve_run, _pipeline_run, _llm_run],
+                             ids=["serve", "serve_pipeline", "serve_llm"])
+    def test_bad_percentiles_fail_before_any_simulation(self, run, value,
+                                                        summary):
+        """Unchecked, an exact-summary run simulated everything before
+        ``percentile()`` rejected the fraction without naming the argument,
+        and took 0 and 1, which a streaming run refused at construction."""
+
+        from repro.engine import ResultCache
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=r"percentiles must be finite "
+                                             r"and in \(0, 1\)"):
+            run(percentiles=(0.999, value), summary=summary, cache=cache)
+        assert cache.stats().hits == cache.stats().misses == 0
+
     def test_streaming_infinite_duration_fails_fast(self):
         with pytest.raises(ValueError, match="duration must be finite"):
             _serve_run(duration=math.inf, summary="streaming")
