@@ -165,6 +165,8 @@ class P2Quantile:
         desired[1:] = (d1, d2, d3, d4)
 
     def copy(self) -> "P2Quantile":
+        """An independent sketch in the same state."""
+
         twin = P2Quantile.__new__(P2Quantile)
         twin.fraction = self.fraction
         twin._heights = list(self._heights)
