@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from copy import deepcopy
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -164,17 +165,6 @@ class P2Quantile:
         self._positions[1:] = (n1, n2, n3, n4)
         desired[1:] = (d1, d2, d3, d4)
 
-    def copy(self) -> "P2Quantile":
-        """An independent sketch in the same state."""
-
-        twin = P2Quantile.__new__(P2Quantile)
-        twin.fraction = self.fraction
-        twin._heights = list(self._heights)
-        twin._positions = list(self._positions)
-        twin._desired = list(self._desired)
-        twin._rates = self._rates
-        return twin
-
     @property
     def value(self) -> float:
         """The current estimate (exact order statistic below five samples)."""
@@ -260,15 +250,10 @@ class StreamingLatency:
         return self._sketches[fraction].value
 
     def copy(self) -> "StreamingLatency":
-        """An independent summary holding everything added so far."""
+        """An independent summary holding everything added so far (pending
+        values included)."""
 
-        self._flush()
-        twin = StreamingLatency.__new__(StreamingLatency)
-        twin._sketches = {fraction: sketch.copy()
-                          for fraction, sketch in self._sketches.items()}
-        twin._pending = []
-        twin._count, twin._total, twin._max = self._count, self._total, self._max
-        return twin
+        return deepcopy(self)
 
     def summary(self) -> LatencySummary:
         """Fold into the exact path's report type (same JSON keys)."""
