@@ -16,6 +16,10 @@ way.  The three-model streaming, streaming LLM and Prometheus-digest entries
 were captured before the streaming summaries folded their P² sketches a
 batch at a time, and pin that change: every per-model count, quantile and
 exported sample must come out as the one-value-at-a-time fold made them.
+The two-model LLM entries (continuous, monolithic and disaggregated on a
+mixed, attention-pinned fleet) were captured while ``serve_llm`` still built
+a new engine spec on every iteration, and pin building each distinct shape's
+spec once per run.
 
 Regenerate (only when a report-shape change is intended and documented)::
 
@@ -60,6 +64,8 @@ MIXED = WorkloadMix.of(["deit-tiny", "levit-128"], [2.0, 1.0])
 SINGLE = WorkloadMix.of(["deit-tiny"])
 THREE = WorkloadMix.of(["deit-tiny", "levit-128", "deit-small"], [3.0, 2.0, 1.0])
 LLM_MIX = WorkloadMix.of(["decoder"], tokens=TokenProfile.of("64:256", "16:64"))
+LLM_PAIR = WorkloadMix.of(["decoder", "decoder[layers=6]"],
+                          tokens=TokenProfile.of("64:256", "16:64"))
 TAIL = (0.5, 0.95, 0.99, 0.999)
 CHAIN = "rag = encoder[tokens=128] -> rerank:encoder[tokens=64] -> deit-tiny"
 CHAIN_POOLS = {"encoder": "2xvitality", "rerank": "1xvitality",
@@ -166,6 +172,18 @@ def build_golden_reports() -> dict[str, str]:
         lambda obs: serve_llm(
             PoissonTraffic(30.0, LLM_MIX), "2xvitality",
             scheduler="continuous", duration=20.0, seed=5, obs=obs))
+    # Two models on a mixed fleet with a pinned attention mode, under both
+    # schedulers and disaggregated: every engine spec a step builds depends
+    # on the model, the replica's target and attention pin, the phase and
+    # the batch, so a spec reused under the wrong key shows up here.
+    for scheduler in ("continuous", "monolithic"):
+        reports[f"llm-two-model-hetero-{scheduler}"] = serve_llm(
+            PoissonTraffic(30.0, LLM_PAIR), "1xvitality,1xgpu:taylor",
+            scheduler=scheduler, duration=2.0, seed=5).to_json()
+    reports["llm-two-model-disagg-streaming"] = serve_llm(
+        PoissonTraffic(30.0, LLM_PAIR), prefill_fleet="1xvitality",
+        decode_fleet="1xgpu:taylor", duration=2.0, seed=5,
+        summary="streaming").to_json()
     return reports
 
 
