@@ -10,6 +10,7 @@ cross-product sweeps can be expanded mechanically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 from repro.workloads import ModelWorkload, get_workload, scaled_to_tokens
@@ -52,6 +53,10 @@ class RunSpec:
         scale_to_peak: scale the target's PE array up to this peak MAC/s
             before simulating, if the target supports scaling and its native
             peak is lower (the paper's platform-comparison methodology).
+
+    The hash is computed once, at construction, and equals the generated
+    dataclass hash.  A pickle or copy is rebuilt through the constructor and
+    hashes again, since string hashes are salted per process.
     """
 
     model: str
@@ -83,6 +88,13 @@ class RunSpec:
             # nan would pass a bare ``<= 0`` and never equal itself as a key.
             raise ValueError(f"scale_to_peak must be finite and positive, "
                              f"got {self.scale_to_peak}")
+        object.__setattr__(self, "_hash", hash(_field_values(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), _field_values(self)
 
     def workload(self) -> ModelWorkload:
         """Resolve the configured workload this spec runs on.
@@ -96,6 +108,10 @@ class RunSpec:
 
     def to_dict(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: Field values in declaration order: the generated hash's tuple, and __init__'s args.
+_field_values = operator.attrgetter(*(f.name for f in fields(RunSpec)))
 
 
 def scale_workload_tokens(workload: ModelWorkload, tokens: int) -> ModelWorkload:

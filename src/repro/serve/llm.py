@@ -506,69 +506,52 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     total_prefill_tokens = 0
     total_generated = 0
 
-    def run_prefill_chunk(replica: LLMReplica, now: float) -> None:
-        request = replica.current_prefill
-        chunk = min(prefill_chunk, request.prompt_tokens - request.prefilled)
-        name = _configured(request.model, tokens=chunk,
-                           kv_tokens=request.prefilled + chunk, phase="prefill")
-        result = simulate(RunSpec(name, target=replica.spec.target,
-                                  attention=replica.spec.attention), cache=cache)
+    specs: dict[tuple, RunSpec] = {}        # one engine spec per iteration shape
+
+    def run_iteration(replica: LLMReplica, now: float, kind: str, payload,
+                      model: str, phase: str, tokens: int, kv_tokens: int,
+                      batch_size: int) -> float:
+        """Simulate, charge and schedule one prefill chunk or decode step."""
+
+        target, attention = replica.spec.target, replica.spec.attention
+        key = (model, phase, tokens, kv_tokens, target, attention, batch_size)
+        spec = specs.get(key)
+        if spec is None:
+            name = _configured(model, tokens=tokens, kv_tokens=kv_tokens, phase=phase)
+            spec = specs[key] = RunSpec(name, target=target, attention=attention,
+                                        batch_size=batch_size)
+        result = simulate(spec, cache=cache)
         service = step_overhead_seconds + result.end_to_end_latency
-        finish = now + service
-        replica.busy_until = finish
+        replica.busy_until = finish = now + service
         replica.busy_seconds += service
         replica.energy_joules += result.end_to_end_energy
         replica.batches += 1
-        heapq.heappush(events, (finish, next(sequence), "chunk",
-                                (replica, request, chunk)))
+        heapq.heappush(events, (finish, next(sequence), kind, payload))
+        return finish
+
+    def run_prefill_chunk(replica: LLMReplica, now: float) -> None:
+        request = replica.current_prefill
+        chunk = min(prefill_chunk, request.prompt_tokens - request.prefilled)
+        finish = run_iteration(replica, now, "chunk", (replica, request, chunk),
+                               request.model, "prefill", chunk,
+                               request.prefilled + chunk, 1)
         if obs is not None:
             obs.prefill_chunk(replica, request, now, finish, chunk)
         logger.debug("t=%.6f %s: prefill chunk of %d tokens for request %d",
                      now, replica.name, chunk, request.index)
 
-    def run_decode_step(replica: LLMReplica, now: float) -> None:
-        batch = tuple(replica.batch)
-        kv_tokens = max(request.prompt_tokens + request.decoded
-                        for request in batch)
-        name = _configured(batch[0].model, tokens=1,
-                           kv_tokens=_bucket(kv_tokens, kv_bucket),
-                           phase="decode")
-        result = simulate(RunSpec(name, target=replica.spec.target,
-                                  attention=replica.spec.attention,
-                                  batch_size=len(batch)), cache=cache)
-        service = step_overhead_seconds + result.end_to_end_latency
-        finish = now + service
-        replica.busy_until = finish
-        replica.busy_seconds += service
-        replica.energy_joules += result.end_to_end_energy
-        replica.batches += 1
+    def run_decode_step(replica: LLMReplica, now: float, kind: str,
+                        members: list[LLMRequest]) -> None:
+        # A monolithic gang is charged at its full size: members that
+        # already finished pad the batch until the gang drains.
+        batch = tuple(members)
+        kv_tokens = max(request.prompt_tokens + request.decoded for request in batch)
+        finish = run_iteration(replica, now, kind, (replica, batch),
+                               batch[0].model, "decode", 1,
+                               _bucket(kv_tokens, kv_bucket), len(batch))
         replica.decode_steps += 1
-        heapq.heappush(events, (finish, next(sequence), "step", (replica, batch)))
         if obs is not None:
             obs.decode_step(replica, batch, now, finish)
-
-    def run_gang_step(replica: LLMReplica, now: float) -> None:
-        gang = tuple(replica.gang)
-        kv_tokens = max(request.prompt_tokens + request.decoded
-                        for request in gang)
-        name = _configured(gang[0].model, tokens=1,
-                           kv_tokens=_bucket(kv_tokens, kv_bucket),
-                           phase="decode")
-        # Monolithic semantics: every step is charged at the full gang size —
-        # members that already finished pad the batch until the gang drains.
-        result = simulate(RunSpec(name, target=replica.spec.target,
-                                  attention=replica.spec.attention,
-                                  batch_size=len(gang)), cache=cache)
-        service = step_overhead_seconds + result.end_to_end_latency
-        finish = now + service
-        replica.busy_until = finish
-        replica.busy_seconds += service
-        replica.energy_joules += result.end_to_end_energy
-        replica.batches += 1
-        replica.decode_steps += 1
-        heapq.heappush(events, (finish, next(sequence), "gang", (replica, gang)))
-        if obs is not None:
-            obs.decode_step(replica, gang, now, finish)
 
     def record_completion(request: LLMRequest, replica: LLMReplica,
                           now: float, batch_size: int) -> None:
@@ -693,7 +676,7 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
                 kick_monolithic(replica, now)
                 return
         if replica.gang_steps_left > 0:
-            run_gang_step(replica, now)
+            run_decode_step(replica, now, "gang", replica.gang)
 
     def retire_gang(replica: LLMReplica, now: float) -> None:
         size = len(replica.gang)
@@ -730,7 +713,7 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
                 run_prefill_chunk(replica, now)
                 return
         if replica.batch:
-            run_decode_step(replica, now)
+            run_decode_step(replica, now, "step", replica.batch)
 
     def route_arrival(request: LLMRequest, now: float) -> None:
         if disaggregated:
