@@ -66,6 +66,7 @@ from repro.serve.traffic import (
     PoissonTraffic,
     TrafficPattern,
     WorkloadMix,
+    check_counts,
     check_finite,
 )
 from repro.plan.queueing import ServiceTimes, estimate_fleet, estimate_llm_pools
@@ -670,6 +671,8 @@ def plan_llm_capacity(rate: float, model: str, *,
     check_finite(rate=rate, duration=duration, margin=margin,
                  ttft_slo_seconds=ttft_slo_seconds,
                  tpot_slo_seconds=tpot_slo_seconds)
+    check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
+                 prefill_chunk=prefill_chunk, max_batch=max_batch)
     check_fractions("slo_percentile", (slo_percentile,))
     if max_replicas < 2:
         raise ValueError(f"max_replicas must be >= 2 (one replica per pool), "

@@ -46,7 +46,7 @@ from repro.serve.llm import (
 from repro.serve.metrics import DEFAULT_PERCENTILES, percentile_label
 from repro.serve.pipeline import DEFAULT_STAGE_HANDOFF, PipelineSpec
 from repro.serve.simulator import DEFAULT_DISPATCH_OVERHEAD
-from repro.serve.traffic import WorkloadMix
+from repro.serve.traffic import WorkloadMix, check_counts
 from repro.workloads import get_workload
 
 
@@ -561,8 +561,9 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
 
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    if prompt_tokens < 1 or output_tokens < 1:
-        raise ValueError("prompt_tokens and output_tokens must be >= 1")
+    check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
+                 prefill_chunk=prefill_chunk, max_batch=max_batch,
+                 kv_bucket=kv_bucket)
     prefill_fleet = Fleet.parse(prefill_fleet) \
         if isinstance(prefill_fleet, str) else prefill_fleet
     decode_fleet = Fleet.parse(decode_fleet) \

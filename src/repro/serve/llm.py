@@ -69,7 +69,13 @@ from repro.serve.simulator import (
     RUNTIME_SEQUENCE_BASE,
     check_summary,
 )
-from repro.serve.traffic import Request, TrafficPattern, check_finite
+from repro.serve.traffic import (
+    Request,
+    TrafficPattern,
+    check_counts,
+    check_finite,
+    is_count,
+)
 from repro.serve.traffic import iter_arrivals as _iter_arrivals
 from repro.serve.traffic import traffic_models
 from repro.workloads import get_family
@@ -174,10 +180,10 @@ class LLMRequest:
                  "completion", "decode_batch")
 
     def __init__(self, request: Request, prompt_tokens: int, output_tokens: int):
-        if prompt_tokens < 1 or output_tokens < 1:
-            raise ValueError(f"request {request.index} needs prompt_tokens and "
-                             f"output_tokens >= 1, got {prompt_tokens}/"
-                             f"{output_tokens}")
+        if not (is_count(prompt_tokens) and is_count(output_tokens)):
+            raise ValueError(f"request {request.index} needs integer "
+                             f"prompt_tokens and output_tokens >= 1, got "
+                             f"{prompt_tokens!r}/{output_tokens!r}")
         self.index = request.index
         self.model = request.model
         self.arrival = request.arrival
@@ -371,12 +377,9 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     elif fleet is None:
         raise ValueError("serve_llm needs a fleet (colocated) or "
                          "prefill_fleet+decode_fleet (disaggregated)")
-    if prefill_chunk < 1:
-        raise ValueError(f"prefill_chunk must be >= 1, got {prefill_chunk}")
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    if kv_bucket < 1:
-        raise ValueError(f"kv_bucket must be >= 1, got {kv_bucket}")
+    check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
+                 prefill_chunk=prefill_chunk, max_batch=max_batch,
+                 kv_bucket=kv_bucket)
     check_finite(duration=duration, ttft_slo_seconds=ttft_slo_seconds,
                  tpot_slo_seconds=tpot_slo_seconds, slo_seconds=slo_seconds)
     check_finite(step_overhead_seconds=step_overhead_seconds,

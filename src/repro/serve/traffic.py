@@ -30,6 +30,7 @@ Patterns:
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
@@ -305,6 +306,23 @@ def check_finite(*, allow_zero: bool = False, **values: float) -> None:
             raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
+def is_count(value) -> bool:
+    """True for an integer >= 1 (a bool is not a count)."""
+
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def check_counts(**values: int) -> None:
+    """Reject token and size arguments (one per keyword) that are not
+    integers >= 1; the error names the bad one.  Unchecked, a nan prompt
+    never finishes prefill and a fractional one fails mid-run."""
+
+    for name, value in values.items():
+        if not is_count(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
                    rng: random.Random) -> Iterator[Request]:
     """Attach mix draws to a time stream without changing the draw order.
@@ -477,9 +495,9 @@ class ReplayTraffic:
                 raise ValueError(f"trace times must be non-negative, got {time}")
             _check_workload_name(model, "trace")
             for tokens in entry[2:]:
-                if tokens < 1:
-                    raise ValueError(f"trace token counts must be >= 1, "
-                                     f"got {tokens} for {model!r}")
+                if not is_count(tokens):
+                    raise ValueError(f"trace token counts must be integers "
+                                     f">= 1, got {tokens!r} for {model!r}")
 
     @classmethod
     def from_records(cls, records: Iterable[Sequence[object]]) -> "ReplayTraffic":

@@ -21,6 +21,9 @@ from repro.serve import (
 )
 
 MIX = WorkloadMix.of(["decoder"])
+#: serve_llm's token and size arguments; plan_llm_capacity forwards the first four.
+COUNTS = ("prompt_tokens", "output_tokens", "prefill_chunk", "max_batch",
+          "kv_bucket")
 
 
 def _traffic(rate: float = 15.0, mix: WorkloadMix = MIX) -> PoissonTraffic:
@@ -68,6 +71,15 @@ class TestTokenProfiles:
             [(128, 8), (256, 4)]
         with pytest.raises(ValueError):
             ReplayTraffic.from_records([[0.0, "decoder", 128]])
+
+    @pytest.mark.parametrize("tokens", [math.nan, 2.5, 64.0, 0, True],
+                             ids=["nan", "fraction", "float", "zero", "bool"])
+    def test_replay_rejects_non_integer_token_counts(self, tokens):
+        """A nan prompt passed the old ``< 1`` check, never finished prefill
+        and blocked every request queued behind it."""
+
+        with pytest.raises(ValueError, match="trace token counts must be integers"):
+            ReplayTraffic(((0.1, "decoder", tokens, 4), (0.2, "decoder", 64, 4)))
 
 
 class TestKVCache:
@@ -201,6 +213,30 @@ class TestServeLLM:
         with pytest.raises(ValueError, match="sequence-family"):
             serve_llm(traffic, fleet="1xvitality", duration=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 0, True],
+                             ids=["nan", "fraction", "zero", "bool"])
+    @pytest.mark.parametrize("parameter", COUNTS)
+    def test_bad_counts_fail_before_any_engine_call(self, parameter, value):
+        """A nan prompt completed no request, a fractional chunk failed
+        mid-run on an unnamed knob, and a fractional output ran silently."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError,
+                           match=f"{parameter} must be an integer >= 1"):
+            serve_llm(_traffic(30.0), fleet="2xvitality", duration=1.0,
+                      cache=cache, **{parameter: value})
+        assert cache.stats().hits + cache.stats().misses == 0
+
+    @pytest.mark.parametrize("summary", ["exact", "streaming"])
+    @pytest.mark.parametrize("scheduler", ["continuous", "monolithic"])
+    def test_nan_prompt_fails_under_every_scheduler(self, scheduler, summary):
+        cache = ResultCache()
+        with pytest.raises(ValueError, match="prompt_tokens must be an integer"):
+            serve_llm(_traffic(30.0), fleet="2xvitality", duration=1.0,
+                      scheduler=scheduler, summary=summary, cache=cache,
+                      prompt_tokens=math.nan)
+        assert cache.stats().hits + cache.stats().misses == 0
+
     def test_classic_report_shape_unchanged(self):
         """The additive LLM fields must not leak into classic serve JSON."""
 
@@ -251,6 +287,21 @@ class TestLLMPlanning:
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             plan_llm_capacity(**{**kwargs, parameter: value})
         assert cache.stats().misses == 0
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 0, True],
+                             ids=["nan", "fraction", "zero", "bool"])
+    @pytest.mark.parametrize("parameter", COUNTS[:4])
+    def test_plan_llm_capacity_rejects_bad_counts(self, parameter, value):
+        """A nan prompt used to die in the search with ZeroDivisionError."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError,
+                           match=f"{parameter} must be an integer >= 1"):
+            plan_llm_capacity(8.0, "decoder", ttft_slo_seconds=0.2,
+                              tpot_slo_seconds=0.01, duration=1.0,
+                              max_replicas=4, cache=cache,
+                              **{parameter: value})
+        assert cache.stats().hits + cache.stats().misses == 0
 
     def test_plan_llm_capacity_chooses_and_validates(self):
         payload = plan_llm_capacity(
