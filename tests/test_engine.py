@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.engine import (
+    ATTENTION_MODES,
+    DATAFLOWS,
     ResultCache,
     RunSpec,
     Sweep,
@@ -114,6 +123,61 @@ class TestRunSpec:
     def test_to_dict_round_trip(self):
         spec = RunSpec("levit-128", target="salo", include_linear=False)
         assert RunSpec(**spec.to_dict()) == spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(("deit-tiny",
+                                  "decoder[kv_tokens=512,phase=decode,tokens=1]")),
+           target=st.sampled_from(("vitality", "gpu", "sanger")),
+           attention=st.sampled_from((None,) + ATTENTION_MODES),
+           batch_size=st.integers(1, 64),
+           tokens=st.none() | st.integers(1, 4096),
+           dataflow=st.sampled_from((None,) + DATAFLOWS),
+           pipelined=st.sampled_from((None, False, True)),
+           include_linear=st.booleans(),
+           scale_to_peak=st.none() | st.floats(1e9, 1e15))
+    def test_cached_hash_is_the_field_tuple_hash(self, **values):
+        """The hash computed at construction is the generated dataclass
+        hash; ``replace`` and ``deepcopy`` give equal specs that hash equal."""
+
+        spec = RunSpec(**values)
+        assert hash(spec) == hash(tuple(getattr(spec, field.name)
+                                        for field in dataclasses.fields(spec)))
+        for twin in (dataclasses.replace(spec), copy.deepcopy(spec),
+                     copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and hash(twin) == hash(spec)
+        bigger = dataclasses.replace(spec, batch_size=spec.batch_size + 1)
+        assert bigger != spec
+        assert hash(bigger) == hash(tuple(bigger.to_dict().values()))
+
+    def test_unpickled_spec_hashes_under_its_own_process_salt(self):
+        """String hashes are salted per process: a spec pickled under one
+        ``PYTHONHASHSEED`` must hash afresh where it is unpickled, or it
+        misses every dict it is looked up in there."""
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        pickled = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys\n"
+             "from repro.engine import RunSpec\n"
+             "spec = RunSpec('decoder[kv_tokens=512,phase=decode,tokens=1]',"
+             " target='gpu', attention='taylor', batch_size=3)\n"
+             "sys.stdout.buffer.write(pickle.dumps(spec))"],
+            env={**env, "PYTHONHASHSEED": "1"}, capture_output=True,
+            check=True).stdout
+        checked = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys\n"
+             "from repro.engine import RunSpec\n"
+             "spec = pickle.loads(sys.stdin.buffer.read())\n"
+             "fresh = RunSpec(**spec.to_dict())\n"
+             "assert hash(spec) == hash(fresh), (hash(spec), hash(fresh))\n"
+             "assert {fresh: 'found'}.get(spec) == 'found'\n"
+             "print('ok')"],
+            input=pickled, env={**env, "PYTHONHASHSEED": "2"},
+            capture_output=True)
+        assert checked.returncode == 0, checked.stderr.decode()
+        assert checked.stdout.strip() == b"ok"
 
     def test_token_scaling_preserves_stage_structure(self):
         workload = get_workload("levit-128")

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine import ResultCache, simulate
 from repro.plan import estimate_llm_pools, plan_llm_capacity
 from repro.serve import (
     KVCacheConfig,
@@ -21,6 +21,8 @@ from repro.serve import (
 )
 
 MIX = WorkloadMix.of(["decoder"])
+PAIR = WorkloadMix.of(["decoder", "decoder[layers=6]"],
+                      tokens=TokenProfile.of("64:256", "16:64"))
 #: serve_llm's token and size arguments; plan_llm_capacity forwards the first four.
 COUNTS = ("prompt_tokens", "output_tokens", "prefill_chunk", "max_batch",
           "kv_bucket")
@@ -236,6 +238,34 @@ class TestServeLLM:
                       scheduler=scheduler, summary=summary, cache=cache,
                       prompt_tokens=math.nan)
         assert cache.stats().hits + cache.stats().misses == 0
+
+    @pytest.mark.parametrize("fleets", [
+        dict(fleet="1xvitality,1xgpu:taylor"),
+        dict(fleet="1xvitality,1xgpu:taylor", scheduler="monolithic"),
+        dict(prefill_fleet="1xvitality", decode_fleet="1xgpu:taylor"),
+    ], ids=["continuous", "monolithic", "disaggregated"])
+    def test_each_iteration_shape_builds_one_spec(self, monkeypatch, fleets):
+        """Every prefill chunk and decode step still makes its own engine
+        call with one cache lookup, but equal shapes share one spec object:
+        one per cache miss."""
+
+        import repro.serve.llm as llm
+
+        passed = []
+
+        def recording(spec, **kwargs):
+            passed.append(spec)
+            return simulate(spec, **kwargs)
+
+        monkeypatch.setattr(llm, "simulate", recording)
+        cache = ResultCache()
+        report = serve_llm(_traffic(30.0, PAIR), duration=2.0, seed=5,
+                           cache=cache, **fleets)
+        stats = cache.stats()
+        assert len({id(spec) for spec in passed}) == len(set(passed)) \
+            == stats.misses > 1
+        dispatches = sum(replica.batches for replica in report.per_replica)
+        assert len(passed) == stats.hits + stats.misses == dispatches
 
     def test_classic_report_shape_unchanged(self):
         """The additive LLM fields must not leak into classic serve JSON."""
