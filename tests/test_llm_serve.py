@@ -13,6 +13,7 @@ from repro.serve import (
     KVCacheConfig,
     PoissonTraffic,
     ReplayTraffic,
+    Request,
     TokenDistribution,
     TokenProfile,
     WorkloadMix,
@@ -227,6 +228,21 @@ class TestServeLLM:
                            match=f"{parameter} must be an integer >= 1"):
             serve_llm(_traffic(30.0), fleet="2xvitality", duration=1.0,
                       cache=cache, **{parameter: value})
+        assert cache.stats().hits + cache.stats().misses == 0
+
+    def test_request_tokens_from_any_pattern_must_be_integers(self):
+        """A pattern other than the built-in ones can still hand over a
+        fractional count; the request built from it is checked too."""
+
+        class Fractional:
+            def arrivals(self, duration, seed):
+                return [Request(0, "decoder", 0.1, prompt_tokens=2.5,
+                                output_tokens=4)]
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match="request 0 needs integer"):
+            serve_llm(Fractional(), fleet="1xvitality", duration=1.0,
+                      cache=cache)
         assert cache.stats().hits + cache.stats().misses == 0
 
     @pytest.mark.parametrize("summary", ["exact", "streaming"])
