@@ -6,7 +6,7 @@ offered load (10^4 and 10^5 requests always; 10^6 when ``REPRO_BENCH_FULL``
 is set) on a fixed 4-replica fleet, recording simulated requests per wall
 second and tracemalloc peak memory.  The peak must stay independent of the
 request count — that is the point of the streaming report path: lazy
-arrivals, an indexed router, and P² sketches instead of per-request records.
+arrivals, an indexed router, and P² sketches instead of every latency.
 With ``--json DIR`` the run leaves a ``BENCH_serve_scale.json`` record for
 the performance trajectory.
 """

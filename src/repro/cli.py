@@ -252,7 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="delay before a scaled-up replica comes online")
     srv.add_argument("--summary", default="exact",
                      choices=("exact", "streaming"),
-                     help="report mode: exact per-request records, or "
+                     help="report mode: exact percentiles over every "
+                          "request's latency, or "
                           "bounded-memory streaming sketches for "
                           "million-request runs")
     srv.add_argument("--seed", type=int, default=0)

@@ -20,9 +20,10 @@ request under load.  The pieces:
 * :mod:`pipeline` — multi-stage request DAGs (RAG chains, cascade
   draft→verify) traversing per-stage replica pools of that kernel via
   :func:`serve_pipeline`;
-* :mod:`metrics` — per-request records folded into the JSON-serialisable
-  :class:`ServeReport` (p50/p95/p99, throughput, utilisation, SLO violations,
-  energy/request, cache traffic).
+* :mod:`metrics` — the one :class:`ReportAccumulator` fold every loop hands
+  its completed requests to, exact or streaming, rendered as the
+  JSON-serialisable :class:`ServeReport` (p50/p95/p99, throughput,
+  utilisation, SLO violations, energy/request, cache traffic).
 
 Typical use::
 
@@ -77,10 +78,11 @@ from repro.serve.pipeline import (
 )
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
+    SUMMARY_MODES,
+    ExactLatency,
     LatencySummary,
     ReplicaReport,
     ReportAccumulator,
-    RequestRecord,
     ScaleEvent,
     ServeReport,
     WindowReport,
@@ -92,7 +94,6 @@ from repro.serve.simulator import (
     DEFAULT_CACHE_ENTRIES,
     DEFAULT_DISPATCH_OVERHEAD,
     DEFAULT_SLO,
-    SUMMARY_MODES,
     compare,
     serve,
 )
@@ -130,6 +131,7 @@ __all__ = [
     "DiurnalTraffic",
     "EnergyAwareRouter",
     "Estimate",
+    "ExactLatency",
     "FIFOPolicy",
     "Fleet",
     "KVCacheConfig",
@@ -148,7 +150,6 @@ __all__ = [
     "ReplicaSpec",
     "ReplayTraffic",
     "Request",
-    "RequestRecord",
     "Router",
     "SCHEDULERS",
     "SUMMARY_MODES",

@@ -59,16 +59,11 @@ from repro.serve.cluster import Fleet, ReplicaSpec
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     ReportAccumulator,
-    RequestRecord,
     ServeReport,
-    build_report,
     check_fractions,
-)
-from repro.serve.simulator import (
-    DEFAULT_CACHE_ENTRIES,
-    RUNTIME_SEQUENCE_BASE,
     check_summary,
 )
+from repro.serve.simulator import DEFAULT_CACHE_ENTRIES, RUNTIME_SEQUENCE_BASE
 from repro.serve.traffic import (
     Request,
     TrafficPattern,
@@ -212,9 +207,10 @@ class LLMRequest:
 class LLMReplica:
     """One LLM-serving instance: an engine target with KV-cache accounting.
 
-    Duck-types the attributes :func:`~repro.serve.metrics.build_report`
-    reads (name/spec/served/batches/busy_seconds/energy_joules/lifetimes)
-    plus the LLM extras (role, KV capacity/peak, decode steps).
+    Duck-types the replica attributes a
+    :class:`~repro.serve.metrics.ReportAccumulator` report reads
+    (name/spec/served/batches/busy_seconds/energy_joules/lifetimes) plus the
+    LLM extras (role, KV capacity/peak, decode steps).
     """
 
     def __init__(self, index: int, ordinal: int, spec: ReplicaSpec, role: str,
@@ -346,14 +342,15 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     summaries and ``llm`` block carry the phase-level results.
 
     ``summary`` mirrors :func:`repro.serve.serve`: ``"exact"`` (default)
-    keeps per-request records and exact order statistics, bit-identical to
-    historical reports; ``"streaming"`` pulls arrivals lazily and folds each
-    completion into P² accumulators, bounding memory for arbitrarily long
-    runs.  Streaming mode sizes KV capacity from the models the *traffic
-    declares* (mix entries or trace models) rather than the models that
-    happened to arrive, and checks each request's KV feasibility when it is
-    generated instead of all up front — same ``ValueError``, raised at the
-    offending arrival.
+    materialises the arrivals and folds every completion's latency, TTFT and
+    TPOT in request-index order into exact order statistics, bit-identical
+    to historical reports; ``"streaming"`` pulls arrivals lazily and folds
+    each completion into P² sketches at once, bounding memory for
+    arbitrarily long runs.  Streaming mode sizes KV capacity from the models
+    the *traffic declares* (mix entries or trace models) rather than the
+    models that happened to arrive, and checks each request's KV
+    feasibility when it is generated instead of all up front — same
+    ``ValueError``, raised at the offending arrival.
 
     ``obs`` (a :class:`repro.obs.Observability`) attaches tracing, streaming
     metrics and/or progress reporting; hooks are pure observers and
@@ -392,8 +389,8 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     def _parse(spec: Fleet | str) -> Fleet:
         return Fleet.parse(spec) if isinstance(spec, str) else spec
 
-    # Exact summaries need the full request list at the end (per-request
-    # records joined back to phase timings), so they materialise as before;
+    # Exact summaries materialise the arrivals, sizing KV capacity from the
+    # models that arrived and rejecting infeasible requests before the run;
     # streaming summaries pull arrivals lazily and take the model set from
     # what the traffic declares.  Patterns that cannot declare their models
     # fall back to materialising even when streaming.
@@ -498,13 +495,10 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         first = next_llm_arrival()
         if first is not None:
             events.append((first.arrival, first.index, "arrival", first))
-    records: list[RequestRecord] = []
-    accumulator: ReportAccumulator | None = None
+    accumulator = ReportAccumulator(slo_seconds=slo_seconds,
+                                    percentiles=percentiles, summary=summary,
+                                    track_ttft=True, track_tpot=True)
     ttft_ok = tpot_ok = tpot_count = joint_ok = 0
-    if summary == "streaming":
-        accumulator = ReportAccumulator(slo_seconds=slo_seconds,
-                                        percentiles=percentiles,
-                                        track_ttft=True, track_tpot=True)
     pending_decode: deque[LLMRequest] = deque()     # disaggregated pool queue
     total_prefill_tokens = 0
     total_generated = 0
@@ -561,28 +555,20 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         nonlocal ttft_ok, tpot_ok, tpot_count, joint_ok
         request.completion = now
         replica.served += 1
-        if accumulator is not None:
-            accumulator.observe(request.model, request.arrival,
-                                request.prefill_start, now)
-            ttft = request.first_token_time - request.arrival
-            accumulator.ttft.add(ttft)
-            tpot = None
-            if request.decode_target:
-                tpot = (now - request.first_token_time) / request.decode_target
-                accumulator.tpot.add(tpot)
-                tpot_count += 1
-                if tpot <= tpot_slo_seconds:
-                    tpot_ok += 1
-            if ttft <= ttft_slo_seconds:
-                ttft_ok += 1
-                if tpot is None or tpot <= tpot_slo_seconds:
-                    joint_ok += 1
-        else:
-            records.append(RequestRecord(
-                index=request.index, model=request.model,
-                arrival=request.arrival, replica=replica.name,
-                batch_size=batch_size, dispatch=request.prefill_start,
-                completion=now))
+        ttft = request.first_token_time - request.arrival
+        tpot = None
+        if request.decode_target:
+            tpot = (now - request.first_token_time) / request.decode_target
+            tpot_count += 1
+            if tpot <= tpot_slo_seconds:
+                tpot_ok += 1
+        if ttft <= ttft_slo_seconds:
+            ttft_ok += 1
+            if tpot is None or tpot <= tpot_slo_seconds:
+                joint_ok += 1
+        accumulator.observe(request.model, request.arrival,
+                            request.prefill_start, now, request.index, ttft,
+                            tpot)
         if obs is not None:
             obs.request_completed(request, replica, now, batch_size)
 
@@ -789,34 +775,9 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
             pending_decode.append(payload)
             admit_decode_pool(now)
 
-    if requests is not None:
-        records.sort(key=lambda record: record.index)
-        by_index = {request.index: request for request in requests}
-        ttft_values = [by_index[record.index].first_token_time
-                       - by_index[record.index].arrival for record in records]
-        tpot_values = [(record.completion
-                        - by_index[record.index].first_token_time)
-                       / by_index[record.index].decode_target
-                       for record in records
-                       if by_index[record.index].decode_target]
-        makespan = max([duration] + [record.completion for record in records])
-        joint = [1 for record in records
-                 if by_index[record.index].first_token_time
-                 - by_index[record.index].arrival <= ttft_slo_seconds
-                 and (not by_index[record.index].decode_target
-                      or (record.completion
-                          - by_index[record.index].first_token_time)
-                      / by_index[record.index].decode_target
-                      <= tpot_slo_seconds)]
-    else:
-        makespan = max(duration, accumulator.last_completion)
+    makespan = max(duration, accumulator.last_completion)
     total_steps = sum(replica.decode_steps for replica in all_replicas)
-
-    def attainment(values: Sequence[float], slo: float) -> float:
-        if not values:
-            return 1.0
-        return sum(1 for value in values if value <= slo) / len(values)
-
+    completed = accumulator.completed
     config: dict[str, object] = {
         "traffic": traffic.to_dict(),
         "scheduler": scheduler,
@@ -842,16 +803,6 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     if summary != "exact":
         config["summary"] = summary
 
-    if accumulator is not None:
-        completed = accumulator.latency.count
-        ttft_attainment = ttft_ok / completed if completed else 1.0
-        tpot_attainment = tpot_ok / tpot_count if tpot_count else 1.0
-        slo_attainment = joint_ok / completed if completed else 1.0
-    else:
-        ttft_attainment = attainment(ttft_values, ttft_slo_seconds)
-        tpot_attainment = attainment(tpot_values, tpot_slo_seconds)
-        slo_attainment = len(joint) / len(records) if records else 1.0
-
     llm_block: dict[str, object] = {
         "scheduler": scheduler,
         "disaggregated": disaggregated,
@@ -863,23 +814,14 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         "decode_tokens_per_second": total_generated / makespan,
         "ttft_slo_seconds": ttft_slo_seconds,
         "tpot_slo_seconds": tpot_slo_seconds,
-        "ttft_attainment": ttft_attainment,
-        "tpot_attainment": tpot_attainment,
-        "slo_attainment": slo_attainment,
+        "ttft_attainment": ttft_ok / completed if completed else 1.0,
+        "tpot_attainment": tpot_ok / tpot_count if tpot_count else 1.0,
+        "slo_attainment": joint_ok / completed if completed else 1.0,
         "kv_bytes_per_token": bytes_per_token,
     }
-    if accumulator is not None:
-        report = accumulator.finalize(config, offered=offered,
-                                      duration=duration, replicas=all_replicas,
-                                      cache_stats=cache.stats(), llm=llm_block)
-    else:
-        report = build_report(config, records, offered=offered,
-                              duration=duration, slo_seconds=slo_seconds,
-                              replicas=all_replicas, cache_stats=cache.stats(),
-                              percentiles=percentiles,
-                              ttft_values=ttft_values,
-                              tpot_values=tpot_values,
-                              llm=llm_block)
+    report = accumulator.finalize(config, offered=offered, duration=duration,
+                                  replicas=all_replicas,
+                                  cache_stats=cache.stats(), llm=llm_block)
     logger.info("serve_llm: completed %d/%d requests, %d tokens generated, "
                 "ttft p95 %.4fs", report.completed, report.offered,
                 total_generated,

@@ -1,11 +1,14 @@
-"""Per-request accounting and the JSON-serialisable ``ServeReport``.
+"""Serving-run accounting and the JSON-serialisable ``ServeReport``.
 
-The simulator records one :class:`RequestRecord` per served request; this
-module folds those into a :class:`ServeReport`: latency percentiles
-(nearest-rank, so they are exact order statistics, not interpolations),
-throughput, SLO attainment, energy per request, per-model and per-replica
-summaries, and the engine result-cache traffic of the run.  Everything is a
-plain float/int/str structure, so ``to_json()`` of two identical runs is
+Every serving loop hands each completed request to one
+:class:`ReportAccumulator`, which folds them into a :class:`ServeReport`:
+latency percentiles, throughput, SLO attainment, energy per request,
+per-model, per-replica and per-window summaries, and the engine result-cache
+traffic of the run.  The summary mode picks only the latency sample behind
+the percentiles: ``"exact"`` keeps every value (:class:`ExactLatency`,
+nearest-rank, so they are exact order statistics, not interpolations) and
+``"streaming"`` folds P² sketches in bounded memory.  Everything is a plain
+float/int/str structure, so ``to_json()`` of two identical runs is
 bit-identical — the determinism contract the tests pin down.
 """
 
@@ -14,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Sequence
 
 from repro.engine import CacheStats
@@ -22,6 +27,11 @@ from repro.engine import CacheStats
 #: default — the JSON shape with exactly these is the backward-compatible one).
 DEFAULT_PERCENTILES = (0.5, 0.95, 0.99)
 
+#: Report summary modes: ``"exact"`` keeps every latency (nearest-rank
+#: percentiles, O(requests) memory); ``"streaming"`` folds completions into
+#: P² sketches (bounded memory, estimated quantiles).
+SUMMARY_MODES = ("exact", "streaming")
+
 
 def percentile_label(fraction: float) -> str:
     """The JSON key for one latency quantile (``0.999`` -> ``"p99.9"``)."""
@@ -29,29 +39,12 @@ def percentile_label(fraction: float) -> str:
     return f"p{fraction * 100:g}"
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Lifecycle of one served request."""
+def check_summary(summary: str) -> None:
+    """Reject unknown summary modes up front."""
 
-    index: int
-    model: str
-    arrival: float
-    replica: str
-    batch_size: int
-    dispatch: float
-    completion: float
-
-    @property
-    def queue_wait(self) -> float:
-        return self.dispatch - self.arrival
-
-    @property
-    def service(self) -> float:
-        return self.completion - self.dispatch
-
-    @property
-    def latency(self) -> float:
-        return self.completion - self.arrival
+    if summary not in SUMMARY_MODES:
+        raise ValueError(f"summary must be one of {SUMMARY_MODES}, "
+                         f"got {summary!r}")
 
 
 def check_fractions(name: str, fractions: Sequence[float]) -> None:
@@ -130,6 +123,57 @@ class LatencySummary:
             "p95": self.p95, "p99": self.p99, "max": self.max}
         payload.update(self.extras)
         return payload
+
+
+class ExactLatency:
+    """Every value of one latency-like sample — ``summary="exact"``.
+
+    The counterpart of :class:`~repro.obs.sketch.StreamingLatency`, with the
+    same ``add`` / ``count`` / ``quantile`` / ``copy`` / ``summary`` surface:
+    it keeps the values in the order they were added and summarises through
+    :meth:`LatencySummary.of`, so its mean sums in that order and its
+    quantiles are nearest-rank order statistics.
+    """
+
+    __slots__ = ("percentiles", "values")
+
+    def __init__(self, percentiles: Sequence[float] = DEFAULT_PERCENTILES):
+        self.percentiles = percentiles
+        self.values: list[float] = []
+
+    def add(self, value: float) -> None:
+        self.values.append(value)
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    def quantile(self, fraction: float) -> float:
+        return percentile(self.values, fraction)
+
+    def copy(self) -> "ExactLatency":
+        twin = ExactLatency(self.percentiles)
+        twin.values = self.values.copy()
+        return twin
+
+    def summary(self) -> LatencySummary:
+        return LatencySummary.of(self.values, self.percentiles)
+
+
+def latency_sample(summary: str,
+                   percentiles: Sequence[float] = DEFAULT_PERCENTILES):
+    """An empty latency sample for one summary mode: an
+    :class:`ExactLatency`, or a :class:`~repro.obs.sketch.StreamingLatency`
+    of P² sketches."""
+
+    check_summary(summary)
+    if summary == "exact":
+        return ExactLatency(percentiles)
+    # Imported lazily: the obs layer builds on serve.metrics, so the
+    # module-level dependency must keep pointing obs -> serve.
+    from repro.obs.sketch import StreamingLatency
+
+    return StreamingLatency(percentiles)
 
 
 @dataclass(frozen=True)
@@ -317,88 +361,71 @@ def _window_count(makespan: float, window_seconds: float) -> int:
     return count
 
 
-def _replica_window_overlap(replicas, makespan: float, start: float,
-                            end: float) -> float:
-    """Provisioned replica-seconds overlapping one ``[start, end)`` window."""
-
-    return sum(
-        max(0.0, min(replica.retired_at if replica.retired_at is not None
-                     else makespan, end) - max(replica.started_at, start))
-        for replica in replicas)
-
-
-def _replica_reports(replicas, makespan: float) -> tuple[ReplicaReport, ...]:
-    """Each replica's share of the run, the same under either summary fold."""
-
-    return tuple(
-        ReplicaReport(
-            name=replica.name, target=replica.spec.target,
-            attention=replica.spec.attention, requests=replica.served,
-            batches=replica.batches, busy_seconds=replica.busy_seconds,
-            utilization=replica.busy_seconds / makespan,
-            energy_joules=replica.energy_joules,
-            started_at=replica.started_at, retired_at=replica.retired_at,
-            role=getattr(replica, "role", None),
-            kv_capacity_tokens=getattr(replica, "kv_capacity", None),
-            kv_peak_tokens=getattr(replica, "kv_peak", None),
-            decode_steps=getattr(replica, "decode_steps", None),
-            stage=getattr(replica, "stage", None))
-        for replica in replicas
-    )
-
-
 class ReportAccumulator:
-    """Bounded-memory fold of a serving run — ``summary="streaming"``.
+    """The one fold behind every :class:`ServeReport`.
 
-    The exact path keeps one :class:`RequestRecord` per request and computes
-    nearest-rank order statistics at the end; this accumulator folds each
-    completion as it happens into P² quantile sketches
-    (:class:`repro.obs.sketch.StreamingLatency`) plus exact running
-    count/mean/max, per-model sketches and per-window counters, so memory is
-    O(replicas + models + windows + percentiles) — independent of the number
-    of requests.
+    A serving loop calls :meth:`observe` once per completed request and
+    :meth:`finalize` once at the end.  ``summary`` picks the latency sample
+    behind every percentile, the per-model and the per-window ``p99`` ones
+    included, and when observations fold:
 
-    Error bound: counts, means, maxima, throughput, SLO violation and energy
-    figures stay *exact* (they are running sums); only the reported quantiles
-    (``p50``/``p95``/``p99``/extras, per-model, per-window ``p99``) become P²
-    estimates.  P² carries no worst-case guarantee, but on the smooth latency
-    distributions the simulator produces the estimates track the nearest-rank
-    statistics to within a few percent; the test suite pins a 15 % relative
-    (plus half-millisecond absolute) envelope across Poisson, bursty, diurnal
-    and LLM traffic (``tests/test_serve_scale.py``).
+    * ``"streaming"`` folds each completion as it happens into P² quantile
+      sketches (:class:`repro.obs.sketch.StreamingLatency`) plus exact
+      running count/mean/max and per-window counters, so memory is
+      O(replicas + models + windows + percentiles) — independent of the
+      number of requests.
+    * ``"exact"`` holds every observation and folds them at :meth:`finalize`,
+      in request-index order, into :class:`ExactLatency` samples: every mean
+      sums in index order and every quantile is a nearest-rank order
+      statistic.
+
+    ``completed`` and ``last_completion`` count at :meth:`observe` in both
+    modes, so they may be read before :meth:`finalize`.
+
+    Streaming error bound: counts, means, maxima, throughput, SLO violation
+    and energy figures stay *exact* (they are running sums); only the
+    reported quantiles (``p50``/``p95``/``p99``/extras, per-model, per-window
+    ``p99``) become P² estimates.  P² carries no worst-case guarantee, but on
+    the smooth latency distributions the simulator produces the estimates
+    track the nearest-rank statistics to within a few percent; the test
+    suite pins a 15 % relative (plus half-millisecond absolute) envelope
+    across Poisson, bursty, diurnal and LLM traffic
+    (``tests/test_serve_scale.py``).
     """
 
     def __init__(self, *, slo_seconds: float,
                  percentiles: Sequence[float] = DEFAULT_PERCENTILES,
                  window_seconds: float | None = None,
-                 track_ttft: bool = False, track_tpot: bool = False):
-        # Imported lazily: the obs layer builds on serve.metrics, so the
-        # module-level dependency must keep pointing obs -> serve.
-        from repro.obs.sketch import P2Quantile, StreamingLatency
-
-        self._sketch = lambda: StreamingLatency(percentiles)
-        self._window_p2 = P2Quantile
+                 track_ttft: bool = False, track_tpot: bool = False,
+                 summary: str = "streaming"):
+        self._sample = partial(latency_sample, summary)
+        self.summary = summary
+        self.percentiles = percentiles
         self.slo_seconds = slo_seconds
         self.window_seconds = window_seconds
-        self.latency = self._sketch()
-        self.queue_wait = self._sketch()
+        self.latency = self._sample(percentiles)
+        self.queue_wait = self._sample(percentiles)
         self.per_model: dict[str, object] = {}
-        self.ttft = self._sketch() if track_ttft else None
-        self.tpot = self._sketch() if track_tpot else None
+        self.ttft = self._sample(percentiles) if track_ttft else None
+        self.tpot = self._sample(percentiles) if track_tpot else None
+        self.completed = 0
         self.violations = 0
         self.last_completion = 0.0
+        # Exact mode holds observations here until finalize folds them.
+        self._held: list[tuple] | None = [] if summary == "exact" else None
+        # Set by the exact fold, which knows the makespan; a streaming fold
+        # clamps nothing and folds overflow back when it renders.
+        self._last_window = math.inf
         self._window_arrivals: list[int] = []
         self._window_completed: list[int] = []
         self._window_tails: list[object] = []
 
-    def _window(self, time: float) -> int | None:
-        if self.window_seconds is None:
-            return None
-        bucket = int(time / self.window_seconds)
+    def _window(self, time: float) -> int:
+        bucket = min(int(time / self.window_seconds), self._last_window)
         while len(self._window_arrivals) <= bucket:
             self._window_arrivals.append(0)
             self._window_completed.append(0)
-            self._window_tails.append(self._window_p2(0.99))
+            self._window_tails.append(self._sample((0.99,)))
         return bucket
 
     def _add_model(self, model: str):
@@ -414,13 +441,25 @@ class ReportAccumulator:
         for name, summary in per_model.items():
             if summary is self.latency:
                 per_model[name] = summary.copy()
-        summary = per_model[model] = self._sketch()
+        summary = per_model[model] = self._sample(self.percentiles)
         return summary
 
     def observe(self, model: str, arrival: float, dispatch: float,
-                completion: float) -> None:
-        """Fold one completed request into every running summary."""
+                completion: float, index: int = 0, ttft: float | None = None,
+                tpot: float | None = None) -> None:
+        """Account one completed request.
 
+        ``index`` orders the exact fold; ``ttft`` and ``tpot`` feed the LLM
+        summaries (``tpot=None`` for a request with no decode step).
+        """
+
+        self.completed += 1
+        if completion > self.last_completion:
+            self.last_completion = completion
+        held = self._held
+        if held is not None:
+            held.append((model, arrival, dispatch, completion, index, ttft, tpot))
+            return
         latency = completion - arrival
         by_model = self.per_model.get(model)
         if by_model is None:
@@ -431,8 +470,10 @@ class ReportAccumulator:
         self.queue_wait.add(dispatch - arrival)
         if latency > self.slo_seconds:
             self.violations += 1
-        if completion > self.last_completion:
-            self.last_completion = completion
+        if ttft is not None:
+            self.ttft.add(ttft)
+        if tpot is not None:
+            self.tpot.add(tpot)
         if self.window_seconds is not None:
             self._window_arrivals[self._window(arrival)] += 1
             bucket = self._window(completion)
@@ -440,6 +481,9 @@ class ReportAccumulator:
             self._window_tails[bucket].add(latency)
 
     def _windows(self, replicas, makespan: float) -> tuple[WindowReport, ...]:
+        """Slice the run into fixed-width windows (the last one may be
+        partial)."""
+
         window_seconds = self.window_seconds
         count = _window_count(makespan, window_seconds)
         arrivals = self._window_arrivals[:count]
@@ -447,9 +491,9 @@ class ReportAccumulator:
         tails = self._window_tails[:count]
         arrivals += [0] * (count - len(arrivals))
         completed += [0] * (count - len(completed))
-        tails += [self._window_p2(0.99) for _ in range(count - len(tails))]
-        # A completion exactly at makespan landed one bucket past the last
-        # (partial) window; fold any overflow back, mirroring the exact path.
+        tails += [self._sample((0.99,)) for _ in range(count - len(tails))]
+        # A streamed completion exactly at makespan landed one bucket past
+        # the last (partial) window; fold any overflow back.
         for bucket in range(count, len(self._window_completed)):
             arrivals[-1] += self._window_arrivals[bucket]
             completed[-1] += self._window_completed[bucket]
@@ -458,15 +502,21 @@ class ReportAccumulator:
                 tails[-1] = overflow if not tails[-1].count else tails[-1]
         windows = []
         for index in range(count):
+            # Boundaries multiply rather than accumulate: repeated float
+            # addition drifts below an exact multiple.
             start = index * window_seconds
             end = min(start + window_seconds, makespan)
             width = end - start
-            overlap = _replica_window_overlap(replicas, makespan, start, end)
+            # Provisioned replica-seconds overlapping [start, end).
+            overlap = sum(
+                max(0.0, min(replica.retired_at if replica.retired_at is not None
+                             else makespan, end) - max(replica.started_at, start))
+                for replica in replicas)
             windows.append(WindowReport(
                 start=start, end=end, arrivals=arrivals[index],
                 completed=completed[index],
                 throughput_rps=completed[index] / width if width else 0.0,
-                p99=tails[index].value if completed[index] else 0.0,
+                p99=tails[index].quantile(0.99) if completed[index] else 0.0,
                 mean_active_replicas=overlap / width if width else 0.0))
         return tuple(windows)
 
@@ -475,109 +525,48 @@ class ReportAccumulator:
                  scale_events: Sequence[ScaleEvent] = (),
                  llm: dict[str, object] | None = None,
                  pipeline: dict[str, object] | None = None) -> ServeReport:
-        """Render the same :class:`ServeReport` shape :func:`build_report`
-        produces, from the streamed state."""
+        """Fold what exact mode held and render the run's report through
+        :func:`build_report`."""
 
-        completed = self.latency.count
-        makespan = max(duration, self.last_completion)
-        total_energy = sum(replica.energy_joules for replica in replicas)
-        total_batches = sum(replica.batches for replica in replicas)
-        return ServeReport(
-            config=config,
-            offered=offered,
-            completed=completed,
-            duration=duration,
-            makespan=makespan,
-            throughput_rps=completed / makespan,
-            latency=self.latency.summary(),
-            queue_wait=self.queue_wait.summary(),
-            mean_batch_size=completed / total_batches if total_batches else 0.0,
-            slo_seconds=self.slo_seconds,
-            slo_violation_rate=self.violations / completed if completed else 0.0,
-            total_energy_joules=total_energy,
-            energy_per_request_joules=(total_energy / completed
-                                       if completed else 0.0),
-            per_model=tuple(sorted(((model, sketch.summary())
-                                    for model, sketch in self.per_model.items()),
-                                   key=lambda entry: entry[0])),
-            per_replica=_replica_reports(replicas, makespan),
-            cache=cache_stats,
-            replica_seconds=sum(replica.lifetime_seconds(makespan)
-                                for replica in replicas),
-            scale_events=tuple(scale_events),
-            windows=(None if self.window_seconds is None
-                     else self._windows(replicas, makespan)),
-            ttft=None if self.ttft is None else self.ttft.summary(),
-            tpot=None if self.tpot is None else self.tpot.summary(),
-            llm=llm,
-            pipeline=pipeline,
-        )
+        held, self._held = self._held, None
+        if held:
+            # Replay in request-index order, so every mean sums in that
+            # order; the replay counts the completions again.  The makespan
+            # is known now, so a completion exactly at it lands in the last
+            # window.
+            self.completed = 0
+            if self.window_seconds is not None:
+                makespan = max(duration, self.last_completion)
+                self._last_window = _window_count(
+                    makespan, self.window_seconds) - 1
+            held.sort(key=itemgetter(4))
+            for observation in held:
+                self.observe(*observation)
+        return build_report(self, config, offered=offered, duration=duration,
+                            replicas=replicas, cache_stats=cache_stats,
+                            scale_events=scale_events, llm=llm,
+                            pipeline=pipeline)
 
 
-def _build_windows(records: Sequence[RequestRecord], replicas, makespan: float,
-                   window_seconds: float) -> tuple[WindowReport, ...]:
-    """Slice the run into fixed-width windows (the last one may be partial)."""
-
-    count = _window_count(makespan, window_seconds)
-
-    def bucket(time: float) -> int:
-        # A completion exactly at makespan belongs to the (partial) last
-        # window, not a nonexistent one past it.
-        return min(int(time / window_seconds), count - 1)
-
-    arrivals = [0] * count
-    latencies: list[list[float]] = [[] for _ in range(count)]
-    for record in records:         # one pass, not one scan per window
-        arrivals[bucket(record.arrival)] += 1
-        latencies[bucket(record.completion)].append(record.latency)
-
-    windows = []
-    for index in range(count):
-        # Boundaries multiply rather than accumulate: repeated float addition
-        # drifts below an exact multiple.
-        start = index * window_seconds
-        end = min(start + window_seconds, makespan)
-        width = end - start
-        overlap = _replica_window_overlap(replicas, makespan, start, end)
-        completed = latencies[index]
-        windows.append(WindowReport(
-            start=start, end=end, arrivals=arrivals[index],
-            completed=len(completed),
-            throughput_rps=len(completed) / width if width else 0.0,
-            p99=percentile(completed, 0.99) if completed else 0.0,
-            mean_active_replicas=overlap / width if width else 0.0))
-    return tuple(windows)
-
-
-def build_report(config: dict[str, object], records: Sequence[RequestRecord],
-                 offered: int, duration: float, slo_seconds: float,
-                 replicas, cache_stats: CacheStats,
-                 percentiles: Sequence[float] = DEFAULT_PERCENTILES,
+def build_report(accumulator: ReportAccumulator, config: dict[str, object], *,
+                 offered: int, duration: float, replicas,
+                 cache_stats: CacheStats,
                  scale_events: Sequence[ScaleEvent] = (),
-                 window_seconds: float | None = None,
-                 ttft_values: Sequence[float] | None = None,
-                 tpot_values: Sequence[float] | None = None,
                  llm: dict[str, object] | None = None,
                  pipeline: dict[str, object] | None = None) -> ServeReport:
-    """Fold raw request records and replica accounting into a report.
+    """Render a folded accumulator and the replicas' accounting as a report.
 
-    ``ttft_values`` / ``tpot_values`` / ``llm`` are the LLM-serving extras
-    (:mod:`repro.serve.llm` passes them); left at ``None`` the report's JSON
-    shape is exactly the classic one.
+    ``llm`` and ``pipeline`` are the LLM-serving and pipeline blocks
+    (:mod:`repro.serve.llm` and :mod:`repro.serve.pipeline` pass them); left
+    at ``None``, like an accumulator that tracks no TTFT/TPOT, the report's
+    JSON shape is exactly the classic one.
     """
 
-    latencies = [record.latency for record in records]
-    waits = [record.queue_wait for record in records]
-    makespan = max([duration] + [record.completion for record in records])
-    completed = len(records)
-    violations = sum(1 for latency in latencies if latency > slo_seconds)
+    completed = accumulator.completed
+    makespan = max(duration, accumulator.last_completion)
     total_energy = sum(replica.energy_joules for replica in replicas)
     total_batches = sum(replica.batches for replica in replicas)
-
-    by_model: dict[str, list[float]] = {}
-    for record in records:
-        by_model.setdefault(record.model, []).append(record.latency)
-
+    ttft, tpot = accumulator.ttft, accumulator.tpot
     return ServeReport(
         config=config,
         offered=offered,
@@ -585,27 +574,39 @@ def build_report(config: dict[str, object], records: Sequence[RequestRecord],
         duration=duration,
         makespan=makespan,
         throughput_rps=completed / makespan,
-        latency=LatencySummary.of(latencies, percentiles),
-        queue_wait=LatencySummary.of(waits, percentiles),
+        latency=accumulator.latency.summary(),
+        queue_wait=accumulator.queue_wait.summary(),
         mean_batch_size=completed / total_batches if total_batches else 0.0,
-        slo_seconds=slo_seconds,
-        slo_violation_rate=violations / completed if completed else 0.0,
+        slo_seconds=accumulator.slo_seconds,
+        slo_violation_rate=(accumulator.violations / completed
+                            if completed else 0.0),
         total_energy_joules=total_energy,
         energy_per_request_joules=total_energy / completed if completed else 0.0,
-        per_model=tuple(sorted(((model, LatencySummary.of(values, percentiles))
-                                for model, values in by_model.items()),
+        per_model=tuple(sorted(((model, sample.summary())
+                                for model, sample in accumulator.per_model.items()),
                                key=lambda entry: entry[0])),
-        per_replica=_replica_reports(replicas, makespan),
+        per_replica=tuple(
+            ReplicaReport(
+                name=replica.name, target=replica.spec.target,
+                attention=replica.spec.attention, requests=replica.served,
+                batches=replica.batches, busy_seconds=replica.busy_seconds,
+                utilization=replica.busy_seconds / makespan,
+                energy_joules=replica.energy_joules,
+                started_at=replica.started_at, retired_at=replica.retired_at,
+                role=getattr(replica, "role", None),
+                kv_capacity_tokens=getattr(replica, "kv_capacity", None),
+                kv_peak_tokens=getattr(replica, "kv_peak", None),
+                decode_steps=getattr(replica, "decode_steps", None),
+                stage=getattr(replica, "stage", None))
+            for replica in replicas),
         cache=cache_stats,
         replica_seconds=sum(replica.lifetime_seconds(makespan)
                             for replica in replicas),
         scale_events=tuple(scale_events),
-        windows=(None if window_seconds is None
-                 else _build_windows(records, replicas, makespan, window_seconds)),
-        ttft=(None if ttft_values is None
-              else LatencySummary.of(ttft_values, percentiles)),
-        tpot=(None if tpot_values is None
-              else LatencySummary.of(tpot_values, percentiles)),
+        windows=(None if accumulator.window_seconds is None
+                 else accumulator._windows(replicas, makespan)),
+        ttft=None if ttft is None else ttft.summary(),
+        tpot=None if tpot is None else tpot.summary(),
         llm=llm,
         pipeline=pipeline,
     )

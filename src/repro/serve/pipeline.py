@@ -46,9 +46,9 @@ from repro.serve.cluster import Fleet, Replica, Router
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     LatencySummary,
-    RequestRecord,
     ServeReport,
     check_fractions,
+    latency_sample,
 )
 from repro.serve.simulator import (
     DEFAULT_DISPATCH_OVERHEAD,
@@ -314,45 +314,29 @@ class _Flight:
 
 
 class _StageStats:
-    """Per-stage request accounting, exact (lists) or streaming (P² sketches)
-    — same output shape either way, and the SLO counter is exact in both."""
+    """Per-stage request accounting: latency, queue-wait and service samples
+    of the run's summary mode, added in completion order, and an SLO
+    counter that is exact in both modes."""
 
-    def __init__(self, streaming: bool, percentiles: Sequence[float],
+    def __init__(self, summary: str, percentiles: Sequence[float],
                  slo_seconds: float | None):
         self.slo_seconds = slo_seconds
         self.count = 0
         self.violations = 0
-        self.percentiles = tuple(percentiles)
-        if streaming:
-            from repro.obs.sketch import StreamingLatency
-
-            self._latency = StreamingLatency(percentiles)
-            self._wait = StreamingLatency(percentiles)
-            self._service = StreamingLatency(percentiles)
-            self._exact = None
-        else:
-            self._exact = ([], [], [])        # latency, wait, service
+        self.latency, self.wait, self.service = (
+            latency_sample(summary, percentiles) for _ in range(3))
 
     def observe(self, wait: float, service: float) -> None:
         latency = wait + service
         self.count += 1
         if self.slo_seconds is not None and latency > self.slo_seconds:
             self.violations += 1
-        if self._exact is not None:
-            self._exact[0].append(latency)
-            self._exact[1].append(wait)
-            self._exact[2].append(service)
-        else:
-            self._latency.add(latency)
-            self._wait.add(wait)
-            self._service.add(service)
+        self.latency.add(latency)
+        self.wait.add(wait)
+        self.service.add(service)
 
     def summaries(self) -> tuple[LatencySummary, LatencySummary, LatencySummary]:
-        if self._exact is not None:
-            return tuple(LatencySummary.of(values, self.percentiles)
-                         for values in self._exact)
-        return (self._latency.summary(), self._wait.summary(),
-                self._service.summary())
+        return self.latency.summary(), self.wait.summary(), self.service.summary()
 
 
 class _Stage(_Pool):
@@ -440,11 +424,10 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
         raise ValueError("each stage needs its own Autoscaler instance "
                          "(they carry per-fleet state)")
 
-    streaming = summary == "streaming"
     stages = {stage.name: _Stage(
                   stage, _stage_pool(pools[stage.name], ordinal, stage.name),
                   autoscalers.get(stage.name),
-                  _StageStats(streaming, percentiles,
+                  _StageStats(summary, percentiles,
                               stage_slo_seconds.get(stage.name)))
               for ordinal, stage in enumerate(pipeline.stages)}
     kernel = _Kernel(traffic, list(stages.values()), policy, router,
@@ -453,7 +436,7 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
                      cache=cache, percentiles=percentiles,
                      window_seconds=window_seconds, summary=summary, obs=obs,
                      label="serve-pipeline")
-    records, accumulator = kernel.records, kernel.accumulator
+    accumulator = kernel.accumulator
     entry = stages[pipeline.entry]
 
     # One dedicated generator for route draws, consumed in event order —
@@ -492,18 +475,11 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
             if target is None:
                 del flights[request.index]
                 # The report's dispatch is synthetic — arrival plus the summed
-                # per-stage waits — so RequestRecord.queue_wait is the total
+                # per-stage waits — so the report's queue wait is the total
                 # time spent queued across every stage the request visited.
-                synthetic_dispatch = flight.arrival + flight.queue_wait
-                if accumulator is not None:
-                    accumulator.observe(pipeline.name, flight.arrival,
-                                        synthetic_dispatch, finish)
-                else:
-                    records.append(RequestRecord(
-                        index=request.index, model=pipeline.name,
-                        arrival=flight.arrival, replica=replica.name,
-                        batch_size=len(batch), dispatch=synthetic_dispatch,
-                        completion=finish))
+                accumulator.observe(pipeline.name, flight.arrival,
+                                    flight.arrival + flight.queue_wait, finish,
+                                    request.index)
                 if obs is not None:
                     obs.pipeline_completed(request.index, pipeline.name,
                                            flight.arrival, flight.queue_wait,
@@ -521,11 +497,7 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
 
     kernel.run(complete, admit=admit, entry=entry)
 
-    makespan = duration
-    if accumulator is not None:
-        makespan = max(duration, accumulator.last_completion)
-    elif records:
-        makespan = max(duration, max(record.completion for record in records))
+    makespan = max(duration, accumulator.last_completion)
     stage_rows = []
     for stage in stages.values():
         latency, wait, service = stage.stats.summaries()

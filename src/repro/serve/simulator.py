@@ -18,11 +18,11 @@ and :func:`~repro.serve.pipeline.serve_pipeline`: replica pools (a fleet,
 its routing index, an optional autoscaler, a stage name) share one heap of
 ``(time, sequence, kind, payload)`` entries, and the kernel owns event
 sequencing, the routing-estimate memo, route → enqueue → dispatch → retire,
-autoscaling, the run-end flush and the report under either summary fold.
-Callers plug in a per-batch ``complete`` hook, an optional ``admit`` hook
-for arrivals, and :meth:`_Kernel.schedule` for pipeline hops; :func:`serve`
-is the one-pool caller whose hook records the batch.  ``serve_llm`` keeps
-its own loop, whose chunk/step/gang events and KV state the kernel lacks.
+autoscaling, the run-end flush and the report.  Callers plug in a
+per-batch ``complete`` hook, an optional ``admit`` hook for arrivals, and
+:meth:`_Kernel.schedule` for pipeline hops; :func:`serve` is the one-pool
+caller whose hook observes the batch's requests.  ``serve_llm`` keeps its
+own loop, whose chunk/step/gang events and KV state the kernel lacks.
 
 Every random draw comes from the traffic pattern's seeded generator, so a
 (traffic, fleet, policy, router, duration, seed) tuple maps to one bit-exact
@@ -34,11 +34,12 @@ pushed up front.
 The loop *streams*: arrivals are pulled lazily from
 :meth:`~repro.serve.traffic.TrafficPattern.iter_arrivals` (the heap holds
 in-flight work plus exactly one future arrival, never the whole trace), and
-``summary="streaming"`` additionally folds completions into bounded-memory
-P² accumulators (:class:`~repro.serve.metrics.ReportAccumulator`) instead of
-keeping a record per request — making memory independent of request count.
-The default ``summary="exact"`` keeps the per-request records and
-nearest-rank order statistics, bit-identical to the pre-streaming reports.
+every completed request goes to one
+:class:`~repro.serve.metrics.ReportAccumulator`.  ``summary="streaming"``
+folds it into bounded-memory P² sketches at once, making memory independent
+of request count; the default ``summary="exact"`` keeps every observation
+and folds them in request-index order at the end into nearest-rank order
+statistics, bit-identical to the pre-streaming reports.
 
 Fleets may be *dynamic*: pass an ``autoscaler`` (see
 :mod:`repro.plan.autoscaler`) and the loop adds periodic ``"scale"`` control
@@ -71,10 +72,9 @@ from repro.serve.cluster import (
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     ReportAccumulator,
-    RequestRecord,
     ServeReport,
-    build_report,
     check_fractions,
+    check_summary,
 )
 from repro.serve.traffic import Request, TrafficPattern, check_finite
 from repro.serve.traffic import iter_arrivals as _iter_arrivals
@@ -90,23 +90,10 @@ DEFAULT_SLO = 0.05
 #: Default LRU bound of the per-run engine result cache.
 DEFAULT_CACHE_ENTRIES = 1024
 
-#: Report summary modes: ``"exact"`` keeps per-request records (nearest-rank
-#: percentiles, O(requests) memory); ``"streaming"`` folds completions into
-#: P² sketches (bounded memory, estimated quantiles).
-SUMMARY_MODES = ("exact", "streaming")
-
 #: Runtime (non-arrival) events sequence from this base, far above any
 #: realistic arrival index — arrival ties thus always beat runtime ties, the
 #: exact ordering the historical push-everything-up-front loop produced.
 RUNTIME_SEQUENCE_BASE = 2 ** 62
-
-
-def check_summary(summary: str) -> None:
-    """Reject unknown summary modes up front (shared with :func:`serve_llm`)."""
-
-    if summary not in SUMMARY_MODES:
-        raise ValueError(f"summary must be one of {SUMMARY_MODES}, "
-                         f"got {summary!r}")
 
 
 class _Pool:
@@ -128,8 +115,8 @@ class _Kernel:
 
     Construction validates the shared run parameters, resets every pool and
     opens the run; :meth:`run` drains the event heap and :meth:`report`
-    folds the run into its :class:`ServeReport`.  Hooks record completed
-    requests in ``records`` (exact summary) or ``accumulator`` (streaming).
+    folds the run into its :class:`ServeReport`.  Hooks hand each completed
+    request to ``accumulator``.
     """
 
     def __init__(self, traffic: TrafficPattern, pools: Sequence[_Pool],
@@ -150,19 +137,15 @@ class _Kernel:
         self.router = make_router(router) if isinstance(router, str) else router
         self.duration = duration
         self.seed = seed
-        self.slo_seconds = slo_seconds
         self.overhead = dispatch_overhead_seconds
         self.cache = (ResultCache(max_entries=DEFAULT_CACHE_ENTRIES)
                       if cache is None else cache)
-        self.percentiles = percentiles
-        self.window_seconds = window_seconds
         self.obs = obs
         self.label = label
         self.offered = 0
-        self.records: list[RequestRecord] = []
-        self.accumulator = None if summary == "exact" else ReportAccumulator(
+        self.accumulator = ReportAccumulator(
             slo_seconds=slo_seconds, percentiles=percentiles,
-            window_seconds=window_seconds)
+            window_seconds=window_seconds, summary=summary)
         self.events: list[tuple[float, int, str, object]] = []
         self.sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
         uses_index = getattr(self.router, "uses_load_index", False)
@@ -367,30 +350,21 @@ class _Kernel:
         percentile, window and summary keys are appended here.
         """
 
-        percentiles, window_seconds = self.percentiles, self.window_seconds
-        if tuple(percentiles) != DEFAULT_PERCENTILES:
-            config["percentiles"] = sorted(set(percentiles))
-        if window_seconds is not None:
-            config["window_seconds"] = window_seconds
+        accumulator = self.accumulator
+        if tuple(accumulator.percentiles) != DEFAULT_PERCENTILES:
+            config["percentiles"] = sorted(set(accumulator.percentiles))
+        if accumulator.window_seconds is not None:
+            config["window_seconds"] = accumulator.window_seconds
+        if accumulator.summary != "exact":
+            config["summary"] = accumulator.summary
         scale_events = tuple(sorted(
             (event for pool in self.pools if pool.autoscaler is not None
              for event in pool.autoscaler.collect_events(pool.fleet)),
             key=lambda event: (event.time, event.action, event.replica)))
-        replicas = self.replicas()
-        if self.accumulator is not None:
-            config["summary"] = "streaming"
-            report = self.accumulator.finalize(
-                config, offered=self.offered, duration=self.duration,
-                replicas=replicas, cache_stats=self.cache.stats(),
-                scale_events=scale_events, pipeline=pipeline)
-        else:
-            self.records.sort(key=lambda record: record.index)
-            report = build_report(
-                config, self.records, offered=self.offered,
-                duration=self.duration, slo_seconds=self.slo_seconds,
-                replicas=replicas, cache_stats=self.cache.stats(),
-                percentiles=percentiles, scale_events=scale_events,
-                window_seconds=window_seconds, pipeline=pipeline)
+        report = accumulator.finalize(
+            config, offered=self.offered, duration=self.duration,
+            replicas=self.replicas(), cache_stats=self.cache.stats(),
+            scale_events=scale_events, pipeline=pipeline)
         logger.info("%s: completed %d/%d requests, p99 %.4fs, throughput "
                     "%.1f rps", self.label, report.completed, report.offered,
                     report.latency.p99, report.throughput_rps)
@@ -426,8 +400,8 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
     p99.9); ``window_seconds`` adds per-window throughput/tail/replica-count
     rows so scale events are visible over time.
 
-    ``summary`` selects the reporting fold: ``"exact"`` (default) keeps one
-    record per request and reports exact nearest-rank percentiles —
+    ``summary`` selects the reporting fold: ``"exact"`` (default) keeps
+    every latency and reports exact nearest-rank percentiles —
     bit-identical to historical reports; ``"streaming"`` folds completions
     into P² sketches as they happen, bounding memory at
     O(replicas + models + windows + percentiles) for arbitrarily long runs
@@ -449,20 +423,13 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
                      cache=cache, percentiles=percentiles,
                      window_seconds=window_seconds, summary=summary, obs=obs,
                      label="serve")
-    records, accumulator = kernel.records, kernel.accumulator
+    accumulator = kernel.accumulator
 
     def complete(pool: _Pool, replica: Replica, batch: list[Request],
                  now: float, finish: float) -> None:
-        if accumulator is not None:
-            for request in batch:
-                accumulator.observe(request.model, request.arrival, now, finish)
-        else:
-            records.extend(
-                RequestRecord(index=request.index, model=request.model,
-                              arrival=request.arrival, replica=replica.name,
-                              batch_size=len(batch), dispatch=now,
-                              completion=finish)
-                for request in batch)
+        for request in batch:
+            accumulator.observe(request.model, request.arrival, now, finish,
+                                request.index)
 
     kernel.run(complete)
     config: dict[str, object] = {
