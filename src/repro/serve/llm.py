@@ -134,12 +134,9 @@ class KVCacheConfig:
     platform_sram_kb: float = 512.0
 
     def __post_init__(self):
-        if self.capacity_tokens is not None and self.capacity_tokens < 1:
-            raise ValueError(f"capacity_tokens must be >= 1, "
-                             f"got {self.capacity_tokens}")
-        if self.bytes_per_value < 1:
-            raise ValueError(f"bytes_per_value must be >= 1, "
-                             f"got {self.bytes_per_value}")
+        check_counts(bytes_per_value=self.bytes_per_value)
+        if self.capacity_tokens is not None:
+            check_counts(capacity_tokens=self.capacity_tokens)
         check_finite(dram_ratio=self.dram_ratio,
                      platform_sram_kb=self.platform_sram_kb)
 

@@ -139,6 +139,28 @@ class TestKVCache:
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             KVCacheConfig(**{parameter: value})
 
+    @pytest.mark.parametrize("value", [math.nan, 600.5, 2.5e6, True, 0, -3],
+                             ids=["nan", "fraction", "float", "bool", "zero",
+                                  "negative"])
+    @pytest.mark.parametrize("parameter", ["capacity_tokens",
+                                           "bytes_per_value"])
+    def test_non_integer_counts_rejected_at_construction(self, parameter,
+                                                         value):
+        """A nan capacity used to complete no request and export ``NaN``
+        capacities, which is invalid JSON; a fractional one ran with a float
+        capacity, a nan ``bytes_per_value`` died converting to an integer
+        mid-run, a fractional one gave float KV bytes per token, and a bool
+        passed as 1."""
+
+        with pytest.raises(ValueError,
+                           match=f"{parameter} must be an integer >= 1"):
+            KVCacheConfig(**{parameter: value})
+
+    def test_default_and_integer_counts_still_construct(self):
+        assert KVCacheConfig().capacity_tokens is None
+        config = KVCacheConfig(capacity_tokens=128, bytes_per_value=1)
+        assert (config.capacity_tokens, config.bytes_per_value) == (128, 1)
+
     def test_kv_never_exceeds_capacity(self):
         report = serve_llm(_traffic(30.0), fleet="1xvitality", duration=2.0,
                            kv=KVCacheConfig(capacity_tokens=2048),
