@@ -18,7 +18,7 @@ platforms).  New hardware backends plug in via :func:`register_target`.
 Beyond the registered names, :func:`get_target` understands *configured*
 names — ``vitality[pe=32x32,freq=1ghz]`` — which parse the bracketed knob
 string with the base target's family schema
-(:mod:`repro.hardware.core.knobs`) and build a design-point instance on
+(:mod:`repro.knobs`) and build a design-point instance on
 demand.  Configured names are canonicalised (knobs sorted, values
 normalised, reference values dropped) and the resulting instances cached, so
 every spelling of one physical design point resolves to one target object —

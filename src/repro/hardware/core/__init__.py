@@ -13,10 +13,12 @@ design point into a family of design points:
 * :mod:`memory` — word-level memory-traffic accounting and the Table V
   energy-breakdown container;
 * :mod:`pipeline` — the intra-layer chunk-occupancy pipeline model;
-* :mod:`knobs` — the design-point grammar: ``pe=32x32,freq=1ghz`` knob
-  strings parsed into a hashable :class:`HardwareConfig`;
 * :mod:`families` — per-family knob schemas and builders materialising a
-  :class:`HardwareConfig` into the family's concrete configuration.
+  parsed design point into the family's concrete configuration.
+
+A design point is a ``pe=32x32,freq=1ghz`` knob string parsed by the
+neutral grammar in :mod:`repro.knobs` into a hashable
+:class:`~repro.knobs.KnobConfig`, exported here as :class:`HardwareConfig`.
 
 Every scaling rule is exact at the reference point (all ratios 1 short-circuit
 to the original object), so default-knob design points stay bit-identical to
@@ -38,7 +40,7 @@ from repro.hardware.core.pipeline import (
     pipeline_speedup,
     sequential_latency,
 )
-from repro.hardware.core.knobs import HardwareConfig, Knob, KnobError, KnobSchema
+from repro.knobs import KnobConfig as HardwareConfig, Knob, KnobError, KnobSchema
 
 __all__ = [
     "AccumulatorArray",

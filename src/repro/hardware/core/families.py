@@ -2,7 +2,7 @@
 
 Each target family (``vitality``, ``sanger``, ``salo``, ``platform``)
 publishes the knobs its design space exposes and a builder that materialises
-a parsed :class:`~repro.hardware.core.knobs.HardwareConfig` into the family's
+a parsed :class:`~repro.knobs.KnobConfig` into the family's
 concrete configuration object, derived from the Table III reference point via
 the scaling rules in :mod:`repro.hardware.core.component`:
 
@@ -39,9 +39,9 @@ from repro.hardware.config import (
     ViTALiTyAcceleratorConfig,
 )
 from repro.hardware.core.component import ComponentConfig
-from repro.hardware.core.knobs import (
-    HardwareConfig,
+from repro.knobs import (
     Knob,
+    KnobConfig,
     KnobError,
     KnobSchema,
     parse_fraction,
@@ -174,13 +174,13 @@ FAMILY_SCHEMAS: dict[str, KnobSchema] = {
 }
 
 
-def _check_family(design: HardwareConfig | None, family: str) -> None:
+def _check_family(design: KnobConfig | None, family: str) -> None:
     if design is not None and design.family != family:
         raise KnobError(f"design point family {design.family!r} cannot "
                         f"configure a {family!r} target")
 
 
-def _memory_scaled(reference, design: HardwareConfig):
+def _memory_scaled(reference, design: KnobConfig):
     """(memory config, sram capacity ratio) for the shared memory knobs."""
 
     sram_kb = design.get("sram_kb", reference.memory.sram_kb)
@@ -194,7 +194,7 @@ def _memory_scaled(reference, design: HardwareConfig):
     return memory, sram_kb / reference.memory.sram_kb
 
 
-def build_vitality_config(design: HardwareConfig | None = None) -> ViTALiTyAcceleratorConfig:
+def build_vitality_config(design: KnobConfig | None = None) -> ViTALiTyAcceleratorConfig:
     """Materialise a ``vitality``-family design point (Table III by default)."""
 
     _check_family(design, "vitality")
@@ -227,7 +227,7 @@ def build_vitality_config(design: HardwareConfig | None = None) -> ViTALiTyAccel
     )
 
 
-def build_sanger_config(design: HardwareConfig | None = None) -> SangerAcceleratorConfig:
+def build_sanger_config(design: KnobConfig | None = None) -> SangerAcceleratorConfig:
     """Materialise a ``sanger``-family design point (Table III by default)."""
 
     _check_family(design, "sanger")
@@ -260,7 +260,7 @@ def build_sanger_config(design: HardwareConfig | None = None) -> SangerAccelerat
     )
 
 
-def build_salo_configs(design: HardwareConfig | None = None,
+def build_salo_configs(design: KnobConfig | None = None,
                        ) -> tuple[ViTALiTyAcceleratorConfig, SALOConfig]:
     """Materialise a ``salo``-family design point: (hardware budget, pattern).
 
@@ -272,7 +272,7 @@ def build_salo_configs(design: HardwareConfig | None = None,
     _check_family(design, "salo")
     if design is None or design.is_reference:
         return _VITALITY_REFERENCE, _SALO_REFERENCE
-    budget_design = HardwareConfig("vitality", tuple(
+    budget_design = KnobConfig("vitality", tuple(
         (name, value) for name, value in design.knobs if name in ("pe", "freq")))
     budget = build_vitality_config(budget_design)
     pattern = replace(
@@ -285,7 +285,7 @@ def build_salo_configs(design: HardwareConfig | None = None,
     return budget, pattern
 
 
-def build_platform(base: Platform, design: HardwareConfig | None = None) -> Platform:
+def build_platform(base: Platform, design: KnobConfig | None = None) -> Platform:
     """Materialise a ``platform``-family design point from its base device."""
 
     _check_family(design, "platform")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.hardware.core.knobs import HardwareConfig, KnobError
+from repro.knobs import KnobConfig, KnobError
 
 #: The knob names whose presence on a design point activates the memsim path.
 MEMSIM_KNOB_NAMES = ("dram_gbps", "tile_m", "tile_n", "tile_k")
@@ -66,7 +66,7 @@ class MemSimConfig:
     obuf_words: int
 
     @classmethod
-    def from_design(cls, design: HardwareConfig | None,
+    def from_design(cls, design: KnobConfig | None,
                     sram_kb: float, rows: int, columns: int,
                     ) -> "MemSimConfig | None":
         """The design point's memsim configuration, ``None`` when inactive.
