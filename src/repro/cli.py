@@ -106,6 +106,7 @@ from repro.workloads import (
     FAMILIES,
     UnknownWorkloadError,
     canonical_workload_name,
+    configured_name,
     get_workload,
     list_families,
     list_workloads,
@@ -148,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--attention", choices=("vanilla", "taylor"),
                      help="attention formulation (platform targets only)")
     sim.add_argument("--batch", type=int, default=1, help="batch size")
-    sim.add_argument("--tokens", type=int, help="override the dominant token count")
+    sim.add_argument("--tokens", type=int, help="run MODEL[tokens=N]")
     sim.add_argument("--dataflow", choices=("down_forward", "g_stationary"),
                      help="ViTALiTy accumulation dataflow")
     sim.add_argument("--no-pipeline", action="store_true",
@@ -508,13 +509,15 @@ def _command_run(identifier: str, as_json: bool, full: bool) -> int:
 
 
 def _command_simulate(arguments: argparse.Namespace) -> int:
+    model = arguments.model
+    if arguments.tokens is not None:
+        model = configured_name(model, tokens=arguments.tokens)
     try:
         spec = RunSpec(
-            model=arguments.model,
+            model=model,
             target=arguments.target,
             attention=arguments.attention,
             batch_size=arguments.batch,
-            tokens=arguments.tokens,
             dataflow=arguments.dataflow,
             pipelined=False if arguments.no_pipeline else None,
             include_linear=not arguments.attention_only,

@@ -9,8 +9,8 @@ evaluation matrix.  The pieces:
   ``gpu``, ``pixel3``) to adapters over the cycle-level accelerators and
   analytic platform models (:mod:`targets`);
 * :class:`RunSpec` — a frozen, hashable description of one run (model,
-  target, attention mode, batch size, token override, dataflow, pipelining,
-  peak scaling) (:mod:`spec`);
+  target, attention mode, batch size, dataflow, pipelining, peak scaling)
+  (:mod:`spec`);
 * :func:`simulate` and :class:`ResultCache` — memoised execution keyed on
   the spec, so repeated figure/table experiments never re-simulate an
   identical run (:mod:`cache`);
@@ -38,7 +38,7 @@ from repro.engine.cache import (
 )
 from repro.engine.store import DiskResultCache
 from repro.engine.results import LayerRecord, RunResult, StepRecord
-from repro.engine.spec import ATTENTION_MODES, DATAFLOWS, RunSpec, scale_workload_tokens
+from repro.engine.spec import ATTENTION_MODES, DATAFLOWS, RunSpec
 from repro.engine.sweep import Sweep, SweepOutcome, sweep
 from repro.engine.targets import (
     PlatformTarget,
@@ -83,7 +83,6 @@ __all__ = [
     "get_target",
     "list_targets",
     "register_target",
-    "scale_workload_tokens",
     "simulate",
     "split_configured_names",
     "sweep",

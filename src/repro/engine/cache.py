@@ -120,10 +120,9 @@ def _resolve(spec: RunSpec):
     Three canonicalisations keep physically identical runs on one cache
     entry: the target's name is normalised (configured names —
     ``vitality[...]`` — sort their knobs, canonicalise values and drop
-    reference settings), the model's name is normalised the same way with
-    the deprecated ``tokens`` override lowered onto the ``tokens=`` knob
-    (``("deit-tiny", tokens=512)`` keys as ``"deit-tiny[tokens=512]"``), and
-    the target collapses spec options that are no-ops for it (e.g. a
+    reference settings), the model's name is normalised the same way
+    (``"deit-tiny[heads=3,tokens=512]"`` keys as ``"deit-tiny[tokens=512]"``),
+    and the target collapses spec options that are no-ops for it (e.g. a
     ``scale_to_peak`` at or below ViTALiTy's native peak).
 
     Memoised on the incoming frozen spec, so a serving run that simulates
@@ -143,9 +142,9 @@ def _resolve(spec: RunSpec):
     target = get_target(spec.target)
     if target.name != spec.target:
         spec = replace(spec, target=target.name)
-    model = canonical_workload_name(spec.model, tokens=spec.tokens)
-    if model != spec.model or spec.tokens is not None:
-        spec = replace(spec, model=model, tokens=None)
+    model = canonical_workload_name(spec.model)
+    if model != spec.model:
+        spec = replace(spec, model=model)
     canonicalise = getattr(target, "canonical_spec", None)
     if canonicalise is not None:
         spec = canonicalise(spec)
@@ -158,21 +157,12 @@ def canonicalise_spec(spec: RunSpec) -> RunSpec:
     return _resolve(spec)[1]
 
 
-def simulate(spec: RunSpec | str, *, cache: ResultCache | None = None,
-             **spec_kwargs) -> RunResult:
-    """Simulate one run, memoised through a result cache.
-
-    Accepts either a ready :class:`RunSpec` or a model name plus
-    ``RunSpec`` keyword arguments::
+def simulate(spec: RunSpec, *, cache: ResultCache | None = None) -> RunResult:
+    """Simulate one run, memoised through a result cache::
 
         simulate(RunSpec("deit-tiny", target="sanger"))
-        simulate("deit-tiny", target="sanger")
     """
 
-    if isinstance(spec, str):
-        spec = RunSpec(spec, **spec_kwargs)
-    elif spec_kwargs:
-        raise TypeError("pass RunSpec kwargs only with a model name, not a RunSpec")
     target, spec = _resolve(spec)
     cache = DEFAULT_CACHE if cache is None else cache
     return cache.get_or_run(spec, lambda s: target.simulate(s))

@@ -1,9 +1,10 @@
 """Declarative, hashable description of one simulation run.
 
 A :class:`RunSpec` captures everything that determines a simulation's outcome
-— model, target, attention formulation, batch size, token-count override,
-dataflow, pipelining, linear-layer inclusion, and peak-throughput scaling —
-so identical runs can be recognised and served from the result cache, and
+— model (workload knobs such as the token count are spelled in its
+configured name), target, attention formulation, batch size, dataflow,
+pipelining, linear-layer inclusion, and peak-throughput scaling — so
+identical runs can be recognised and served from the result cache, and
 cross-product sweeps can be expanded mechanically.
 """
 
@@ -13,7 +14,8 @@ import math
 import operator
 from dataclasses import dataclass, fields
 
-from repro.workloads import ModelWorkload, get_workload, scaled_to_tokens
+from repro.knobs import is_count
+from repro.workloads import ModelWorkload, get_workload
 
 #: Dataflows accepted by the ViTALiTy targets (values of
 #: :class:`repro.hardware.Dataflow`).
@@ -39,12 +41,9 @@ class RunSpec:
         attention: attention formulation for targets that support more than
             one (``"vanilla"`` or ``"taylor"`` on the platform models);
             ``None`` selects the target's native formulation.
-        batch_size: images processed back to back; latency and energy scale
-            linearly (the simulators model single-image residency).
-        tokens: deprecated alias for the ``tokens=`` workload knob — the
-            override lowers onto the grammar, so ``("deit-tiny", tokens=512)``
-            resolves (and caches) exactly as ``"deit-tiny[tokens=512]"``.
-            Prefer spelling the knob in ``model``.
+        batch_size: images processed back to back, an integer >= 1; latency
+            and energy scale linearly (the simulators model single-image
+            residency).
         dataflow: accumulation dataflow override for the ViTALiTy targets
             (``"down_forward"`` or ``"g_stationary"``).
         pipelined: intra-layer pipelining override for the ViTALiTy targets.
@@ -63,7 +62,6 @@ class RunSpec:
     target: str = "vitality"
     attention: str | None = None
     batch_size: int = 1
-    tokens: int | None = None
     dataflow: str | None = None
     pipelined: bool | None = None
     include_linear: bool = True
@@ -74,10 +72,9 @@ class RunSpec:
             raise ValueError("RunSpec.model must be a non-empty workload name")
         if not self.target:
             raise ValueError("RunSpec.target must be a non-empty target name")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tokens is not None and self.tokens < 1:
-            raise ValueError(f"tokens override must be >= 1, got {self.tokens}")
+        if not is_count(self.batch_size):
+            raise ValueError(f"batch_size must be an integer >= 1, "
+                             f"got {self.batch_size!r}")
         if self.attention is not None and self.attention not in ATTENTION_MODES:
             raise ValueError(f"attention must be one of {ATTENTION_MODES}, "
                              f"got {self.attention!r}")
@@ -97,14 +94,10 @@ class RunSpec:
         return type(self), _field_values(self)
 
     def workload(self) -> ModelWorkload:
-        """Resolve the configured workload this spec runs on.
+        """Resolve the configured workload this spec runs on; every spelling
+        of one geometry resolves to the same cached :class:`ModelWorkload`."""
 
-        The deprecated ``tokens`` override is applied as the ``tokens=`` knob
-        of the model's family, so every spelling of one geometry resolves to
-        the same cached :class:`ModelWorkload`.
-        """
-
-        return get_workload(self.model, tokens=self.tokens)
+        return get_workload(self.model)
 
     def to_dict(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -112,14 +105,3 @@ class RunSpec:
 
 #: Field values in declaration order: the generated hash's tuple, and __init__'s args.
 _field_values = operator.attrgetter(*(f.name for f in fields(RunSpec)))
-
-
-def scale_workload_tokens(workload: ModelWorkload, tokens: int) -> ModelWorkload:
-    """Deprecated alias of :func:`repro.workloads.scaled_to_tokens`.
-
-    Multi-stage models (MobileViT, LeViT) keep their relative stage geometry;
-    each layer's token counts scale by the same *floored* ratio (clamped at
-    1), matching the ``tokens=`` workload knob exactly.
-    """
-
-    return scaled_to_tokens(workload, tokens)

@@ -101,7 +101,6 @@ class Sweep:
     _configs: tuple[str | None, ...] = (None,)
     _attentions: tuple[str | None, ...] = (None,)
     _batch_sizes: tuple[int, ...] = (1,)
-    _token_counts: tuple[int | None, ...] = (None,)
     _dataflows: tuple[str | None, ...] = (None,)
     _include_linear: bool = True
 
@@ -175,10 +174,6 @@ class Sweep:
         self._batch_sizes = tuple(sizes)
         return self
 
-    def token_counts(self, *counts: int | None) -> "Sweep":
-        self._token_counts = tuple(counts)
-        return self
-
     def dataflows(self, *flows: str | None) -> "Sweep":
         self._dataflows = tuple(flows)
         return self
@@ -191,11 +186,10 @@ class Sweep:
         """Yield the cross product as :class:`RunSpec` instances."""
 
         models = self._models if self._models is not None else tuple(list_workloads())
-        for model, model_config, target, config, attention, batch, tokens, dataflow \
+        for model, model_config, target, config, attention, batch, dataflow \
                 in itertools.product(
                     models, self._model_configs, self._targets, self._configs,
-                    self._attentions, self._batch_sizes, self._token_counts,
-                    self._dataflows):
+                    self._attentions, self._batch_sizes, self._dataflows):
             if model_config:
                 if "[" in model:
                     raise ValueError(
@@ -209,7 +203,7 @@ class Sweep:
                         f"already-configured target {target!r}")
                 target = f"{target}[{config}]"
             yield RunSpec(model=model, target=target, attention=attention,
-                          batch_size=batch, tokens=tokens, dataflow=dataflow,
+                          batch_size=batch, dataflow=dataflow,
                           include_linear=self._include_linear)
 
     def run(self, cache: ResultCache | None = None,
@@ -277,14 +271,14 @@ def sweep(models: Sequence[str], targets: Sequence[str],
           **axes) -> SweepOutcome:
     """One-call convenience wrapper around :class:`Sweep`.
 
-    ``axes`` may set ``attentions``, ``batch_sizes``, ``token_counts``,
-    ``dataflows``, ``over_configs``, ``model_configs`` (sequences) or
-    ``include_linear`` (bool); ``jobs`` enables the parallel execution path.
+    ``axes`` may set ``attentions``, ``batch_sizes``, ``dataflows``,
+    ``over_configs``, ``model_configs`` (sequences) or ``include_linear``
+    (bool); ``jobs`` enables the parallel execution path.
     """
 
     builder = Sweep().models(*models).targets(*targets)
-    valid_axes = ("attentions", "batch_sizes", "token_counts", "dataflows",
-                  "over_configs", "model_configs")
+    valid_axes = ("attentions", "batch_sizes", "dataflows", "over_configs",
+                  "model_configs")
     for axis, values in axes.items():
         if axis == "include_linear":
             if not values:

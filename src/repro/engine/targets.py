@@ -8,7 +8,6 @@ single interface::
         name: str
         peak_macs_per_second: float
         def simulate(self, spec: RunSpec) -> RunResult: ...
-        def scaled_to_peak(self, peak) -> "Target"      # optional capability
 
 Targets are looked up by name in a registry; the default registry covers the
 paper's full evaluation matrix (``vitality`` and its dataflow/pipelining
@@ -207,12 +206,10 @@ class VitalityTarget:
     def __init__(self, name: str = "vitality",
                  dataflow: Dataflow = Dataflow.DOWN_FORWARD,
                  pipelined: bool = True,
-                 default_peak: float | None = None,
                  design: HardwareConfig | None = None):
         self.name = name
         self.default_dataflow = dataflow
         self.default_pipelined = pipelined
-        self.default_peak = default_peak
         self.design = design
         self.config_text = self.knob_schema.render(design) if design is not None else ""
         self._config = build_vitality_config(design)
@@ -241,9 +238,9 @@ class VitalityTarget:
         else:
             accelerator = ViTALiTyAccelerator(self._config, dataflow=dataflow,
                                               pipelined=pipelined)
-        peak = spec.scale_to_peak if spec.scale_to_peak is not None else self.default_peak
-        if peak is not None and peak > accelerator.peak_macs_per_second:
-            accelerator = accelerator.scaled_to_peak(peak)
+        if (spec.scale_to_peak is not None
+                and spec.scale_to_peak > accelerator.peak_macs_per_second):
+            accelerator = accelerator.scaled_to_peak(spec.scale_to_peak)
         return accelerator
 
     @property
@@ -258,26 +255,12 @@ class VitalityTarget:
         return self._config.total_area_mm2
 
     def canonical_spec(self, spec: RunSpec) -> RunSpec:
-        """Drop a ``scale_to_peak`` at or below the native peak (a no-op).
+        """Drop a ``scale_to_peak`` at or below the native peak (a no-op)."""
 
-        Not applied on pre-scaled variants (``default_peak`` set), where a
-        ``None`` scale falls back to the variant's own peak instead.
-        """
-
-        if (self.default_peak is None
-                and spec.scale_to_peak is not None
+        if (spec.scale_to_peak is not None
                 and spec.scale_to_peak <= self.peak_macs_per_second):
             spec = replace(spec, scale_to_peak=None)
         return spec
-
-    def scaled_to_peak(self, peak_macs_per_second: float) -> "VitalityTarget":
-        """A variant whose runs scale the PE array up to the given peak."""
-
-        return VitalityTarget(f"{self.name}@{peak_macs_per_second:.3g}macs",
-                              dataflow=self.default_dataflow,
-                              pipelined=self.default_pipelined,
-                              default_peak=peak_macs_per_second,
-                              design=self.design)
 
     def simulate(self, spec: RunSpec) -> RunResult:
         _check_attention_mode(spec, "taylor", self.name)

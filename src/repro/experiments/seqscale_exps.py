@@ -27,7 +27,7 @@ from repro.attention.op_counting import (
     count_taylor_attention_ops,
     count_vanilla_attention_ops,
 )
-from repro.engine import ResultCache, RunSpec, Sweep, get_target, simulate
+from repro.engine import ResultCache, RunSpec, Sweep, VitalityTarget, get_target, simulate
 from repro.workloads import get_workload
 
 #: Token ladder: powers of two from BERT-short to GPT-context lengths.
@@ -60,7 +60,7 @@ def seqscale_experiment(model: str = "decoder",
     # (a scale at or below the native peak is a no-op the cache collapses).
     baseline_peak = get_target(baseline).peak_macs_per_second
     scale_to_peak = (baseline_peak
-                     if hasattr(get_target(accelerator), "scaled_to_peak")
+                     if isinstance(get_target(accelerator), VitalityTarget)
                      and baseline_peak > get_target(accelerator).peak_macs_per_second
                      else None)
 

@@ -21,6 +21,7 @@ the offending knob, the expected format and the valid alternatives.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -82,6 +83,15 @@ def render_frequency(hertz: float) -> str:
             return f"{int(gigahertz)}ghz"
         return f"{int(megahertz)}mhz"
     return repr(hertz)
+
+
+def is_count(value) -> bool:
+    """True for an integer >= 1 (a bool is not a count)."""
+
+    # ``int`` first: an exact-type match skips the slower abstract-class
+    # check, and serving builds a RunSpec on every dispatch.
+    return (isinstance(value, (int, numbers.Integral))
+            and not isinstance(value, bool) and value >= 1)
 
 
 def parse_positive_int(text: str) -> int:

@@ -41,13 +41,12 @@ from repro.serve.llm import (
     DEFAULT_STEP_OVERHEAD,
     KVCacheConfig,
     _bucket,
-    _configured,
 )
 from repro.serve.metrics import DEFAULT_PERCENTILES, percentile_label
 from repro.serve.pipeline import DEFAULT_STAGE_HANDOFF, PipelineSpec
 from repro.serve.simulator import DEFAULT_DISPATCH_OVERHEAD
 from repro.serve.traffic import WorkloadMix, check_counts
-from repro.workloads import get_workload
+from repro.workloads import configured_name, get_workload
 
 
 def erlang_c(servers: int, offered_erlangs: float) -> float:
@@ -586,8 +585,8 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
         total, progress = 0.0, 0
         while progress < prompt_tokens:
             chunk = min(prefill_chunk, prompt_tokens - progress)
-            name = _configured(model, tokens=chunk, kv_tokens=progress + chunk,
-                               phase="prefill")
+            name = configured_name(model, tokens=chunk,
+                                   kv_tokens=progress + chunk, phase="prefill")
             total += run_seconds(name, spec)
             progress += chunk
         return total
@@ -626,9 +625,9 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
         raise ValueError(
             f"one {prompt_tokens}+{output_tokens}-token reservation does not "
             f"fit the smallest decode replica's KV cache")
-    decode_name = _configured(model, tokens=1,
-                              kv_tokens=_bucket(reserved, kv_bucket),
-                              phase="decode")
+    decode_name = configured_name(model, tokens=1,
+                                  kv_tokens=_bucket(reserved, kv_bucket),
+                                  phase="decode")
 
     def step_seconds(batch: int) -> float:
         return sum(run_seconds(decode_name, spec, batch)

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate, target_sram_kb
+from repro.knobs import is_count
 from repro.serve.cluster import Fleet, ReplicaSpec
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
@@ -69,11 +70,10 @@ from repro.serve.traffic import (
     TrafficPattern,
     check_counts,
     check_finite,
-    is_count,
 )
 from repro.serve.traffic import iter_arrivals as _iter_arrivals
 from repro.serve.traffic import traffic_models
-from repro.workloads import get_family
+from repro.workloads import configured_name, get_family
 
 logger = logging.getLogger(__name__)
 
@@ -269,21 +269,6 @@ class LLMReplica:
         if self.current_prefill is not None:
             tokens += self.current_prefill.prompt_tokens - self.current_prefill.prefilled
         return tokens
-
-
-def _configured(model: str, **overrides) -> str:
-    """Merge knob overrides into a configured workload name (text level)."""
-
-    base, _, bracket = model.partition("[")
-    knobs: dict[str, str] = {}
-    if bracket:
-        for part in bracket[:-1].split(","):
-            key, _, value = part.partition("=")
-            knobs[key.strip()] = value.strip()
-    for key, value in overrides.items():
-        knobs[key] = str(value)
-    text = ",".join(f"{key}={value}" for key, value in sorted(knobs.items()))
-    return f"{base}[{text}]"
 
 
 def _check_sequence_model(model: str) -> None:
@@ -511,7 +496,8 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         key = (model, phase, tokens, kv_tokens, target, attention, batch_size)
         spec = specs.get(key)
         if spec is None:
-            name = _configured(model, tokens=tokens, kv_tokens=kv_tokens, phase=phase)
+            name = configured_name(model, tokens=tokens, kv_tokens=kv_tokens,
+                                   phase=phase)
             spec = specs[key] = RunSpec(name, target=target, attention=attention,
                                         batch_size=batch_size)
         result = simulate(spec, cache=cache)

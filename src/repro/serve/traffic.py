@@ -30,12 +30,11 @@ Patterns:
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.knobs import KnobError
+from repro.knobs import KnobError, is_count
 from repro.workloads import UnknownWorkloadError, get_workload
 
 #: Traffic pattern names accepted by :func:`make_traffic` and the CLI.
@@ -306,13 +305,6 @@ def check_finite(*, allow_zero: bool = False, **values: float) -> None:
             raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
-def is_count(value) -> bool:
-    """True for an integer >= 1 (a bool is not a count)."""
-
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
 def check_counts(**values: int) -> None:
     """Reject token and size arguments (one per keyword) that are not
     integers >= 1; the error names the bad one.  Unchecked, a nan prompt
@@ -491,8 +483,8 @@ class ReplayTraffic:
     def __post_init__(self):
         for entry in self.trace:
             time, model = entry[0], entry[1]
-            if time < 0:
-                raise ValueError(f"trace times must be non-negative, got {time}")
+            # Unchecked, a nan or inf time silently drops its request.
+            check_finite(allow_zero=True, **{"trace time": time})
             _check_workload_name(model, "trace")
             for tokens in entry[2:]:
                 if not is_count(tokens):
@@ -511,7 +503,8 @@ class ReplayTraffic:
                 trace.append((float(time), str(model)))
             elif len(record) == 4:
                 time, model, prompt, output = record
-                trace.append((float(time), str(model), int(prompt), int(output)))
+                # Unconverted: int() would truncate a fractional count.
+                trace.append((float(time), str(model), prompt, output))
             else:
                 raise ValueError(f"trace records must be [time, model] or "
                                  f"[time, model, prompt_tokens, output_tokens], "

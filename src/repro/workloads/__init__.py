@@ -42,6 +42,7 @@ from repro.workloads.core import (
     UnknownWorkloadError,
     WorkloadFamily,
     canonical_workload_name,
+    configured_name,
     get_family,
     get_workload,
     list_families,
@@ -57,6 +58,7 @@ __all__ = [
     "UnknownWorkloadError",
     "WorkloadFamily",
     "canonical_workload_name",
+    "configured_name",
     "get_family",
     "get_workload",
     "list_families",

@@ -12,14 +12,15 @@ same one-object-per-physical-configuration caching.
   geometries plus the ``encoder`` / ``decoder`` / ``transformer`` sequence
   families;
 * :mod:`registry` — :func:`get_workload` / :func:`canonical_workload_name`
-  over configured names, with the per-geometry workload cache and
-  :class:`UnknownWorkloadError`.
+  / :func:`configured_name` over configured names, with the per-geometry
+  workload cache and :class:`UnknownWorkloadError`.
 """
 
 from repro.workloads.core.families import FAMILIES, PHASES
 from repro.workloads.core.registry import (
     UnknownWorkloadError,
     canonical_workload_name,
+    configured_name,
     get_family,
     get_workload,
     list_families,
@@ -32,6 +33,7 @@ __all__ = [
     "UnknownWorkloadError",
     "WorkloadFamily",
     "canonical_workload_name",
+    "configured_name",
     "get_family",
     "get_workload",
     "list_families",

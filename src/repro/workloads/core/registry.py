@@ -52,8 +52,7 @@ def _unknown(name: str) -> UnknownWorkloadError:
         f"{', '.join(knob_names)} — see `repro workloads`)")
 
 
-def _resolve(name: str, tokens: int | None = None
-             ) -> tuple[WorkloadFamily, KnobConfig]:
+def _resolve(name: str) -> tuple[WorkloadFamily, KnobConfig]:
     base, bracket, knob_text = name.partition("[")
     family = FAMILIES.get(base)
     if family is None or (bracket and not name.endswith("]")):
@@ -62,25 +61,35 @@ def _resolve(name: str, tokens: int | None = None
         config = family.resolve(knob_text[:-1])     # drop the trailing "]"
     else:
         config = KnobConfig(base)
-    if tokens is not None:
-        config = family.with_tokens(config, tokens)
     return family, config
 
 
-def canonical_workload_name(name: str, tokens: int | None = None) -> str:
-    """The canonical spelling of a (possibly configured) workload name.
+def configured_name(model: str, **knobs) -> str:
+    """Merge knobs into a workload name at the text level, unvalidated: a
+    knob already in ``model`` is overridden and the knobs come out sorted."""
 
-    ``tokens`` applies a token-count override on top of the name — the
-    lowering of the deprecated ``RunSpec.tokens`` field onto the grammar —
-    so ``("deit-tiny", 197)``, ``("deit-tiny[tokens=197]", None)`` and
-    ``("deit-tiny", None)`` all canonicalise to ``"deit-tiny"``.
-    """
+    base, _, bracket = model.partition("[")
+    merged: dict[str, str] = {}
+    if bracket:
+        for part in bracket[:-1].split(","):
+            key, _, value = part.partition("=")
+            merged[key.strip()] = value.strip()
+    for key, value in knobs.items():
+        merged[key] = str(value)
+    text = ",".join(f"{key}={value}" for key, value in sorted(merged.items()))
+    return f"{base}[{text}]"
 
-    family, config = _resolve(name, tokens)
+
+def canonical_workload_name(name: str) -> str:
+    """The canonical spelling of a (possibly configured) workload name:
+    ``"deit-tiny[tokens=197]"`` and ``"deit-tiny"`` both give
+    ``"deit-tiny"``."""
+
+    family, config = _resolve(name)
     return family.canonical_name(config)
 
 
-def get_workload(name: str, tokens: int | None = None) -> ModelWorkload:
+def get_workload(name: str) -> ModelWorkload:
     """Resolve a registered or configured workload name to its geometry.
 
     One :class:`ModelWorkload` is materialised per physical geometry:
@@ -89,7 +98,7 @@ def get_workload(name: str, tokens: int | None = None) -> ModelWorkload:
     are built once and memoised under their canonical name.
     """
 
-    family, config = _resolve(name, tokens)
+    family, config = _resolve(name)
     if config.is_reference:
         return family.reference
     canonical = family.canonical_name(config)

@@ -54,17 +54,6 @@ class WorkloadFamily:
         return (self.normalise(config, explicit)
                 if self.normalise is not None else config)
 
-    def with_tokens(self, config: KnobConfig, tokens: int) -> KnobConfig:
-        """``config`` with its ``tokens`` knob overridden (reference drops)."""
-
-        if tokens < 1:
-            raise KnobError(f"tokens must be >= 1, got {tokens}")
-        knob = self.schema.knobs["tokens"]
-        config = (config.without_knob("tokens") if tokens == knob.default
-                  else config.with_knob("tokens", tokens))
-        return (self.normalise(config, frozenset(("tokens",)))
-                if self.normalise is not None else config)
-
     def canonical_name(self, config: KnobConfig) -> str:
         """The one spelling of this configuration: bare family name for the
         reference, sorted/canonical-valued knobs otherwise."""

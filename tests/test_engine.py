@@ -27,7 +27,6 @@ from repro.engine import (
     get_target,
     list_targets,
     register_target,
-    scale_workload_tokens,
     simulate,
     sweep,
 )
@@ -41,7 +40,7 @@ from repro.hardware import (
     pipeline_speedup,
     sequential_latency,
 )
-from repro.workloads import get_workload, list_workloads
+from repro.workloads import get_workload, list_workloads, scaled_to_tokens
 
 
 class TestPipelineEdgeCases:
@@ -101,8 +100,13 @@ class TestRunSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunSpec("deit-tiny", batch_size=0)
-        with pytest.raises(ValueError):
-            RunSpec("deit-tiny", tokens=0)
+        # A fractional batch simulated 2.5 images, True ran as 1 and nan
+        # passed the old ``< 1`` check with NaN latency and energy.
+        for batch_size in (2.5, True, float("nan")):
+            with pytest.raises(ValueError, match="batch_size"):
+                RunSpec("deit-tiny", batch_size=batch_size)
+        with pytest.raises(ValueError, match="tokens"):
+            canonicalise_spec(RunSpec("deit-tiny[tokens=0]"))
         with pytest.raises(ValueError):
             RunSpec("deit-tiny", dataflow="sideways")
         with pytest.raises(ValueError):
@@ -130,7 +134,6 @@ class TestRunSpec:
            target=st.sampled_from(("vitality", "gpu", "sanger")),
            attention=st.sampled_from((None,) + ATTENTION_MODES),
            batch_size=st.integers(1, 64),
-           tokens=st.none() | st.integers(1, 4096),
            dataflow=st.sampled_from((None,) + DATAFLOWS),
            pipelined=st.sampled_from((None, False, True)),
            include_linear=st.booleans(),
@@ -181,7 +184,7 @@ class TestRunSpec:
 
     def test_token_scaling_preserves_stage_structure(self):
         workload = get_workload("levit-128")
-        scaled = scale_workload_tokens(workload, 392)
+        scaled = scaled_to_tokens(workload, 392)
         assert len(scaled.attention_layers) == len(workload.attention_layers)
         assert max(s.tokens for s in scaled.attention_layers) == 392
         # LeViT's shrinking blocks keep kv_tokens > tokens after scaling.
@@ -190,7 +193,7 @@ class TestRunSpec:
 
     def test_token_scaling_identity(self):
         workload = get_workload("deit-tiny")
-        assert scale_workload_tokens(workload, 197) is workload
+        assert scaled_to_tokens(workload, 197) is workload
 
 
 class TestTargetRegistry:
@@ -222,8 +225,8 @@ class TestTargetRegistry:
 
     def test_scaled_to_peak_variant(self):
         base = VitalityTarget("vitality-test")
-        scaled = base.scaled_to_peak(base.peak_macs_per_second * 3)
-        fast = scaled.simulate(RunSpec("deit-tiny"))
+        fast = base.simulate(RunSpec("deit-tiny",
+                                     scale_to_peak=base.peak_macs_per_second * 3))
         slow = base.simulate(RunSpec("deit-tiny"))
         assert fast.end_to_end_latency < slow.end_to_end_latency
 
@@ -507,13 +510,6 @@ class TestResultCache:
         cache.clear()
         assert cache.stats().evictions == 0
 
-    def test_kwargs_form(self):
-        cache = ResultCache()
-        result = simulate("deit-tiny", target="salo", cache=cache)
-        assert result.target == "salo"
-        with pytest.raises(TypeError):
-            simulate(RunSpec("deit-tiny"), target="salo", cache=cache)
-
 
 class TestSweep:
     def test_explicit_empty_models_yields_empty_sweep(self):
@@ -594,7 +590,7 @@ class TestRunResult:
     def test_token_override_increases_latency(self):
         cache = ResultCache()
         base = simulate(RunSpec("deit-tiny", target="vitality"), cache=cache)
-        longer = simulate(RunSpec("deit-tiny", target="vitality", tokens=788), cache=cache)
+        longer = simulate(RunSpec("deit-tiny[tokens=788]", target="vitality"), cache=cache)
         assert longer.end_to_end_latency > base.end_to_end_latency
 
     def test_salo_has_no_linear_component(self):

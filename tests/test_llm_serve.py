@@ -79,10 +79,14 @@ class TestTokenProfiles:
                              ids=["nan", "fraction", "float", "zero", "bool"])
     def test_replay_rejects_non_integer_token_counts(self, tokens):
         """A nan prompt passed the old ``< 1`` check, never finished prefill
-        and blocked every request queued behind it."""
+        and blocked every request queued behind it.  ``from_records`` once
+        truncated counts with ``int()`` before the check saw them, serving a
+        fractional count as a shorter request."""
 
         with pytest.raises(ValueError, match="trace token counts must be integers"):
             ReplayTraffic(((0.1, "decoder", tokens, 4), (0.2, "decoder", 64, 4)))
+        with pytest.raises(ValueError, match="trace token counts must be integers"):
+            ReplayTraffic.from_records([[0.1, "decoder", tokens, 4]])
 
 
 class TestKVCache:

@@ -407,10 +407,13 @@ class TestNonFiniteRunParameters:
         ("peak_rate", lambda value: DiurnalTraffic(peak_rate=value, mix=MIX)),
         ("period", lambda value: DiurnalTraffic(peak_rate=10.0, mix=MIX,
                                                 period=value)),
+        ("trace time", lambda value: ReplayTraffic.from_records(
+            [[value, "deit-tiny"]])),
     ], ids=["poisson", "bursty", "bursty-dwell", "diurnal-peak",
-            "diurnal-period"])
+            "diurnal-period", "replay-time"])
     def test_traffic_rejects_non_finite_rates(self, parameter, make, value):
-        """Unchecked, a nan rate generates no arrivals at all."""
+        """Unchecked, a nan rate generates no arrivals at all, and a nan or
+        inf replay time silently drops its request."""
 
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             make(value)

@@ -22,7 +22,6 @@ from repro.engine import (
     UnknownWorkloadError,
     canonical_workload_name,
     canonicalise_spec,
-    scale_workload_tokens,
     simulate,
 )
 from repro.experiments import run_experiment
@@ -32,10 +31,12 @@ from repro.workloads import (
     AttentionLayerSpec,
     DEIT_TINY,
     FAMILIES,
+    configured_name,
     get_family,
     get_workload,
     list_families,
     list_workloads,
+    scaled_to_tokens,
 )
 
 
@@ -72,6 +73,12 @@ class TestGrammarResolution:
             canonical = canonical_workload_name(name)
             assert canonical_workload_name(canonical) == canonical
             assert get_workload(canonical) is get_workload(name)
+
+    def test_configured_name_overrides_and_sorts_knobs(self):
+        assert configured_name("deit-tiny", tokens=512) == "deit-tiny[tokens=512]"
+        assert (configured_name("decoder[tokens=64,phase=prefill]", tokens=128,
+                                kv_tokens=256)
+                == "decoder[kv_tokens=256,phase=prefill,tokens=128]")
 
     def test_first_decode_step_simulates(self):
         # kv_tokens == tokens drops the kv knob and phase drops after
@@ -155,7 +162,7 @@ class TestGrammarResolution:
 class TestTokenScaling:
     def test_tokens_knob_matches_deprecated_override(self):
         via_knob = get_workload("levit-128[tokens=392]")
-        via_scale = scale_workload_tokens(get_workload("levit-128"), 392)
+        via_scale = scaled_to_tokens(get_workload("levit-128"), 392)
         assert via_knob.attention_layers == via_scale.attention_layers
         assert via_knob.linear_layers == via_scale.linear_layers
 
@@ -166,7 +173,7 @@ class TestTokenScaling:
 
     def test_reference_tokens_is_identity(self):
         workload = get_workload("levit-128")
-        assert scale_workload_tokens(workload, 196) is workload
+        assert scaled_to_tokens(workload, 196) is workload
         assert get_workload("levit-128[tokens=196]") is workload
 
     def test_scaling_preserves_shrinking_blocks(self):
@@ -178,7 +185,7 @@ class TestTokenScaling:
 class TestCacheUnification:
     def test_configured_spellings_share_cache_entries(self):
         cache = ResultCache()
-        simulate(RunSpec("deit-tiny", tokens=512), cache=cache)
+        simulate(RunSpec("deit-tiny[tokens=512,heads=3]"), cache=cache)
         simulate(RunSpec("deit-tiny[tokens=512]"), cache=cache)
         simulate(RunSpec("deit-tiny[heads=3,tokens=512]"), cache=cache)
         stats = cache.stats()
@@ -187,26 +194,26 @@ class TestCacheUnification:
     def test_reference_tokens_share_the_bare_entry(self):
         cache = ResultCache()
         simulate(RunSpec("deit-tiny"), cache=cache)
-        simulate(RunSpec("deit-tiny", tokens=197), cache=cache)
+        simulate(RunSpec("deit-tiny[heads=3,tokens=197]"), cache=cache)
         simulate(RunSpec("deit-tiny[tokens=197]"), cache=cache)
         stats = cache.stats()
         assert (stats.misses, stats.hits, stats.size) == (1, 2, 1)
 
     def test_canonicalise_spec_lowers_tokens_onto_grammar(self):
-        spec = canonicalise_spec(RunSpec("deit-tiny", tokens=512, target="salo"))
-        assert spec.model == "deit-tiny[tokens=512]"
-        assert spec.tokens is None
-        reference = canonicalise_spec(RunSpec("deit-tiny", tokens=197))
+        spec = canonicalise_spec(RunSpec("deit-tiny[heads=3,tokens=512]",
+                                         target="salo"))
+        assert spec == RunSpec("deit-tiny[tokens=512]", target="salo")
+        reference = canonicalise_spec(RunSpec("deit-tiny[tokens=197]"))
         assert reference.model == "deit-tiny"
 
     def test_result_model_is_canonical(self):
-        result = simulate(RunSpec("deit-tiny", tokens=512, target="gpu"),
+        result = simulate(RunSpec("deit-tiny[heads=3,tokens=512]", target="gpu"),
                           cache=ResultCache())
         assert result.model == "deit-tiny[tokens=512]"
 
     def test_disk_cache_keys_on_canonical_names(self, tmp_path):
         first = DiskResultCache(tmp_path)
-        original = simulate(RunSpec("deit-tiny", tokens=512), cache=first)
+        original = simulate(RunSpec("deit-tiny[heads=3,tokens=512]"), cache=first)
         second = DiskResultCache(tmp_path)
         restored = simulate(RunSpec("deit-tiny[tokens=512]"), cache=second)
         assert restored == original
@@ -359,6 +366,27 @@ class TestWorkloadsCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["model"] == "deit-tiny[tokens=512]"
         assert payload["end_to_end_latency"] > 0
+
+    @pytest.mark.parametrize("model, configured", [
+        ("deit-tiny", "deit-tiny[tokens=512]"),
+        ("deit-tiny[tokens=300]", "deit-tiny[tokens=512]"),
+        ("levit-128", "levit-128[tokens=512]"),
+        ("decoder[kv_tokens=2048]", "decoder[kv_tokens=2048,tokens=512]"),
+        ("decoder[phase=decode]", "decoder[phase=decode,tokens=512]"),
+    ])
+    def test_simulate_tokens_flag_is_the_configured_name(self, capsys, model,
+                                                         configured):
+        """Same exit code and output, error included: ``decoder[phase=decode]``
+        needs a ``kv_tokens`` either way."""
+
+        code = main(["simulate", model, "--tokens", "512", "--json"])
+        lowered = (code, *capsys.readouterr())
+        code = main(["simulate", configured, "--json"])
+        assert lowered == (code, *capsys.readouterr())
+
+    def test_simulate_tokens_flag_rejects_zero(self, capsys):
+        assert main(["simulate", "deit-tiny", "--tokens", "0"]) == 2
+        assert "'tokens'" in capsys.readouterr().err
 
     def test_simulate_bad_workload_knob_clean_error(self, capsys):
         assert main(["simulate", "decoder[phase=decode]"]) == 2
