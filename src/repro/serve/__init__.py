@@ -13,7 +13,8 @@ request under load.  The pieces:
 * :mod:`cluster` — heterogeneous fleets of engine targets with least-loaded
   and energy-aware routing;
 * :mod:`simulator` — the deterministic event-loop kernel shared by
-  :func:`serve` and :func:`serve_pipeline`, plus :func:`compare`;
+  :func:`serve`, :func:`serve_pipeline` and :func:`serve_llm`, the replica
+  batching the first two add to it, plus :func:`compare`;
 * :mod:`llm` — autoregressive serving: continuous (iteration-level) batching
   vs monolithic gangs, chunked prefill, KV-cache admission and
   prefill/decode-disaggregated fleets via :func:`serve_llm`;

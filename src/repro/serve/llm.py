@@ -39,15 +39,15 @@ TTFT (time-to-first-token: arrival to prefill completion) and TPOT
 (time-per-output-token over the decode phase) are threaded through
 :class:`~repro.serve.metrics.ServeReport` as additive ``ttft`` / ``tpot``
 latency summaries plus an ``llm`` token-accounting block.  Determinism
-matches the classic simulator: one event heap with a monotone tie-break and
-every random draw inside the traffic pattern, so a fixed (traffic, fleets,
-scheduler, duration, seed) tuple maps to one bit-exact report.
+matches the classic simulator, whose event-loop kernel runs this one too:
+one event heap with a monotone tie-break and every random draw inside the
+traffic pattern, so a fixed (traffic, fleets, scheduler, duration, seed)
+tuple maps to one bit-exact report.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 import math
 from collections import deque
@@ -56,24 +56,17 @@ from typing import Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate, target_sram_kb
 from repro.knobs import is_count
-from repro.serve.cluster import Fleet, ReplicaSpec
-from repro.serve.metrics import (
-    DEFAULT_PERCENTILES,
-    ReportAccumulator,
-    ServeReport,
-    check_fractions,
-    check_summary,
-)
-from repro.serve.simulator import DEFAULT_CACHE_ENTRIES, RUNTIME_SEQUENCE_BASE
+from repro.serve.cluster import Fleet, Replica, ReplicaSpec
+from repro.serve.metrics import DEFAULT_PERCENTILES, ServeReport
+from repro.serve.simulator import _Kernel
 from repro.serve.traffic import (
     Request,
     TrafficPattern,
     check_counts,
     check_finite,
+    traffic_models,
 )
-from repro.serve.traffic import iter_arrivals as _iter_arrivals
-from repro.serve.traffic import traffic_models
-from repro.workloads import configured_name, get_family
+from repro.workloads import configured_name, get_family, get_workload
 
 logger = logging.getLogger(__name__)
 
@@ -201,45 +194,27 @@ class LLMRequest:
         return self.prompt_tokens + self.output_tokens
 
 
-class LLMReplica:
-    """One LLM-serving instance: an engine target with KV-cache accounting.
-
-    Duck-types the replica attributes a
-    :class:`~repro.serve.metrics.ReportAccumulator` report reads
-    (name/spec/served/batches/busy_seconds/energy_joules/lifetimes) plus the
-    LLM extras (role, KV capacity/peak, decode steps).
-    """
+class LLMReplica(Replica):
+    """One LLM-serving instance: a :class:`~repro.serve.cluster.Replica`
+    (its ``batches`` count engine dispatches, chunks plus steps) with
+    KV-cache accounting and the LLM extras its report row carries (role,
+    KV capacity/peak, decode steps)."""
 
     def __init__(self, index: int, ordinal: int, spec: ReplicaSpec, role: str,
                  kv_capacity: int):
-        self.index = index
-        self.spec = spec
+        super().__init__(index, ordinal, spec,
+                         name_prefix="" if role == ROLE_UNIFIED else f"{role}/")
         self.role = role
-        prefix = "" if role == ROLE_UNIFIED else f"{role}/"
-        self.name = f"{prefix}{spec.label}#{ordinal}"
-        self.started_at = 0.0
-        self.retired_at: float | None = None
         self.kv_capacity = kv_capacity
         self.kv_used = 0
         self.kv_peak = 0
-        self.busy_until = 0.0
-        self.busy_seconds = 0.0
-        self.energy_joules = 0.0
-        self.batches = 0                        # engine dispatches (chunks + steps)
         self.decode_steps = 0
-        self.served = 0
         self.prefill_queue: deque[LLMRequest] = deque()
         self.current_prefill: LLMRequest | None = None
         self.decode_ready: list[LLMRequest] = []   # KV-admitted, awaiting a slot
         self.batch: list[LLMRequest] = []          # running decode batch
         self.gang: list[LLMRequest] = []           # monolithic request-level gang
         self.gang_steps_left = 0
-
-    def idle(self, now: float) -> bool:
-        return self.busy_until <= now
-
-    def lifetime_seconds(self, makespan: float) -> float:
-        return makespan
 
     @property
     def kv_free(self) -> int:
@@ -318,21 +293,19 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
 
     Requests take their prompt/output token counts from the traffic (token
     profiles or token-carrying traces), falling back to ``prompt_tokens`` /
-    ``output_tokens``.  A request whose KV reservation cannot fit the
-    largest relevant replica raises ``ValueError`` up front; one that fits
-    only when capacity frees simply queues.  The report's ``ttft`` / ``tpot``
-    summaries and ``llm`` block carry the phase-level results.
+    ``output_tokens``.  KV capacity is sized from the models the *traffic
+    declares* (mix entries or trace models; a pattern that declares none is
+    generated once to learn them), not the models that happen to arrive.  A
+    request whose KV reservation cannot fit the largest relevant replica
+    raises ``ValueError`` when it arrives; one that fits only when capacity
+    frees simply queues.  The report's ``ttft`` / ``tpot`` summaries and
+    ``llm`` block carry the phase-level results.
 
-    ``summary`` mirrors :func:`repro.serve.serve`: ``"exact"`` (default)
-    materialises the arrivals and folds every completion's latency, TTFT and
-    TPOT in request-index order into exact order statistics, bit-identical
-    to historical reports; ``"streaming"`` pulls arrivals lazily and folds
-    each completion into P² sketches at once, bounding memory for
-    arbitrarily long runs.  Streaming mode sizes KV capacity from the models
-    the *traffic declares* (mix entries or trace models) rather than the
-    models that happened to arrive, and checks each request's KV
-    feasibility when it is generated instead of all up front — same
-    ``ValueError``, raised at the offending arrival.
+    ``summary`` mirrors :func:`repro.serve.serve` and picks only the latency
+    sample: ``"exact"`` (default) folds every completion's latency, TTFT and
+    TPOT in request-index order into exact order statistics; ``"streaming"``
+    folds each completion into P² sketches at once, bounding memory for
+    arbitrarily long runs.  Both modes pull arrivals lazily.
 
     ``obs`` (a :class:`repro.obs.Observability`) attaches tracing, streaming
     metrics and/or progress reporting; hooks are pure observers and
@@ -359,43 +332,29 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
                  prefill_chunk=prefill_chunk, max_batch=max_batch,
                  kv_bucket=kv_bucket)
-    check_finite(duration=duration, ttft_slo_seconds=ttft_slo_seconds,
-                 tpot_slo_seconds=tpot_slo_seconds, slo_seconds=slo_seconds)
+    check_finite(ttft_slo_seconds=ttft_slo_seconds,
+                 tpot_slo_seconds=tpot_slo_seconds)
     check_finite(step_overhead_seconds=step_overhead_seconds,
                  handoff_seconds=handoff_seconds, allow_zero=True)
-    check_fractions("percentiles", percentiles)
-    check_summary(summary)
+    kernel = _Kernel(traffic, duration=duration, seed=seed,
+                     slo_seconds=slo_seconds, cache=cache,
+                     percentiles=percentiles, summary=summary, obs=obs,
+                     label="serve-llm", llm=True)
     kv = KVCacheConfig() if kv is None else kv
-    cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if cache is None else cache
 
     def _parse(spec: Fleet | str) -> Fleet:
         return Fleet.parse(spec) if isinstance(spec, str) else spec
 
-    # Exact summaries materialise the arrivals, sizing KV capacity from the
-    # models that arrived and rejecting infeasible requests before the run;
-    # streaming summaries pull arrivals lazily and take the model set from
-    # what the traffic declares.  Patterns that cannot declare their models
-    # fall back to materialising even when streaming.
-    requests: list[LLMRequest] | None = None
-    raw_stream = None
-    if summary == "streaming":
-        models = traffic_models(traffic)
-        if models is None:
-            raw_arrivals = traffic.arrivals(duration, seed)
-            models = sorted({request.model for request in raw_arrivals})
-            raw_stream = iter(raw_arrivals)
-        else:
-            raw_stream = _iter_arrivals(traffic, duration, seed)
-    else:
+    # KV capacity follows the models the traffic declares; a pattern that
+    # declares none is generated once to learn them, and that list is what
+    # the kernel then serves.
+    models = traffic_models(traffic)
+    arrivals = None
+    if models is None:
         arrivals = traffic.arrivals(duration, seed)
-        requests = [LLMRequest(request,
-                               request.prompt_tokens or prompt_tokens,
-                               request.output_tokens or output_tokens)
-                    for request in arrivals]
-        models = sorted({request.model for request in requests})
+        models = sorted({request.model for request in arrivals})
     for model in models:
         _check_sequence_model(model)
-    from repro.workloads import get_workload
     bytes_per_token = max((kv.bytes_per_token(get_workload(model))
                            for model in models), default=1)
 
@@ -417,69 +376,13 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         all_replicas = prefill_pool + decode_pool
     else:
         prefill_pool = decode_pool = all_replicas = _pool(fleet, ROLE_UNIFIED, 0)
-
-    # Admission feasibility is checked per request so an impossible request is
-    # a clean ValueError, not an event loop that never drains.  Exact mode
-    # checks the whole trace up front (construction-time error); streaming
-    # mode checks each arrival as it is pulled from the generator.
     prefill_cap = max(replica.kv_capacity for replica in prefill_pool)
     decode_cap = max(replica.kv_capacity for replica in decode_pool)
 
-    def check_admissible(request: LLMRequest) -> LLMRequest:
-        need = request.prompt_tokens if disaggregated else request.reserved_tokens
-        if need > prefill_cap:
-            raise ValueError(
-                f"request {request.index} ({request.model!r}) needs {need} KV "
-                f"tokens for prefill admission but the largest "
-                f"{'prefill ' if disaggregated else ''}replica holds "
-                f"{prefill_cap}")
-        if disaggregated and request.reserved_tokens > decode_cap:
-            raise ValueError(
-                f"request {request.index} ({request.model!r}) needs "
-                f"{request.reserved_tokens} KV tokens for decode admission "
-                f"but the largest decode replica holds {decode_cap}")
-        return request
-
-    if requests is not None:
-        for request in requests:
-            check_admissible(request)
-
-    if obs is not None:
-        obs.begin_run(all_replicas, "serve-llm")
-    logger.info("serve_llm: %s arrivals over %.3fs, scheduler=%s, "
-                "%d replica(s)%s",
-                "streaming" if requests is None else len(requests), duration,
-                scheduler, len(all_replicas),
-                " (disaggregated)" if disaggregated else "")
-
-    # Arrival events take the request index as their tie-break sequence;
-    # runtime events (chunks, steps, gangs, handoffs) count from a disjoint
-    # range far above any realistic request count.  This reproduces the
-    # historical order (all arrivals pushed before any runtime event) without
-    # materialising the arrivals.
-    sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
-    offered = 0
-    events: list[tuple[float, int, str, object]] = []
-    if requests is not None:
-        offered = len(requests)
-        events = [(request.arrival, request.index, "arrival", request)
-                  for request in requests]
-        heapq.heapify(events)
-        next_llm_arrival = None
-    else:
-        def next_llm_arrival() -> LLMRequest | None:
-            raw = next(raw_stream, None)
-            if raw is None:
-                return None
-            return check_admissible(
-                LLMRequest(raw, raw.prompt_tokens or prompt_tokens,
-                           raw.output_tokens or output_tokens))
-        first = next_llm_arrival()
-        if first is not None:
-            events.append((first.arrival, first.index, "arrival", first))
-    accumulator = ReportAccumulator(slo_seconds=slo_seconds,
-                                    percentiles=percentiles, summary=summary,
-                                    track_ttft=True, track_tpot=True)
+    # Runtime events (chunks, steps, gangs, handoffs) go on the kernel's
+    # heap, sequenced by its runtime counter.
+    events, sequence, cache = kernel.events, kernel.sequence, kernel.cache
+    accumulator = kernel.accumulator
     ttft_ok = tpot_ok = tpot_count = joint_ok = 0
     pending_decode: deque[LLMRequest] = deque()     # disaggregated pool queue
     total_prefill_tokens = 0
@@ -599,7 +502,10 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         replica.current_prefill = None
         if obs is not None:
             obs.prefill_finished(request, replica, now)
-        if disaggregated:
+        if scheduler == "monolithic":
+            if request.decode_target == 0:
+                request.completion = now    # recorded at gang retirement
+        elif disaggregated:
             replica.release(request.prompt_tokens)   # KV ships to the decode pool
             if request.decode_target == 0:
                 record_completion(request, replica, now, batch_size=1)
@@ -687,7 +593,23 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         if replica.batch:
             run_decode_step(replica, now, "step", replica.batch)
 
-    def route_arrival(request: LLMRequest, now: float) -> None:
+    def arrive(raw: Request, now: float, last: bool) -> None:
+        # Feasibility is checked per request, so an impossible request is a
+        # clean ValueError, not an event loop that never drains.
+        request = LLMRequest(raw, raw.prompt_tokens or prompt_tokens,
+                             raw.output_tokens or output_tokens)
+        need = request.prompt_tokens if disaggregated else request.reserved_tokens
+        if need > prefill_cap:
+            raise ValueError(
+                f"request {request.index} ({request.model!r}) needs {need} KV "
+                f"tokens for prefill admission but the largest "
+                f"{'prefill ' if disaggregated else ''}replica holds "
+                f"{prefill_cap}")
+        if disaggregated and request.reserved_tokens > decode_cap:
+            raise ValueError(
+                f"request {request.index} ({request.model!r}) needs "
+                f"{request.reserved_tokens} KV tokens for decode admission "
+                f"but the largest decode replica holds {decode_cap}")
         if disaggregated:
             replica = min(prefill_pool,
                           key=lambda r: (r.pending_prefill_tokens, r.index))
@@ -700,63 +622,52 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
                                len(replica.prefill_queue))
         kick(replica, now)
 
-    tick = obs.event_tick if obs is not None else None
-    while events:
-        now, _, kind, payload = heapq.heappop(events)
-        if tick is not None:
-            tick(now)
-        if kind == "arrival":
-            if requests is None:
-                offered += 1
-                upcoming = next_llm_arrival()
-                if upcoming is not None:
-                    heapq.heappush(events, (upcoming.arrival, upcoming.index,
-                                            "arrival", upcoming))
-            route_arrival(payload, now)
-        elif kind == "chunk":
-            replica, request, chunk = payload
-            request.prefilled += chunk
-            total_prefill_tokens += chunk
-            if request.prefilled >= request.prompt_tokens:
-                if scheduler == "monolithic":
-                    request.first_token_time = now
-                    replica.current_prefill = None
-                    if obs is not None:
-                        obs.prefill_finished(request, replica, now)
-                    if request.decode_target == 0:
-                        request.completion = now    # recorded at gang retirement
-                else:
-                    finish_prefill(replica, request, now)
-            kick(replica, now)
-        elif kind == "step":
-            replica, batch = payload
-            for request in batch:
-                request.decoded += 1
-                total_generated += 1
-                if request.decoded >= request.decode_target:
-                    replica.batch.remove(request)
-                    replica.release(request.reserved_tokens)
-                    record_completion(request, replica, now,
-                                      batch_size=request.decode_batch)
-            if disaggregated:
-                admit_decode_pool(now)
-            kick(replica, now)
-        elif kind == "gang":
-            replica, gang = payload
-            replica.gang_steps_left -= 1
-            for member in gang:
-                if member.decoded < member.decode_target:
-                    member.decoded += 1
-                    total_generated += 1
-                    if (member.decoded >= member.decode_target
-                            and member.completion is None):
-                        member.completion = now
-            if replica.gang_steps_left == 0:
-                retire_gang(replica, now)
-            kick(replica, now)
-        else:                                       # "handoff"
-            pending_decode.append(payload)
+    def on_chunk(payload: tuple, now: float) -> None:
+        nonlocal total_prefill_tokens
+        replica, request, chunk = payload
+        request.prefilled += chunk
+        total_prefill_tokens += chunk
+        if request.prefilled >= request.prompt_tokens:
+            finish_prefill(replica, request, now)
+        kick(replica, now)
+
+    def on_step(payload: tuple, now: float) -> None:
+        nonlocal total_generated
+        replica, batch = payload
+        for request in batch:
+            request.decoded += 1
+            total_generated += 1
+            if request.decoded >= request.decode_target:
+                replica.batch.remove(request)
+                replica.release(request.reserved_tokens)
+                record_completion(request, replica, now,
+                                  batch_size=request.decode_batch)
+        if disaggregated:
             admit_decode_pool(now)
+        kick(replica, now)
+
+    def on_gang(payload: tuple, now: float) -> None:
+        nonlocal total_generated
+        replica, gang = payload
+        replica.gang_steps_left -= 1
+        for member in gang:
+            if member.decoded < member.decode_target:
+                member.decoded += 1
+                total_generated += 1
+                if (member.decoded >= member.decode_target
+                        and member.completion is None):
+                    member.completion = now
+        if replica.gang_steps_left == 0:
+            retire_gang(replica, now)
+        kick(replica, now)
+
+    def on_handoff(request: LLMRequest, now: float) -> None:
+        pending_decode.append(request)
+        admit_decode_pool(now)
+
+    kernel.run(all_replicas, arrive,
+               {"chunk": on_chunk, "step": on_step, "gang": on_gang,
+                "handoff": on_handoff}, arrivals)
 
     makespan = max(duration, accumulator.last_completion)
     total_steps = sum(replica.decode_steps for replica in all_replicas)
@@ -783,8 +694,6 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         config["handoff_seconds"] = handoff_seconds
     else:
         config["fleet"] = _parse(fleet).describe()
-    if summary != "exact":
-        config["summary"] = summary
 
     llm_block: dict[str, object] = {
         "scheduler": scheduler,
@@ -802,13 +711,4 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         "slo_attainment": joint_ok / completed if completed else 1.0,
         "kv_bytes_per_token": bytes_per_token,
     }
-    report = accumulator.finalize(config, offered=offered, duration=duration,
-                                  replicas=all_replicas,
-                                  cache_stats=cache.stats(), llm=llm_block)
-    logger.info("serve_llm: completed %d/%d requests, %d tokens generated, "
-                "ttft p95 %.4fs", report.completed, report.offered,
-                total_generated,
-                report.ttft.p95 if report.ttft is not None else 0.0)
-    if obs is not None:
-        obs.end_run(report)
-    return report
+    return kernel.report(config, all_replicas, llm=llm_block)

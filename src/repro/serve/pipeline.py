@@ -14,7 +14,7 @@ grammar::
     rag = encoder[tokens=512] -> rerank:encoder[tokens=128] -> deit-tiny
 
 The event loop is the one :func:`~repro.serve.serve` runs (the kernel in
-:mod:`repro.serve.simulator`), with one kernel pool per stage: routing,
+:mod:`repro.serve.simulator`), with one batching pool per stage: routing,
 batching, dispatch, per-stage autoscaling, the run-end flush and the report
 fold are shared.  This module adds only what a pipeline means — the spec,
 per-stage statistics, the seeded route draw after each batch, the hop to the
@@ -47,12 +47,12 @@ from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     LatencySummary,
     ServeReport,
-    check_fractions,
     latency_sample,
 )
 from repro.serve.simulator import (
     DEFAULT_DISPATCH_OVERHEAD,
     DEFAULT_SLO,
+    _Batching,
     _Kernel,
     _Pool,
 )
@@ -395,10 +395,13 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     ``pipeline`` block with per-stage breakdowns and handoff accounting.
     """
 
+    kernel = _Kernel(traffic, duration=duration, seed=seed,
+                     slo_seconds=slo_seconds, cache=cache,
+                     percentiles=percentiles, window_seconds=window_seconds,
+                     summary=summary, obs=obs, label="serve-pipeline")
     if isinstance(pipeline, str):
         pipeline = PipelineSpec.parse(pipeline)
     check_finite(handoff_seconds=handoff_seconds, allow_zero=True)
-    check_fractions("percentiles", percentiles)
     stage_names = [stage.name for stage in pipeline.stages]
     missing = [name for name in stage_names if name not in pools]
     if missing:
@@ -430,12 +433,8 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
                   _StageStats(summary, percentiles,
                               stage_slo_seconds.get(stage.name)))
               for ordinal, stage in enumerate(pipeline.stages)}
-    kernel = _Kernel(traffic, list(stages.values()), policy, router,
-                     duration=duration, seed=seed, slo_seconds=slo_seconds,
-                     dispatch_overhead_seconds=dispatch_overhead_seconds,
-                     cache=cache, percentiles=percentiles,
-                     window_seconds=window_seconds, summary=summary, obs=obs,
-                     label="serve-pipeline")
+    batching = _Batching(kernel, list(stages.values()), policy, router,
+                         dispatch_overhead_seconds)
     accumulator = kernel.accumulator
     entry = stages[pipeline.entry]
 
@@ -488,14 +487,14 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
             handoffs += 1
             successor = stages[target]
             next_arrival = finish + handoff_seconds
-            kernel.schedule(next_arrival, successor, Request(
+            batching.schedule(next_arrival, successor, Request(
                 index=request.index, model=successor.spec.model,
                 arrival=next_arrival))
             if obs is not None:
                 obs.stage_handoff(request.index, request.model, replica.name,
                                   finish, next_arrival, stage.spec.name)
 
-    kernel.run(complete, admit=admit, entry=entry)
+    batching.run(complete, admit=admit, entry=entry)
 
     makespan = max(duration, accumulator.last_completion)
     stage_rows = []
@@ -525,8 +524,8 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
         "pipeline": pipeline.to_dict(),
         "pools": {name: stage.fleet.describe()
                   for name, stage in stages.items()},
-        "policy": kernel.policy.to_dict(),
-        "router": kernel.router.name,
+        "policy": batching.policy.to_dict(),
+        "router": batching.router.name,
         "duration": duration,
         "seed": seed,
         "slo_seconds": slo_seconds,
@@ -538,7 +537,7 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     if autoscalers:
         config["autoscalers"] = {name: autoscalers[name].to_dict()
                                  for name in sorted(autoscalers)}
-    return kernel.report(config, pipeline={
+    return batching.report(config, pipeline={
         "name": pipeline.name,
         "entry": pipeline.entry,
         "handoff_seconds": handoff_seconds,

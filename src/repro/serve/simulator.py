@@ -13,16 +13,20 @@ it the engine's linear batch scaling would make batching a no-op; with it,
 larger batches trade queueing delay for sustained throughput, which is the
 trade-off the schedulers exist to navigate.
 
-One kernel (:class:`_Kernel`) runs the event loop under both :func:`serve`
-and :func:`~repro.serve.pipeline.serve_pipeline`: replica pools (a fleet,
-its routing index, an optional autoscaler, a stage name) share one heap of
-``(time, sequence, kind, payload)`` entries, and the kernel owns event
-sequencing, the routing-estimate memo, route → enqueue → dispatch → retire,
-autoscaling, the run-end flush and the report.  Callers plug in a
-per-batch ``complete`` hook, an optional ``admit`` hook for arrivals, and
-:meth:`_Kernel.schedule` for pipeline hops; :func:`serve` is the one-pool
-caller whose hook observes the batch's requests.  ``serve_llm`` keeps its
-own loop, whose chunk/step/gang events and KV state the kernel lacks.
+One kernel (:class:`_Kernel`) runs the event loop under :func:`serve`,
+:func:`~repro.serve.pipeline.serve_pipeline` and
+:func:`~repro.serve.llm.serve_llm`.  It owns what the three share: the
+run-parameter checks, the per-run result cache and report fold, one heap of
+``(time, sequence, kind, payload)`` entries fed lazily with arrivals, the
+observer's begin/tick/end calls and the report with its config echo.  A
+simulator hands it an arrival hook plus one handler per runtime event kind
+it schedules.  :class:`_Batching` is the pool side of :func:`serve` and
+``serve_pipeline``: replica pools (a fleet, its routing index, an optional
+autoscaler, a stage name), the routing-estimate memo, route → enqueue →
+dispatch → retire, autoscaling and the run-end flush, with a per-batch
+``complete`` hook, an optional ``admit`` hook for arrivals and
+:meth:`_Batching.schedule` for pipeline hops.  ``serve_llm`` registers its
+own chunk/step/gang/handoff handlers over its KV state.
 
 Every random draw comes from the traffic pattern's seeded generator, so a
 (traffic, fleet, policy, router, duration, seed) tuple maps to one bit-exact
@@ -56,7 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate
 from repro.serve.batching import BatchPolicy, make_policy
@@ -97,9 +101,10 @@ RUNTIME_SEQUENCE_BASE = 2 ** 62
 
 
 class _Pool:
-    """One replica pool of a run: its fleet, optional autoscaler, pipeline
-    stage name (``None`` under :func:`serve`) and least-loaded routing index
-    (set by the kernel once the fleet is reset)."""
+    """One replica pool of a :class:`_Batching` run: its fleet, optional
+    autoscaler, pipeline stage name (``None`` under :func:`serve`) and
+    least-loaded routing index (set by :class:`_Batching` once the fleet is
+    reset)."""
 
     __slots__ = ("fleet", "autoscaler", "stage", "index")
 
@@ -111,33 +116,29 @@ class _Pool:
 
 
 class _Kernel:
-    """The event loop under :func:`serve` and ``serve_pipeline``.
+    """The event loop under :func:`serve`, ``serve_pipeline`` and
+    ``serve_llm``.
 
-    Construction validates the shared run parameters, resets every pool and
-    opens the run; :meth:`run` drains the event heap and :meth:`report`
-    folds the run into its :class:`ServeReport`.  Hooks hand each completed
-    request to ``accumulator``.
+    Construction validates the shared run parameters and opens the run's
+    result cache and :class:`ReportAccumulator` (``llm`` adds the TTFT and
+    TPOT summaries); :meth:`run` drains the event heap and :meth:`report`
+    renders the finished run.  Callers push runtime events onto
+    :attr:`events`, sequenced by :attr:`sequence`, and hand each completed
+    request to :attr:`accumulator`.
     """
 
-    def __init__(self, traffic: TrafficPattern, pools: Sequence[_Pool],
-                 policy: BatchPolicy | str, router: Router | str, *,
-                 duration: float, seed: int, slo_seconds: float,
-                 dispatch_overhead_seconds: float, cache: ResultCache | None,
-                 percentiles: Sequence[float], window_seconds: float | None,
-                 summary: str, obs, label: str):
+    def __init__(self, traffic: TrafficPattern, *, duration: float, seed: int,
+                 slo_seconds: float, cache: ResultCache | None,
+                 percentiles: Sequence[float], summary: str, obs, label: str,
+                 window_seconds: float | None = None, llm: bool = False):
         check_finite(duration=duration, slo_seconds=slo_seconds)
-        check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
-                     allow_zero=True)
         if window_seconds is not None:
             check_finite(window_seconds=window_seconds)
+        check_fractions("percentiles", percentiles)
         check_summary(summary)
         self.traffic = traffic
-        self.pools = tuple(pools)
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
-        self.router = make_router(router) if isinstance(router, str) else router
         self.duration = duration
         self.seed = seed
-        self.overhead = dispatch_overhead_seconds
         self.cache = (ResultCache(max_entries=DEFAULT_CACHE_ENTRIES)
                       if cache is None else cache)
         self.obs = obs
@@ -145,9 +146,101 @@ class _Kernel:
         self.offered = 0
         self.accumulator = ReportAccumulator(
             slo_seconds=slo_seconds, percentiles=percentiles,
-            window_seconds=window_seconds, summary=summary)
+            window_seconds=window_seconds, summary=summary, track_ttft=llm,
+            track_tpot=llm)
         self.events: list[tuple[float, int, str, object]] = []
         self.sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
+
+    def run(self, replicas: Sequence,
+            arrive: Callable[[Request, float, bool], None],
+            handlers: dict[str, Callable[[object, float], None]],
+            arrivals: Iterable[Request] | None = None) -> None:
+        """Serve every arrival to completion.
+
+        ``arrive(request, now, last)`` takes each arrival, ``last`` set on
+        the final one; ``handlers[kind](payload, now)`` takes each runtime
+        event.  Arrivals stream from the traffic pattern unless ``arrivals``
+        already holds them.
+        """
+
+        events, obs, duration = self.events, self.obs, self.duration
+        heappop, heappush = heapq.heappop, heapq.heappush
+        if obs is not None:
+            obs.begin_run(replicas, self.label)
+        logger.info("%s: streaming arrivals over %.3fs to %d replica(s) "
+                    "(summary=%s)", self.label, duration, len(replicas),
+                    self.accumulator.summary)
+        # Arrival events are sequenced by request index, runtime events from
+        # RUNTIME_SEQUENCE_BASE up: the merged order (ties included) matches
+        # the historical loop that pushed every arrival before any runtime
+        # event.
+        stream = (_iter_arrivals(self.traffic, duration, self.seed)
+                  if arrivals is None else iter(arrivals))
+        first = next(stream, None)
+        if first is not None:
+            heappush(events, (first.arrival, first.index, "arrival", first))
+        offered = 0
+        tick = obs.event_tick if obs is not None else None
+        while events:
+            now, _, kind, payload = heappop(events)
+            if tick is not None:
+                tick(now)
+            if kind == "arrival":
+                offered += 1
+                upcoming = next(stream, None)
+                if upcoming is not None:
+                    heappush(events, (upcoming.arrival, upcoming.index,
+                                      "arrival", upcoming))
+                arrive(payload, now, upcoming is None)
+            else:
+                handlers[kind](payload, now)
+        self.offered = offered
+
+    def report(self, config: dict[str, object], replicas: Sequence,
+               **blocks) -> ServeReport:
+        """Fold the finished run into its :class:`ServeReport`.
+
+        ``config`` carries the caller's run description; the shared
+        percentile, window and summary keys are appended here.  ``blocks``
+        (``scale_events``, ``llm``, ``pipeline``) pass through to
+        :meth:`ReportAccumulator.finalize`.
+        """
+
+        accumulator = self.accumulator
+        if tuple(accumulator.percentiles) != DEFAULT_PERCENTILES:
+            config["percentiles"] = sorted(set(accumulator.percentiles))
+        if accumulator.window_seconds is not None:
+            config["window_seconds"] = accumulator.window_seconds
+        if accumulator.summary != "exact":
+            config["summary"] = accumulator.summary
+        report = accumulator.finalize(
+            config, offered=self.offered, duration=self.duration,
+            replicas=replicas, cache_stats=self.cache.stats(), **blocks)
+        logger.info("%s: completed %d/%d requests, p99 %.4fs, throughput "
+                    "%.1f rps", self.label, report.completed, report.offered,
+                    report.latency.p99, report.throughput_rps)
+        if self.obs is not None:
+            self.obs.end_run(report)
+        return report
+
+
+class _Batching:
+    """The pool side of :func:`serve` and ``serve_pipeline`` on a
+    :class:`_Kernel`: routing, batch policies, dispatch, autoscaling and the
+    run-end flush, as the kernel's arrival hook and its ``hop``, ``free``,
+    ``poll``, ``scale`` and ``provision`` handlers."""
+
+    def __init__(self, kernel: _Kernel, pools: Sequence[_Pool],
+                 policy: BatchPolicy | str, router: Router | str,
+                 dispatch_overhead_seconds: float):
+        check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
+                     allow_zero=True)
+        self.kernel = kernel
+        self.pools = tuple(pools)
+        self.policy = make_policy(policy) if isinstance(policy, str) else policy
+        self.router = make_router(router) if isinstance(router, str) else router
+        self.overhead = dispatch_overhead_seconds
+        self.events, self.sequence = kernel.events, kernel.sequence
         uses_index = getattr(self.router, "uses_load_index", False)
         for pool in self.pools:
             pool.fleet.reset()
@@ -156,11 +249,6 @@ class _Kernel:
             # Least-loaded routing goes through an incrementally maintained
             # backlog index instead of a per-arrival scan over the pool.
             pool.index = LoadIndex(pool.fleet.replicas) if uses_index else None
-        if obs is not None:
-            obs.begin_run(self.replicas(), label)
-        logger.info("%s: streaming arrivals over %.3fs (policy=%s router=%s "
-                    "summary=%s)", label, duration, self.policy.name,
-                    self.router.name, summary)
 
     def replicas(self) -> list[Replica]:
         """Every replica of the run, pool by pool."""
@@ -184,9 +272,10 @@ class _Kernel:
         """
 
         # Locals, not attributes, on the per-event paths below.
-        pools, events, sequence = self.pools, self.events, self.sequence
-        policy, router, cache, obs = self.policy, self.router, self.cache, self.obs
-        duration, overhead = self.duration, self.overhead
+        kernel, pools, events, sequence = (self.kernel, self.pools, self.events,
+                                           self.sequence)
+        policy, router, cache, obs = self.policy, self.router, kernel.cache, kernel.obs
+        duration, overhead = kernel.duration, self.overhead
         entry = pools[0] if entry is None else entry
 
         # Routing estimates are memoised outside the result cache: one engine
@@ -207,24 +296,12 @@ class _Kernel:
                 estimates[key] = cached
             return cached
 
-        # Arrival events are sequenced by request index, runtime events from
-        # RUNTIME_SEQUENCE_BASE up: the merged order (ties included) matches
-        # the historical loop that pushed every arrival before any runtime
-        # event.
-        arrival_stream = _iter_arrivals(self.traffic, duration, self.seed)
-        first = next(arrival_stream, None)
-        exhausted = first is None
-        if first is not None:
-            events.append((first.arrival, first.index, "arrival", first))
-        for pool in pools:
-            scaler = pool.autoscaler
-            if scaler is not None:
-                scaler.begin(pool.fleet, observer=obs)
-                if scaler.interval <= duration:
-                    events.append((scaler.interval, next(sequence), "scale", pool))
-        heapq.heapify(events)
+        exhausted = False                    # the last arrival has been taken
 
-        def dispatch(pool: _Pool, replica: Replica, now: float) -> None:
+        def dispatch(slot: tuple[_Pool, Replica], now: float) -> None:
+            # ``slot`` is the (pool, replica) pair its "free" and "poll"
+            # events carry back here to re-evaluate it.
+            pool, replica = slot
             # A draining replica flushes like a run-end drain: it will never
             # see another arrival, so holding out for a fuller batch only
             # delays its retirement (and the requests already queued on it).
@@ -235,7 +312,7 @@ class _Kernel:
                     deadline = policy.deadline(replica.queue)
                     if deadline is not None and deadline > now:
                         heapq.heappush(events, (deadline, next(sequence), "poll",
-                                                (pool, replica)))
+                                                slot))
                     break
                 for request in batch:
                     replica.queued_seconds -= estimate(request.model,
@@ -256,8 +333,7 @@ class _Kernel:
                 if obs is not None:
                     obs.batch_dispatched(replica, batch, now, finish, pool.stage)
                 complete(pool, replica, batch, now, finish)
-                heapq.heappush(events, (finish, next(sequence), "free",
-                                        (pool, replica)))
+                heapq.heappush(events, (finish, next(sequence), "free", slot))
                 logger.debug("t=%.6f dispatch %s: %s x%d (service %.6fs, "
                              "%d queued)", now, replica.name, batch[0].model,
                              len(batch), service, len(replica.queue))
@@ -270,8 +346,11 @@ class _Kernel:
             if pool.index is not None and replica.active:
                 pool.index.update(replica, now)
 
-        def enqueue(pool: _Pool, request: Request, now: float,
-                    entered: bool) -> None:
+        def enqueue(target: tuple[_Pool, Request], now: float,
+                    entered: bool = False) -> None:
+            # ``target`` is the (pool, request) pair a "hop" event carries;
+            # ``entered`` marks an arrival at the entry pool.
+            pool, request = target
             index = pool.index
             if index is not None:
                 replica = index.argmin(now)
@@ -289,88 +368,63 @@ class _Kernel:
             if obs is not None:
                 obs.request_routed(request, replica, now, len(replica.queue),
                                    entry=entered)
-            dispatch(pool, replica, now)
+            dispatch((pool, replica), now)
 
-        offered = 0
-        tick = obs.event_tick if obs is not None else None
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            if tick is not None:
-                tick(now)
-            if kind == "arrival":
-                offered += 1
-                upcoming = next(arrival_stream, None)
-                if upcoming is None:
-                    exhausted = True
-                else:
-                    heapq.heappush(events, (upcoming.arrival, upcoming.index,
-                                            "arrival", upcoming))
-                enqueue(entry, payload if admit is None else admit(payload),
-                        now, True)
-                if exhausted:
-                    # Last arrival processed: policies holding out for bigger
-                    # batches will never see another trigger, so flush every
-                    # pool (hops arriving later dispatch in draining mode).
-                    for pool in pools:
-                        for other in pool.fleet.replicas:
-                            dispatch(pool, other, now)
-            elif kind == "hop":
-                pool, request = payload
-                enqueue(pool, request, now, False)
-            elif kind == "scale":
-                pool, scaler = payload, payload.autoscaler
-                additions, drained = scaler.check(now, pool.fleet)
-                for _ in range(additions):
-                    heapq.heappush(events, (now + scaler.provision_seconds,
-                                            next(sequence), "provision", pool))
-                for replica in drained:
-                    if pool.index is not None:
-                        pool.index.remove(replica)
-                    dispatch(pool, replica, now)     # flush or retire at once
-                next_check = now + scaler.interval
-                if next_check <= duration:
-                    heapq.heappush(events, (next_check, next(sequence), "scale",
-                                            pool))
-            elif kind == "provision":
-                pool = payload
-                replica = pool.autoscaler.provision(now, pool.fleet)
-                replica.stage = pool.stage
+        def arrive(request: Request, now: float, last: bool) -> None:
+            nonlocal exhausted
+            exhausted = last
+            enqueue((entry, request if admit is None else admit(request)), now,
+                    True)
+            if last:
+                # Policies holding out for bigger batches will never see
+                # another trigger, so flush every pool (hops arriving later
+                # dispatch in draining mode).
+                for pool in pools:
+                    for other in pool.fleet.replicas:
+                        dispatch((pool, other), now)
+
+        def scale(pool: _Pool, now: float) -> None:
+            scaler = pool.autoscaler
+            additions, drained = scaler.check(now, pool.fleet)
+            for _ in range(additions):
+                heapq.heappush(events, (now + scaler.provision_seconds,
+                                        next(sequence), "provision", pool))
+            for replica in drained:
                 if pool.index is not None:
-                    pool.index.update(replica, now)
-            else:                                    # "free" and "poll" re-evaluate
-                pool, replica = payload
-                dispatch(pool, replica, now)
-        self.offered = offered
+                    pool.index.remove(replica)
+                dispatch((pool, replica), now)   # flush or retire at once
+            next_check = now + scaler.interval
+            if next_check <= duration:
+                heapq.heappush(events, (next_check, next(sequence), "scale",
+                                        pool))
+
+        def provision(pool: _Pool, now: float) -> None:
+            replica = pool.autoscaler.provision(now, pool.fleet)
+            replica.stage = pool.stage
+            if pool.index is not None:
+                pool.index.update(replica, now)
+
+        for pool in pools:
+            scaler = pool.autoscaler
+            if scaler is not None:
+                scaler.begin(pool.fleet, observer=obs)
+                if scaler.interval <= duration:
+                    heapq.heappush(events, (scaler.interval, next(sequence),
+                                            "scale", pool))
+        kernel.run(self.replicas(), arrive,
+                   {"hop": enqueue, "free": dispatch, "poll": dispatch,
+                    "scale": scale, "provision": provision})
 
     def report(self, config: dict[str, object],
                pipeline: dict[str, object] | None = None) -> ServeReport:
-        """Fold the finished run into its :class:`ServeReport`.
+        """The kernel's report, with the pools' scale events."""
 
-        ``config`` carries the caller's run description; the shared
-        percentile, window and summary keys are appended here.
-        """
-
-        accumulator = self.accumulator
-        if tuple(accumulator.percentiles) != DEFAULT_PERCENTILES:
-            config["percentiles"] = sorted(set(accumulator.percentiles))
-        if accumulator.window_seconds is not None:
-            config["window_seconds"] = accumulator.window_seconds
-        if accumulator.summary != "exact":
-            config["summary"] = accumulator.summary
         scale_events = tuple(sorted(
             (event for pool in self.pools if pool.autoscaler is not None
              for event in pool.autoscaler.collect_events(pool.fleet)),
             key=lambda event: (event.time, event.action, event.replica)))
-        report = accumulator.finalize(
-            config, offered=self.offered, duration=self.duration,
-            replicas=self.replicas(), cache_stats=self.cache.stats(),
-            scale_events=scale_events, pipeline=pipeline)
-        logger.info("%s: completed %d/%d requests, p99 %.4fs, throughput "
-                    "%.1f rps", self.label, report.completed, report.offered,
-                    report.latency.p99, report.throughput_rps)
-        if self.obs is not None:
-            self.obs.end_run(report)
-        return report
+        return self.kernel.report(config, self.replicas(),
+                                  scale_events=scale_events, pipeline=pipeline)
 
 
 def serve(traffic: TrafficPattern, fleet: Fleet | str,
@@ -414,15 +468,14 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
     default) skips every hook.
     """
 
-    check_fractions("percentiles", percentiles)
+    kernel = _Kernel(traffic, duration=duration, seed=seed,
+                     slo_seconds=slo_seconds, cache=cache,
+                     percentiles=percentiles, window_seconds=window_seconds,
+                     summary=summary, obs=obs, label="serve")
     if isinstance(fleet, str):
         fleet = Fleet.parse(fleet)
-    kernel = _Kernel(traffic, [_Pool(fleet, autoscaler)], policy, router,
-                     duration=duration, seed=seed, slo_seconds=slo_seconds,
-                     dispatch_overhead_seconds=dispatch_overhead_seconds,
-                     cache=cache, percentiles=percentiles,
-                     window_seconds=window_seconds, summary=summary, obs=obs,
-                     label="serve")
+    batching = _Batching(kernel, [_Pool(fleet, autoscaler)], policy, router,
+                         dispatch_overhead_seconds)
     accumulator = kernel.accumulator
 
     def complete(pool: _Pool, replica: Replica, batch: list[Request],
@@ -431,12 +484,12 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
             accumulator.observe(request.model, request.arrival, now, finish,
                                 request.index)
 
-    kernel.run(complete)
+    batching.run(complete)
     config: dict[str, object] = {
         "traffic": traffic.to_dict(),
         "fleet": fleet.describe(),
-        "policy": kernel.policy.to_dict(),
-        "router": kernel.router.name,
+        "policy": batching.policy.to_dict(),
+        "router": batching.router.name,
         "duration": duration,
         "seed": seed,
         "slo_seconds": slo_seconds,
@@ -444,7 +497,7 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
     }
     if autoscaler is not None:
         config["autoscaler"] = autoscaler.to_dict()
-    return kernel.report(config)
+    return batching.report(config)
 
 
 def compare(traffic: TrafficPattern, fleets: dict[str, Fleet | str],

@@ -280,8 +280,9 @@ def traffic_models(traffic: TrafficPattern) -> list[str] | None:
 
     Mix-backed patterns declare their models up front and replay traces carry
     them; ``None`` means the pattern's models are only knowable by generating
-    (callers then fall back to materialising).  Streaming LLM runs use this
-    to size KV capacity without holding the arrival list.
+    (callers then fall back to materialising).  :func:`~repro.serve.serve_llm`
+    sizes KV capacity from this in both summary modes, so it never holds
+    the arrival list of a pattern that declares its models.
     """
 
     mix = getattr(traffic, "mix", None)

@@ -116,6 +116,20 @@ class TestKVCache:
             serve_llm(trace, fleet="1xvitality", duration=1.0,
                       kv=KVCacheConfig(capacity_tokens=128))
 
+    @pytest.mark.parametrize("summary", ["exact", "streaming"])
+    def test_oversized_request_fails_when_it_arrives(self, summary):
+        """Both summary modes check feasibility per arrival: the request
+        ahead of the oversized one has already been simulated."""
+
+        trace = ReplayTraffic.from_records(
+            [[0.0, "decoder", 64, 4], [0.5, "decoder", 256, 16]])
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=r"request 1 \('decoder'\) "
+                                             r"needs 272 KV tokens"):
+            serve_llm(trace, fleet="1xvitality", duration=1.0, cache=cache,
+                      kv=KVCacheConfig(capacity_tokens=128), summary=summary)
+        assert cache.stats().misses > 0
+
     def test_completion_unblocks_queued_request(self):
         """Two requests, capacity for one: the second must wait for the
         first's completion to free KV, then run to completion."""

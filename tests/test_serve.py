@@ -319,20 +319,20 @@ class TestServeBehavior:
             serve(traffic, "1xvitality", router="round-robin", duration=1.0)
 
 
-def _serve_run(**overrides):
-    return serve(PoissonTraffic(rate=40.0, mix=MIX), "1xvitality",
+def _serve_run(rate=40.0, **overrides):
+    return serve(PoissonTraffic(rate=rate, mix=MIX), "1xvitality",
                  **{"duration": 0.5, **overrides})
 
 
-def _pipeline_run(**overrides):
-    return serve_pipeline(PoissonTraffic(rate=40.0, mix=MIX),
+def _pipeline_run(rate=40.0, **overrides):
+    return serve_pipeline(PoissonTraffic(rate=rate, mix=MIX),
                           "two = deit-tiny -> levit-128",
                           {"deit-tiny": "1xvitality", "levit-128": "1xvitality"},
                           **{"duration": 0.5, **overrides})
 
 
-def _llm_run(**overrides):
-    return serve_llm(PoissonTraffic(rate=5.0, mix=WorkloadMix.of(["decoder"])),
+def _llm_run(rate=5.0, **overrides):
+    return serve_llm(PoissonTraffic(rate=rate, mix=WorkloadMix.of(["decoder"])),
                      "1xvitality", **{"duration": 0.5, **overrides})
 
 
@@ -515,15 +515,20 @@ class TestConfigurablePercentiles:
         assert set(summary.to_dict()) == \
             {"count", "mean", "p50", "p95", "p99", "max"}
 
-    def test_extra_percentiles_ride_along(self):
-        report = serve(PoissonTraffic(rate=200.0, mix=MIX), "1xvitality",
-                       duration=1.0, seed=0,
-                       percentiles=(0.5, 0.95, 0.99, 0.999))
+    @pytest.mark.parametrize("run, rate", [(_serve_run, 200.0),
+                                           (_pipeline_run, 200.0),
+                                           (_llm_run, 5.0)],
+                             ids=["serve", "serve_pipeline", "serve_llm"])
+    def test_extra_percentiles_ride_along(self, run, rate):
+        report = run(rate=rate, duration=1.0, seed=0,
+                     percentiles=(0.5, 0.95, 0.99, 0.999))
         payload = json.loads(report.to_json())
         assert "p99.9" in payload["latency"]
         assert report.latency.quantile(0.999) >= report.latency.p99
         assert report.latency.quantile(0.999) <= report.latency.max
         assert "p99.9_ms" in report.summary_row()
+        # The kernel echoes non-default percentiles for every simulator.
+        assert report.config["percentiles"] == [0.5, 0.95, 0.99, 0.999]
 
     def test_quantile_lookup_errors_on_missing(self):
         report = serve(PoissonTraffic(rate=50.0, mix=MIX), "1xvitality",

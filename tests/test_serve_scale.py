@@ -33,6 +33,7 @@ from repro.serve import (
     DiurnalTraffic,
     LeastLoadedRouter,
     PoissonTraffic,
+    ReplayTraffic,
     TokenProfile,
     WorkloadMix,
     compare,
@@ -44,6 +45,10 @@ GOLDENS = Path(__file__).parent / "data" / "serve_goldens.json"
 PLAN_GOLDENS = Path(__file__).parent / "data" / "plan_goldens.json"
 MIX = WorkloadMix.of(["deit-tiny", "levit-128"], [2.0, 1.0])
 LLM_MIX = WorkloadMix.of(["decoder"], tokens=TokenProfile.of("64:256", "16:64"))
+#: A trace whose larger model is declared but arrives only after the run's
+#: duration: KV capacity must still be sized for it.
+LATE_MODEL = ReplayTraffic.from_records(
+    [(0.1, "decoder"), (0.3, "decoder"), (5.0, "decoder[layers=24]")])
 
 
 def close(estimate: float, exact: float) -> bool:
@@ -67,10 +72,23 @@ class TestExactBitIdentity:
         for name in expected:
             assert actual[name] == expected[name], name
 
-    def test_materialised_pattern_serves_identically_to_lazy(self):
+    @pytest.mark.parametrize("traffic, run", [
+        (PoissonTraffic(rate=80.0, mix=MIX), lambda traffic: serve(
+            traffic, "2xvitality,1xgpu:taylor", policy="timeout",
+            router="least-loaded", duration=2.0, seed=7, window_seconds=0.5)),
+        (PoissonTraffic(rate=25.0, mix=LLM_MIX), lambda traffic: serve_llm(
+            traffic, "2xvitality", duration=2.0, seed=5)),
+        (PoissonTraffic(rate=25.0, mix=LLM_MIX), lambda traffic: serve_llm(
+            traffic, "2xvitality", duration=2.0, seed=5,
+            summary="streaming")),
+    ], ids=["serve", "serve_llm-exact", "serve_llm-streaming"])
+    def test_materialised_pattern_serves_identically_to_lazy(self, traffic,
+                                                             run):
         """Event order must not depend on how arrivals are produced: a
         wrapper hiding ``iter_arrivals`` (so the simulator falls back to the
-        materialised list) yields byte-identical reports."""
+        materialised list) yields byte-identical reports.  The wrapper
+        declares no models either, so ``serve_llm`` generates the arrivals
+        once to size KV capacity and serves that list."""
 
         class ListOnly:
             def __init__(self, inner):
@@ -82,12 +100,7 @@ class TestExactBitIdentity:
             def to_dict(self):
                 return self._inner.to_dict()
 
-        traffic = PoissonTraffic(rate=80.0, mix=MIX)
-        kwargs = dict(policy="timeout", router="least-loaded", duration=2.0,
-                      seed=7, window_seconds=0.5)
-        lazy = serve(traffic, "2xvitality,1xgpu:taylor", **kwargs)
-        listed = serve(ListOnly(traffic), "2xvitality,1xgpu:taylor", **kwargs)
-        assert lazy.to_json() == listed.to_json()
+        assert run(traffic).to_json() == run(ListOnly(traffic)).to_json()
 
     def test_linear_scan_router_matches_load_index(self):
         """The indexed router is an implementation detail: forcing the
@@ -147,23 +160,27 @@ class TestStreamingBound:
         assert stream.config["summary"] == "streaming"
         assert "summary" not in exact.config
 
-    @pytest.mark.parametrize("fleets", [
-        dict(fleet="2xvitality"),
-        dict(prefill_fleet="1xvitality", decode_fleet="1xvitality"),
-    ], ids=["continuous", "disaggregated"])
-    def test_llm_streaming_matches_exact(self, fleets):
-        kwargs = dict(duration=2.0, seed=5, **fleets)
-        exact = serve_llm(PoissonTraffic(rate=25.0, mix=LLM_MIX), **kwargs)
-        stream = serve_llm(PoissonTraffic(rate=25.0, mix=LLM_MIX), **kwargs,
-                           summary="streaming")
+    @pytest.mark.parametrize("traffic, kwargs", [
+        (PoissonTraffic(rate=25.0, mix=LLM_MIX),
+         dict(duration=2.0, seed=5, fleet="2xvitality")),
+        (PoissonTraffic(rate=25.0, mix=LLM_MIX),
+         dict(duration=2.0, seed=5, prefill_fleet="1xvitality",
+              decode_fleet="1xvitality")),
+        (LATE_MODEL, dict(duration=1.0, fleet="1xvitality")),
+    ], ids=["continuous", "disaggregated", "late-model"])
+    def test_llm_streaming_matches_exact(self, traffic, kwargs):
+        exact = serve_llm(traffic, **kwargs)
+        stream = serve_llm(traffic, **kwargs, summary="streaming")
         assert stream.offered == exact.offered
         assert stream.completed == exact.completed
         assert stream.makespan == exact.makespan
         assert stream.total_energy_joules == exact.total_energy_joules
-        # Attainments come from exact streaming counters, not sketches.
-        for key in ("generated_tokens", "decode_steps", "ttft_attainment",
-                    "tpot_attainment", "slo_attainment"):
-            assert stream.llm[key] == exact.llm[key], key
+        # The summary mode picks only the latency sample: token accounting,
+        # attainments (exact counters, not sketches), KV sizing from the
+        # declared models, every replica row and the cache traffic agree.
+        assert stream.llm == exact.llm
+        assert stream.per_replica == exact.per_replica
+        assert stream.cache == exact.cache
         for field in ("p50", "p95", "p99"):
             assert close(getattr(stream.ttft, field),
                          getattr(exact.ttft, field)), field
