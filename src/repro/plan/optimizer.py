@@ -268,6 +268,8 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
 
     check_finite(rate=rate, duration=duration, margin=margin,
                  slo_seconds=slo_seconds)
+    check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
+                 allow_zero=True)
     check_fractions("slo_percentile", (slo_percentile,))
     if max_replicas < 1:
         raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
@@ -430,6 +432,8 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                  slo_seconds=slo_seconds,
                  **{f"stage_slo_seconds[{name!r}]": slo
                     for name, slo in (stage_slo_seconds or {}).items()})
+    check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
+                 handoff_seconds=handoff_seconds, allow_zero=True)
     check_fractions("slo_percentile", (slo_percentile,))
     if max_replicas_per_stage < 1:
         raise ValueError(f"max_replicas_per_stage must be >= 1, "
@@ -671,6 +675,8 @@ def plan_llm_capacity(rate: float, model: str, *,
     check_finite(rate=rate, duration=duration, margin=margin,
                  ttft_slo_seconds=ttft_slo_seconds,
                  tpot_slo_seconds=tpot_slo_seconds)
+    check_finite(step_overhead_seconds=step_overhead_seconds,
+                 handoff_seconds=handoff_seconds, allow_zero=True)
     check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
                  prefill_chunk=prefill_chunk, max_batch=max_batch)
     check_fractions("slo_percentile", (slo_percentile,))

@@ -45,7 +45,7 @@ from repro.serve.llm import (
 from repro.serve.metrics import DEFAULT_PERCENTILES, percentile_label
 from repro.serve.pipeline import DEFAULT_STAGE_HANDOFF, PipelineSpec
 from repro.serve.simulator import DEFAULT_DISPATCH_OVERHEAD
-from repro.serve.traffic import WorkloadMix, check_counts
+from repro.serve.traffic import WorkloadMix, check_counts, check_finite
 from repro.workloads import configured_name, get_workload
 
 
@@ -86,9 +86,8 @@ class ServiceTimes:
     def __init__(self,
                  dispatch_overhead_seconds: float = DEFAULT_DISPATCH_OVERHEAD,
                  cache: ResultCache | None = None):
-        if dispatch_overhead_seconds < 0:
-            raise ValueError(f"dispatch_overhead_seconds must be >= 0, "
-                             f"got {dispatch_overhead_seconds}")
+        check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
+                     allow_zero=True)
         self.dispatch_overhead_seconds = dispatch_overhead_seconds
         self.cache = ResultCache() if cache is None else cache
 
@@ -246,8 +245,7 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
     engine results across many estimates (the optimizer does).
     """
 
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    check_finite(rate=rate)
     if isinstance(fleet, str):
         fleet = Fleet.parse(fleet)
     if isinstance(mix, str):
@@ -414,10 +412,8 @@ def estimate_pipeline(pipeline: PipelineSpec | str,
 
     if isinstance(pipeline, str):
         pipeline = PipelineSpec.parse(pipeline)
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if handoff_seconds < 0:
-        raise ValueError(f"handoff_seconds must be >= 0, got {handoff_seconds}")
+    check_finite(rate=rate)
+    check_finite(handoff_seconds=handoff_seconds, allow_zero=True)
     missing = [stage.name for stage in pipeline.stages if stage.name not in pools]
     if missing:
         raise ValueError(f"pools is missing stages "
@@ -558,8 +554,8 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
     with this and validates survivors through the event loop.
     """
 
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    check_finite(rate=rate)
+    check_finite(step_overhead_seconds=step_overhead_seconds, allow_zero=True)
     check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
                  prefill_chunk=prefill_chunk, max_batch=max_batch,
                  kv_bucket=kv_bucket)

@@ -360,10 +360,26 @@ class TestLLMPlanning:
         assert estimate.ttft_mean_seconds is None or estimate.tpot_seconds is None
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("parameter", ["rate", "step_overhead_seconds"])
+    def test_estimate_llm_pools_rejects_non_finite_inputs(self, parameter,
+                                                          value):
+        """Unchecked, a nan or inf rate returned an "unstable" estimate and
+        a nan step overhead priced every iteration at nan."""
+
+        cache = ResultCache()
+        kwargs = dict(rate=10.0, step_overhead_seconds=2e-4, cache=cache)
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            estimate_llm_pools("1xvitality", "1xvitality", model="decoder",
+                               **{**kwargs, parameter: value})
+        assert cache.stats().misses == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
                                            "ttft_slo_seconds",
                                            "tpot_slo_seconds",
-                                           "slo_percentile"])
+                                           "slo_percentile",
+                                           "step_overhead_seconds",
+                                           "handoff_seconds"])
     def test_plan_llm_capacity_rejects_non_finite_inputs(self, parameter,
                                                          value):
         cache = ResultCache()

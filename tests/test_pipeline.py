@@ -382,6 +382,13 @@ class TestEstimatePipeline:
     def test_validation(self):
         with pytest.raises(ValueError, match="rate"):
             estimate_pipeline(TWO_STAGE, TWO_POOLS, 0.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate must be finite"):
+                estimate_pipeline(TWO_STAGE, TWO_POOLS, rate)
+        # Unchecked, a nan handoff gave stable=True with nan percentiles.
+        with pytest.raises(ValueError, match="handoff_seconds must be finite"):
+            estimate_pipeline(TWO_STAGE, TWO_POOLS, 10.0,
+                              handoff_seconds=math.nan)
         with pytest.raises(ValueError, match="missing stages"):
             estimate_pipeline(TWO_STAGE, {"encoder": "1xvitality"}, 10.0)
 
@@ -457,7 +464,9 @@ class TestPlanPipelineCapacity:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
                                            "slo_seconds", "stage_slo_seconds",
-                                           "slo_percentile"])
+                                           "slo_percentile",
+                                           "dispatch_overhead_seconds",
+                                           "handoff_seconds"])
     def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
         cache = ResultCache()
         override = {"encoder": value} if parameter == "stage_slo_seconds" \

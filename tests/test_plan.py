@@ -135,10 +135,18 @@ class TestQueueingEstimate:
     def test_validation(self):
         with pytest.raises(ValueError, match="rate"):
             estimate_fleet("1xvitality", 0.0, MIX)
+        # Unchecked, a nan or inf rate returned an "unstable" estimate with
+        # a nan or inf utilization instead of an error.
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate must be finite"):
+                estimate_fleet("1xvitality", rate, MIX)
         with pytest.raises(ValueError, match="unknown batching"):
             estimate_fleet("1xvitality", 10.0, MIX, policy="earliest-deadline")
         with pytest.raises(ValueError, match="dispatch_overhead"):
             ServiceTimes(dispatch_overhead_seconds=-1.0)
+        with pytest.raises(ValueError,
+                           match="dispatch_overhead_seconds must be finite"):
+            ServiceTimes(dispatch_overhead_seconds=math.nan)
         with pytest.raises(KeyError, match="p75"):
             estimate_fleet("1xvitality", 10.0, MIX).predicted(0.75)
 
@@ -223,11 +231,13 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
-                                           "slo_seconds", "slo_percentile"])
+                                           "slo_seconds", "slo_percentile",
+                                           "dispatch_overhead_seconds"])
     def test_non_finite_inputs_fail_before_the_search(self, parameter, value):
-        """Unchecked, a nan margin or SLO prunes every fleet and returns
-        ``chosen: None`` without an error, and a bad duration surfaces only
-        in the first validation run, after the whole analytic prune."""
+        """Unchecked, a nan margin, SLO or dispatch overhead prunes every
+        fleet and returns ``chosen: None`` without an error, and a bad
+        duration surfaces only in the first validation run, after the whole
+        analytic prune."""
 
         cache = ResultCache()
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
