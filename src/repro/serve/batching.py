@@ -55,23 +55,36 @@ class BatchPolicy(Protocol):
 
 def _take_head_model(queue: deque[Request], limit: int) -> list[Request]:
     """Remove up to ``limit`` requests matching the head-of-line model,
-    preserving FIFO order; requests for other models stay queued."""
+    preserving FIFO order; requests for other models stay queued.
+
+    Popping stops once the batch is full; the other-model requests popped on
+    the way go back in front, in their order."""
 
     model = queue[0].model
     batch, kept = [], []
-    while queue:
+    while queue and len(batch) < limit:
         request = queue.popleft()
-        if request.model == model and len(batch) < limit:
+        if request.model == model:
             batch.append(request)
         else:
             kept.append(request)
-    queue.extend(kept)
+    queue.extendleft(reversed(kept))
     return batch
 
 
-def _count_head_model(queue: deque[Request]) -> int:
-    model = queue[0].model
-    return sum(1 for request in queue if request.model == model)
+def _head_model_reaches(queue: deque[Request], count: int) -> bool:
+    """Whether at least ``count`` queued requests match the head-of-line
+    model; stops scanning as soon as they do."""
+
+    if len(queue) < count:
+        return False
+    model, found = queue[0].model, 0
+    for request in queue:
+        if request.model == model:
+            found += 1
+            if found >= count:
+                return True
+    return False
 
 
 class FIFOPolicy:
@@ -109,7 +122,7 @@ class SizeBatchPolicy:
 
     def take(self, queue: deque[Request], now: float,
              draining: bool) -> list[Request] | None:
-        if draining or _count_head_model(queue) >= self.batch_size:
+        if draining or _head_model_reaches(queue, self.batch_size):
             return _take_head_model(queue, self.batch_size)
         return None
 
@@ -138,7 +151,7 @@ class TimeoutBatchPolicy:
     def take(self, queue: deque[Request], now: float,
              draining: bool) -> list[Request] | None:
         if (draining or now >= queue[0].arrival + self.timeout
-                or _count_head_model(queue) >= self.max_batch):
+                or _head_model_reaches(queue, self.max_batch)):
             return _take_head_model(queue, self.max_batch)
         return None
 

@@ -385,8 +385,14 @@ class LoadIndex:
             return busy
         if busy is None:
             return idle
-        return min((idle, busy),
-                   key=lambda r: (r.backlog_seconds(now), r.index))
+        # Replica.backlog_seconds, inlined, and the scan's (backlog, index)
+        # order: the busy top wins only if strictly smaller.
+        idle_backlog = max(idle.busy_until - now, 0.0) + idle.queued_seconds
+        busy_backlog = max(busy.busy_until - now, 0.0) + busy.queued_seconds
+        if busy_backlog < idle_backlog or (busy_backlog == idle_backlog
+                                           and busy.index < idle.index):
+            return busy
+        return idle
 
 
 class EnergyAwareRouter:

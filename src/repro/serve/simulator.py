@@ -69,7 +69,6 @@ from repro.serve.cluster import (
     Fleet,
     LoadIndex,
     Replica,
-    ReplicaSpec,
     Router,
     make_router,
 )
@@ -278,19 +277,33 @@ class _Batching:
         duration, overhead = kernel.duration, self.overhead
         entry = pools[0] if entry is None else entry
 
+        # One engine spec per (model, replica kind, batch size), shared by
+        # the estimates and every dispatch of that shape; each still makes
+        # its own ``simulate`` call and cache lookup.  Replica kinds key as
+        # their (target, attention) strings, which hash in C, where
+        # ``ReplicaSpec``'s generated hash would run in Python on every lookup.
+        specs: dict[tuple[str, str, str | None, int], RunSpec] = {}
+
+        def run_spec(model: str, replica: Replica, size: int) -> RunSpec:
+            target, attention = replica.spec.target, replica.spec.attention
+            key = (model, target, attention, size)
+            spec = specs.get(key)
+            if spec is None:
+                spec = specs[key] = RunSpec(model, target=target,
+                                            attention=attention, batch_size=size)
+            return spec
+
         # Routing estimates are memoised outside the result cache: one engine
         # simulation per (model, replica kind) for the whole run, and the
         # reported cache counters keep describing batch-dispatch reuse instead
         # of being swamped by per-arrival estimate lookups.
-        estimates: dict[tuple[str, ReplicaSpec], Estimate] = {}
+        estimates: dict[tuple[str, str, str | None], Estimate] = {}
 
         def estimate(model: str, replica: Replica) -> Estimate:
-            key = (model, replica.spec)
+            key = (model, replica.spec.target, replica.spec.attention)
             cached = estimates.get(key)
             if cached is None:
-                result = simulate(RunSpec(model, target=replica.spec.target,
-                                          attention=replica.spec.attention),
-                                  cache=cache)
+                result = simulate(run_spec(model, replica, 1), cache=cache)
                 cached = Estimate(overhead + result.end_to_end_latency,
                                   result.end_to_end_energy)
                 estimates[key] = cached
@@ -314,29 +327,30 @@ class _Batching:
                         heapq.heappush(events, (deadline, next(sequence), "poll",
                                                 slot))
                     break
-                for request in batch:
-                    replica.queued_seconds -= estimate(request.model,
-                                                       replica).latency_seconds
+                # Batches are single-model, so one estimate prices every
+                # request; subtracting it once per request keeps the float
+                # operations that mirror enqueue's additions.
+                model, size = batch[0].model, len(batch)
+                latency = estimate(model, replica).latency_seconds
+                for _ in batch:
+                    replica.queued_seconds -= latency
                 if not replica.queue:
                     replica.queued_seconds = 0.0    # shed float residue when empty
-                spec = RunSpec(batch[0].model, target=replica.spec.target,
-                               attention=replica.spec.attention,
-                               batch_size=len(batch))
-                result = simulate(spec, cache=cache)
+                result = simulate(run_spec(model, replica, size), cache=cache)
                 service = overhead + result.end_to_end_latency
                 finish = now + service
                 replica.busy_until = finish
                 replica.busy_seconds += service
                 replica.energy_joules += result.end_to_end_energy
                 replica.batches += 1
-                replica.served += len(batch)
+                replica.served += size
                 if obs is not None:
                     obs.batch_dispatched(replica, batch, now, finish, pool.stage)
                 complete(pool, replica, batch, now, finish)
                 heapq.heappush(events, (finish, next(sequence), "free", slot))
                 logger.debug("t=%.6f dispatch %s: %s x%d (service %.6fs, "
-                             "%d queued)", now, replica.name, batch[0].model,
-                             len(batch), service, len(replica.queue))
+                             "%d queued)", now, replica.name, model, size,
+                             service, len(replica.queue))
             if (not replica.active and replica.retired_at is None
                     and not replica.queue and replica.idle(now)):
                 replica.retired_at = now
@@ -363,8 +377,8 @@ class _Batching:
             replica.queue.append(request)
             replica.queued_seconds += estimate(request.model,
                                                replica).latency_seconds
-            if index is not None and replica.active:
-                index.update(replica, now)
+            # The index is not updated here: the dispatch below re-indexes
+            # the replica at its end, and nothing reads the index in between.
             if obs is not None:
                 obs.request_routed(request, replica, now, len(replica.queue),
                                    entry=entered)

@@ -324,12 +324,16 @@ def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
     token choice; a mix that consumes per-request randomness therefore forces
     the time stream to materialise here so the interleaving (and with it the
     bit-exact arrival sequence) is preserved.  Mixes that draw nothing per
-    request stream straight through in O(1) memory.
+    request (one model, no token profile) stream straight through in O(1)
+    memory, naming their one model without calling the samplers.
     """
 
-    if mix.draws_per_request:
-        times = iter(list(times))
-    for index, time in enumerate(times):
+    if not mix.draws_per_request:
+        model = mix.entries[0][0]
+        for index, time in enumerate(times):
+            yield Request(index=index, model=model, arrival=time)
+        return
+    for index, time in enumerate(list(times)):
         model = mix.sample(rng)
         prompt, output = mix.sample_tokens(model, rng)
         yield Request(index=index, model=model, arrival=time,
