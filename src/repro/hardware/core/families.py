@@ -48,6 +48,7 @@ from repro.knobs import (
     parse_frequency,
     parse_geometry,
     parse_non_negative_int,
+    parse_number,
     parse_positive_float,
     parse_positive_int,
     render_frequency,
@@ -74,8 +75,8 @@ def _frequency_knob(default: float) -> Knob:
 def parse_dram_gbps(text: str) -> float:
     """Positive GB/s, or ``inf`` for the ideal (analytic) memory system."""
 
-    value = parse_positive_float(text)
-    if math.isnan(value):
+    value = parse_number(text)
+    if not value > 0:                     # nan fails it too
         raise KnobError(f"expected a positive number of GB/s or 'inf', "
                         f"got {text!r}")
     return value

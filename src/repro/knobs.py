@@ -21,6 +21,7 @@ the offending knob, the expected format and the valid alternatives.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -68,8 +69,8 @@ def parse_frequency(text: str) -> float:
     except ValueError:
         raise KnobError(f"expected a frequency such as '500mhz', '1ghz' or a "
                         f"number in Hz, got {text!r}") from None
-    if value <= 0:
-        raise KnobError(f"frequency must be positive, got {text!r}")
+    if not 0 < value < math.inf:          # nan fails both comparisons
+        raise KnobError(f"frequency must be finite and positive, got {text!r}")
     return value
 
 
@@ -89,7 +90,7 @@ def is_count(value) -> bool:
     """True for an integer >= 1 (a bool is not a count)."""
 
     # ``int`` first: an exact-type match skips the slower abstract-class
-    # check, and serving builds a RunSpec on every dispatch.
+    # check.
     return (isinstance(value, (int, numbers.Integral))
             and not isinstance(value, bool) and value >= 1)
 
@@ -106,13 +107,19 @@ def parse_non_negative_int(text: str) -> int:
     return int(text)
 
 
-def parse_positive_float(text: str) -> float:
+def parse_number(text: str) -> float:
+    """Any float spelling, nan and the infinities included."""
+
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise KnobError(f"expected a number, got {text!r}") from None
-    if value <= 0:
-        raise KnobError(f"expected a positive number, got {text!r}")
+
+
+def parse_positive_float(text: str) -> float:
+    value = parse_number(text)
+    if not 0 < value < math.inf:          # nan fails both comparisons
+        raise KnobError(f"expected a finite positive number, got {text!r}")
     return value
 
 

@@ -316,6 +316,15 @@ def check_counts(**values: int) -> None:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_mix(mix: object) -> None:
+    """Reject a ``mix`` that is not a :class:`WorkloadMix`.  Unchecked, a
+    bare model name constructs and then fails mid-run."""
+
+    if not isinstance(mix, WorkloadMix):
+        raise ValueError(f"mix must be a WorkloadMix, got {mix!r}; build one "
+                         f"with WorkloadMix.of([...])")
+
+
 def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
                    rng: random.Random) -> Iterator[Request]:
     """Attach mix draws to a time stream without changing the draw order.
@@ -350,6 +359,7 @@ class PoissonTraffic:
 
     def __post_init__(self):
         check_finite(rate=self.rate)
+        _check_mix(self.mix)
 
     def _times(self, duration: float, rng: random.Random) -> Iterator[float]:
         now = rng.expovariate(self.rate)
@@ -401,6 +411,7 @@ class BurstyTraffic:
                      mean_burst=self.mean_burst)
         if self.burst_factor <= self.quiet_factor:
             raise ValueError("burst_factor must exceed quiet_factor")
+        _check_mix(self.mix)
 
     def _times(self, duration: float, rng: random.Random) -> Iterator[float]:
         now, burst = 0.0, False
@@ -448,6 +459,7 @@ class DiurnalTraffic:
         check_finite(peak_rate=self.peak_rate, period=self.period)
         if not 0 <= self.floor < 1:
             raise ValueError(f"floor must be in [0, 1), got {self.floor}")
+        _check_mix(self.mix)
 
     def rate_at(self, time: float) -> float:
         phase = 0.5 * (1.0 - math.cos(2.0 * math.pi * time / self.period))

@@ -76,7 +76,12 @@ class TestKnobParsing:
         ("pe=0x8", ">= 1"),
         ("freq=fast", "frequency"),
         ("freq=-5mhz", "positive"),
+        ("freq=nan", "finite and positive, got 'nan'"),
+        ("freq=inf", "finite and positive, got 'inf'"),
+        ("freq=infghz", "finite and positive, got 'infghz'"),
         ("util=1.5", "fraction"),
+        ("util=nan", "finite positive number, got 'nan'"),
+        ("util=inf", "finite positive number, got 'inf'"),
         ("sram_kb=nope", "positive integer"),
         ("pe", "knob=value"),
         ("pe=32x32,pe=64x64", "duplicate knob"),
@@ -118,6 +123,28 @@ class TestConfiguredTargets:
             get_target("tpu[pe=1x1]")
         with pytest.raises(KnobError, match="unknown knob"):
             get_target("salo[density=0.5]")
+
+    @pytest.mark.parametrize("name,fragment", [
+        ("gpu[power=nan]", "knob 'power': expected a finite positive number, "
+                           "got 'nan'"),
+        ("gpu[power=inf]", "got 'inf'"),
+        ("gpu[compute=-inf]", "got '-inf'"),
+        ("gpu[launch_us=nan]", "got 'nan'"),
+        ("gpu[util=nan]", "unknown knob 'util'"),
+        ("vitality[freq=nan]", "knob 'freq': frequency must be finite"),
+        ("vitality[freq=inf]", "knob 'freq': frequency must be finite"),
+        ("vitality[util=nan]", "knob 'util'"),
+        ("sanger[util=nan]", "knob 'util'"),
+        ("salo[util=inf]", "knob 'util'"),
+    ])
+    def test_non_finite_knob_values_fail_naming_the_text(self, name, fragment):
+        """nan passed the old ``value <= 0`` tests: ``gpu[power=nan]``
+        simulated nan energy and ``vitality[freq=nan]`` died converting nan
+        to an integer, naming no knob."""
+
+        with pytest.raises(KnobError) as excinfo:
+            get_target(name)
+        assert fragment in str(excinfo.value)
 
     def test_variant_targets_accept_knobs(self):
         target = get_target("vitality-unpipelined[pe=32x32]")

@@ -49,6 +49,7 @@ class TestMemsimKnobs:
         ("dram_gbps=0", "positive"),
         ("dram_gbps=-5", "positive"),
         ("dram_gbps=nan", "GB/s"),
+        ("dram_gbps=-inf", "positive"),
         ("dram_gbps=fast", "number"),
         ("tile_m=0", "positive integer"),
         ("tile_k=-2", "positive integer"),

@@ -418,6 +418,17 @@ class TestNonFiniteRunParameters:
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             make(value)
 
+    @pytest.mark.parametrize("pattern", [PoissonTraffic, BurstyTraffic,
+                                         DiurnalTraffic])
+    def test_traffic_rejects_a_bare_model_name_as_mix(self, pattern):
+        """Unchecked, a model name constructs and then fails mid-run with
+        an AttributeError on ``draws_per_request``."""
+
+        with pytest.raises(ValueError, match=r"mix must be a WorkloadMix, "
+                                             r"got 'deit-tiny'.*"
+                                             r"WorkloadMix\.of\(\[\.\.\.\]\)"):
+            pattern(100.0, "deit-tiny")
+
 
 class TestServeEdgeCases:
     """Corners the capacity search exercises: empty runs, hopeless SLOs,
