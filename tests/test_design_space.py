@@ -131,16 +131,14 @@ class TestConfiguredTargets:
         ("gpu[compute=-inf]", "got '-inf'"),
         ("gpu[launch_us=nan]", "got 'nan'"),
         ("gpu[util=nan]", "unknown knob 'util'"),
-        ("vitality[freq=nan]", "knob 'freq': frequency must be finite"),
-        ("vitality[freq=inf]", "knob 'freq': frequency must be finite"),
-        ("vitality[util=nan]", "knob 'util'"),
-        ("sanger[util=nan]", "knob 'util'"),
-        ("salo[util=inf]", "knob 'util'"),
+        ("sanger[util=nan]", "knob 'util': expected a finite positive "
+                             "number, got 'nan'"),
+        ("salo[util=inf]", "knob 'util': expected a finite positive number, "
+                           "got 'inf'"),
     ])
     def test_non_finite_knob_values_fail_naming_the_text(self, name, fragment):
-        """nan passed the old ``value <= 0`` tests: ``gpu[power=nan]``
-        simulated nan energy and ``vitality[freq=nan]`` died converting nan
-        to an integer, naming no knob."""
+        """nan passes a bare ``value <= 0`` test: unchecked,
+        ``gpu[power=nan]`` simulates nan energy."""
 
         with pytest.raises(KnobError) as excinfo:
             get_target(name)
