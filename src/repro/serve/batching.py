@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Protocol, runtime_checkable
 
-from repro.serve.traffic import Request
+from repro.serve.traffic import Request, check_counts, check_finite
 
 #: Policy names accepted by :func:`make_policy` and the CLI.
 BATCH_POLICIES = ("fifo", "size", "timeout")
@@ -116,8 +116,7 @@ class SizeBatchPolicy:
     name = "size"
 
     def __init__(self, batch_size: int = 8):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        check_counts(batch_size=batch_size)
         self.batch_size = batch_size
 
     def take(self, queue: deque[Request], now: float,
@@ -141,10 +140,8 @@ class TimeoutBatchPolicy:
     name = "timeout"
 
     def __init__(self, timeout: float = 2e-3, max_batch: int = 8):
-        if timeout < 0:
-            raise ValueError(f"timeout must be >= 0, got {timeout}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        check_finite(timeout=timeout, allow_zero=True)
+        check_counts(max_batch=max_batch)
         self.timeout = timeout
         self.max_batch = max_batch
 

@@ -418,6 +418,28 @@ class TestNonFiniteRunParameters:
         with pytest.raises(ValueError, match=f"{parameter} must be finite"):
             make(value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, 0],
+                             ids=["nan", "inf", "2.5", "True", "zero"])
+    @pytest.mark.parametrize("parameter, make", [
+        ("batch_size", lambda value: SizeBatchPolicy(batch_size=value)),
+        ("max_batch", lambda value: TimeoutBatchPolicy(max_batch=value)),
+    ], ids=["size", "timeout"])
+    def test_batch_limits_must_be_counts(self, parameter, make, value):
+        """Unchecked, a nan limit constructs and the run then fails with an
+        IndexError on an empty batch, and a limit of 2.5 forms batches of 3."""
+
+        with pytest.raises(ValueError, match=f"{parameter} must be an integer >= 1"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-3],
+                             ids=["nan", "inf", "negative"])
+    def test_batch_timeout_must_be_finite(self, value):
+        """Unchecked, a nan or infinite timeout never fires: 50 rps on
+        ``1xvitality`` read p99 269 ms against 3.9 ms at the default."""
+
+        with pytest.raises(ValueError, match="timeout must be finite and >= 0"):
+            TimeoutBatchPolicy(timeout=value)
+
     @pytest.mark.parametrize("pattern", [PoissonTraffic, BurstyTraffic,
                                          DiurnalTraffic])
     def test_traffic_rejects_a_bare_model_name_as_mix(self, pattern):
