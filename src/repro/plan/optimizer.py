@@ -40,6 +40,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, target_area_mm2
+from repro.serve.batching import make_policy
 from repro.serve.cluster import Fleet, ReplicaSpec
 from repro.serve.llm import (
     DEFAULT_HANDOFF_SECONDS,
@@ -279,6 +280,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
         raise ValueError("the search space needs at least one target kind")
     if isinstance(models, str):
         models = [models]
+    batching = make_policy(policy, batch_size=batch_size, timeout=timeout)
     mix = WorkloadMix.of(tuple(models), weights)
     if traffic is None:
         traffic = PoissonTraffic(rate=rate, mix=mix)
@@ -293,8 +295,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
     for kind in dict.fromkeys(targets):
         for count in range(1, max_replicas + 1):
             estimate = estimate_fleet(
-                f"{count}x{kind}", rate, mix, policy=policy,
-                batch_size=batch_size, timeout=timeout,
+                f"{count}x{kind}", rate, mix, policy=batching,
                 dispatch_overhead_seconds=dispatch_overhead_seconds,
                 percentiles=(slo_percentile,), service_times=service_times)
             predicted = estimate.predicted(slo_percentile)
@@ -321,7 +322,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
                 candidate["energy_per_request_mj"],
                 candidate["replicas"], candidate["kind"])
 
-    measure = partial(_measure_fleet, traffic=traffic, policy=policy,
+    measure = partial(_measure_fleet, traffic=traffic, policy=batching,
                       router=router, duration=duration, seed=seed,
                       slo_seconds=slo_seconds,
                       dispatch_overhead_seconds=dispatch_overhead_seconds,
@@ -440,6 +441,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                          f"got {max_replicas_per_stage}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    batching = make_policy(policy, batch_size=batch_size, timeout=timeout)
     stage_names = [stage.name for stage in pipeline.stages]
     if isinstance(targets, str):
         kinds = {name: targets for name in stage_names}
@@ -473,8 +475,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
         for count in range(1, max_replicas_per_stage + 1):
             stage_estimates[(stage.name, count)] = estimate_fleet(
                 f"{count}x{kinds[stage.name]}", rate * visits[stage.name],
-                stage.model, policy=policy, batch_size=batch_size,
-                timeout=timeout,
+                stage.model, policy=batching,
                 dispatch_overhead_seconds=dispatch_overhead_seconds,
                 percentiles=(slo_percentile,), service_times=service_times)
 
@@ -525,7 +526,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                 candidate["replicas"], candidate["pools_text"])
 
     measure = partial(_measure_pipeline, traffic=traffic, pipeline=pipeline,
-                      policy=policy, router=router, duration=duration,
+                      policy=batching, router=router, duration=duration,
                       seed=seed, slo_seconds=slo_seconds,
                       stage_slo_seconds=stage_slo_seconds,
                       handoff_seconds=handoff_seconds,

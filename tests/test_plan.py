@@ -229,6 +229,36 @@ class TestOptimizer:
             plan_capacity(100.0, ["deit-tiny"], slo_seconds=0.1, duration=1.0,
                           targets=("tpu",))
 
+    @pytest.mark.parametrize("planner, simulator, kwargs", [
+        (plan_capacity, "serve", dict(rate=600.0, models=["deit-tiny"])),
+        (plan_pipeline_capacity, "serve_pipeline", dict(
+            rate=120.0, pipeline="plan2 = encoder[tokens=128] -> deit-tiny",
+            max_replicas_per_stage=2)),
+    ], ids=["capacity", "pipeline"])
+    def test_validation_runs_batch_as_requested(self, monkeypatch, planner,
+                                                simulator, kwargs):
+        """Unchecked, ``batch_size`` and ``timeout`` shaped only the
+        analytic prune, and every validation run batched at the defaults."""
+
+        from repro.plan import optimizer
+
+        real, seen = getattr(optimizer, simulator), []
+
+        def spy(*args, policy, **rest):
+            seen.append(policy)
+            return real(*args, policy=policy, **rest)
+
+        monkeypatch.setattr(optimizer, simulator, spy)
+        payload = planner(**kwargs, slo_seconds=0.05, duration=0.5,
+                          batch_size=2, timeout=0.01, seed=0)
+        expected = {"name": "timeout", "timeout": 0.01, "max_batch": 2}
+        assert len(seen) >= payload["simulated"] > 0
+        assert all(not isinstance(policy, str) and policy.to_dict() == expected
+                   for policy in seen)
+        config = payload["config"]
+        assert (config["policy"], config["batch_size"], config["timeout"]) == \
+            ("timeout", 2, 0.01)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("parameter", ["rate", "duration", "margin",
                                            "slo_seconds", "slo_percentile",
