@@ -1,9 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmark scripts.
 
-Each benchmark file regenerates one table or figure of the paper.  The
-benchmark fixture measures the driver's runtime; the printed report (enable
-with ``-s``) shows the reproduced rows/series next to the values the paper
-reports, which is what EXPERIMENTS.md records.
+``bench_accuracy.py`` times the training-backed paper drivers; the printed
+report (enable with ``-s``) shows the reproduced numbers next to the values
+the paper reports.  The other scripts time the serving, memsim, sweep and
+tracing layers.  ``benchmarks/perf`` is the host-timing benchmark that
+``BENCHMARK.json`` declares.
 
 Machine-readable trajectory records: run with ``--json DIR`` and benchmarks
 that call the ``bench_json`` fixture write one ``BENCH_<name>.json`` file
@@ -12,8 +13,8 @@ seconds of one driver run plus whatever throughput-style metrics the
 benchmark reports), so CI and scripts can track performance over time
 without scraping pytest output::
 
-    python -m pytest benchmarks/bench_serving_throughput.py --json bench-out
-    cat bench-out/BENCH_serving_throughput.json
+    python -m pytest benchmarks/bench_pipeline_serving.py --json bench-out
+    cat bench-out/BENCH_pipeline_serving.json
 """
 
 from __future__ import annotations

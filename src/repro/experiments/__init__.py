@@ -1,9 +1,9 @@
 """Experiment drivers: one callable per table/figure of the paper's evaluation.
 
-Every experiment is registered in :mod:`repro.experiments.registry` under the
-identifier used throughout DESIGN.md and EXPERIMENTS.md (``fig10``, ``tab1``,
-...).  The benchmark harness in ``benchmarks/`` calls these drivers; they can
-also be run directly:
+Every experiment is registered in :mod:`repro.experiments.registry` under an
+identifier (``fig10``, ``tab1``, ...) that ``repro run`` takes.  The test
+suite checks each driver's output, except the training-backed ones, which
+``benchmarks/bench_accuracy.py`` checks.  Drivers can also be run directly:
 
     from repro.experiments import run_experiment
     result = run_experiment("tab1")

@@ -5,8 +5,7 @@ synthetic dataset, so absolute accuracies differ from the paper's ImageNet
 numbers; what is reproduced is the *ordering* between method variants
 (BASELINE >= ViTALiTy ~ LOWRANK+SPARSE > SPARSE >> LOWRANK drop-in) and the
 qualitative behaviours (sparse component vanishing over epochs, threshold
-sweep shape).  Every driver takes a ``quick`` flag used by the benchmark
-harness to bound runtime.
+sweep shape).  Every driver takes a ``quick`` flag that bounds its runtime.
 """
 
 from __future__ import annotations
@@ -25,7 +24,12 @@ from repro.models import create_model
 from repro.tensor import Tensor, no_grad
 from repro.training import FinetuneConfig, SchemeResult, ViTALiTyFinetuner
 
-#: Paper accuracies (ImageNet top-1, %) from Fig. 10 for the EXPERIMENTS.md comparison.
+#: Fig. 3 from the paper: share of similarities in [-1, 1) before and after
+#: mean-centering, keyed like :func:`fig3_attention_distribution`'s summary.
+PAPER_FIG3 = {"mean_fraction_weak_vanilla": 0.46, "mean_fraction_weak_centred": 0.67,
+              "mean_gain": 0.21}
+
+#: Paper accuracies (ImageNet top-1, %) from Fig. 10.
 PAPER_FIG10 = {
     "deit-tiny": {"baseline": 72.2, "sparse": 71.2, "lowrank": 27.0, "vitality": 71.9},
     "deit-small": {"baseline": 79.9, "sparse": 79.2, "lowrank": 30.0, "vitality": 79.5},
@@ -35,6 +39,20 @@ PAPER_FIG10 = {
     "levit-128s": {"baseline": 76.6, "sparse": 74.8, "lowrank": 15.2, "vitality": 75.2},
     "levit-128": {"baseline": 78.6, "sparse": 76.3, "lowrank": 19.6, "vitality": 76.6},
 }
+
+#: Fig. 13 from the paper: DeiT-Tiny ImageNet top-1 (%) per training scheme.
+PAPER_FIG13 = {"baseline": 72.2, "sparse": 71.2, "lowrank": 27.0, "lowrank+sparse": 70.7,
+               "lowrank+sparse+kd": 71.9, "vitality": 70.6, "vitality+kd": 71.9}
+
+#: Fig. 14 from the paper, which states the trend rather than per-epoch values.
+PAPER_FIG14 = "non-zeros in the sparse part drop below ~1% within ~10 epochs"
+
+#: Fig. 15 from the paper: DeiT-Tiny ImageNet top-1 (%) per sparsity threshold.
+PAPER_FIG15 = {0.02: 71.2, 0.5: 71.9, 0.9: "drops (sparse part vanishes)"}
+
+#: Table IV's accuracy column from the paper (DeiT-Tiny ImageNet top-1, %).
+PAPER_TABLE4_ACCURACY = {"baseline": 72.2, "vitality": 71.9, "linformer": 69.5,
+                         "performer": 68.3, "sanger": 71.2}
 
 
 def _finetuner(model_name: str, quick: bool, seed: int = 0) -> ViTALiTyFinetuner:

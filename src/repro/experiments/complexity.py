@@ -12,12 +12,16 @@ from repro.attention.op_counting import (
 from repro.profiling.flops import attention_flops_table
 from repro.workloads import get_workload
 
-#: Values Table I reports (millions of operations), for the EXPERIMENTS.md comparison.
+#: Values Table I reports (millions of operations).
 PAPER_TABLE1 = {
     "deit-tiny": {"vitality_mul": 58.3, "baseline_mul": 178.8, "ratio": 3.1},
     "mobilevit-xs": {"vitality_mul": 4.8, "baseline_mul": 28.4, "ratio": 5.9},
     "levit-128": {"vitality_mul": 3.4, "baseline_mul": 36.4, "ratio": 10.7},
 }
+
+#: Table IV's FLOPs column from the paper (G, DeiT-Tiny attention).
+PAPER_TABLE4_FLOPS = {"baseline": 0.50, "vitality": 0.33, "linformer": 0.35,
+                      "performer": 0.40, "sanger": 0.33, "svite": 0.38, "uvc": 0.30}
 
 
 def table1_op_counts(models: tuple[str, ...] = ("deit-tiny", "mobilevit-xs", "levit-128")

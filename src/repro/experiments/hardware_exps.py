@@ -17,11 +17,24 @@ from repro.hardware import (
 )
 from repro.workloads import list_workloads
 
-#: Paper-reported average speedups / energy-efficiency gains (for EXPERIMENTS.md).
+#: Paper-reported average speedups / energy-efficiency gains.
 PAPER_FIG11_AVERAGE = {"gpu": 2.0, "sanger": 3.0, "edge_gpu": 30.0, "cpu": 53.0}
 PAPER_FIG12_AVERAGE = {"sanger": 3.0, "gpu": 73.0, "edge_gpu": 67.0, "cpu": 115.0}
 PAPER_ATTENTION_SPEEDUP = {"cpu": 236.0, "edge_gpu": 239.0, "gpu": 9.0, "sanger": 7.0}
 PAPER_ATTENTION_ENERGY = {"cpu": 537.0, "edge_gpu": 309.0, "gpu": 187.0, "sanger": 6.0}
+
+#: Table III from the paper, keyed like :func:`table3_configurations`.
+PAPER_TABLE3 = {"vitality": {"total_area_mm2": 5.223, "total_power_mw": 1460},
+                "sanger": {"total_area_mm2": 5.194, "total_power_mw": 1450}}
+
+#: Table V from the paper (DeiT-Base, uJ), keyed like :func:`table5_dataflow_energy`.
+PAPER_TABLE5 = {"deit-base": {
+    "g_stationary": {"overall_uj": 222.0, "data_access_uj": 2.92},
+    "down_forward": {"overall_uj": 198.0, "data_access_uj": 3.76},
+}}
+
+#: Section V-C: attention speedup over SALO the paper reports.
+PAPER_SALO = {"deit-tiny": 4.7, "deit-small": 5.0}
 
 #: General-purpose platform baselines of Figs. 11-12.
 PLATFORM_BASELINES = ("cpu", "edge_gpu", "gpu")

@@ -3,7 +3,7 @@
 Table II routes through :mod:`repro.engine`: each (model, formulation) cell
 is one platform :class:`~repro.engine.RunSpec` whose per-step records supply
 the latency columns.  Fig. 1 is a runtime-share profile (fractions of the MHA
-module, not a simulation run) and keeps using the profiling facade.
+module, not a simulation run) read from :mod:`repro.profiling`.
 """
 
 from __future__ import annotations

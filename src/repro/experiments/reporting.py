@@ -1,4 +1,4 @@
-"""Render experiment results as markdown tables (used by the CLI and EXPERIMENTS.md)."""
+"""Render experiment results as markdown tables (used by the CLI)."""
 
 from __future__ import annotations
 

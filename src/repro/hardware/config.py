@@ -46,7 +46,7 @@ class ViTALiTyAcceleratorConfig:
     memory_power_mw: float = 22.9
     memory: MemoryEnergyConfig = field(default_factory=MemoryEnergyConfig)
     #: Average PE-array utilisation for dense GEMMs (pipeline fill/drain and
-    #: tile-edge effects); exposed so the ablation benches can sweep it.
+    #: tile-edge effects); configured targets set it with the ``util`` knob.
     systolic_utilization: float = 0.85
     #: Relative per-MAC energy overhead of reconfigurable PEs needed by the
     #: G-stationary dataflow (Section IV-D): the PEs must support both

@@ -1,16 +1,10 @@
-"""Profiling utilities: runtime breakdowns (Fig. 1, Table II) and FLOPs (Table IV)."""
+"""Profiling utilities: the MHA runtime breakdown (Fig. 1) and FLOPs (Table IV)."""
 
-from repro.profiling.breakdown import (
-    mha_runtime_breakdown_table,
-    attention_step_profile,
-    StepProfile,
-)
+from repro.profiling.breakdown import mha_runtime_breakdown_table
 from repro.profiling.flops import attention_flops, attention_flops_table, METHOD_FLOPS
 
 __all__ = [
     "mha_runtime_breakdown_table",
-    "attention_step_profile",
-    "StepProfile",
     "attention_flops",
     "attention_flops_table",
     "METHOD_FLOPS",

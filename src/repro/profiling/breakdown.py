@@ -1,39 +1,15 @@
-"""Runtime breakdowns of the MHA module and of the attention steps.
+"""Runtime breakdown of the MHA module (Fig. 1).
 
-* :func:`mha_runtime_breakdown_table` reproduces Fig. 1: the share of MHA
-  runtime spent in Step 1 (Q/K/V projection), Step 2 (softmax attention map)
-  and Step 3 (attention score) on each profiled platform.
-* :func:`attention_step_profile` reproduces Table II: per-step latencies of
-  the vanilla softmax attention and of ViTALiTy's Taylor attention on the
-  edge GPU (or any other platform model).
+:func:`mha_runtime_breakdown_table` reproduces Fig. 1: the share of MHA
+runtime spent in Step 1 (Q/K/V projection), Step 2 (softmax attention map)
+and Step 3 (attention score) on each profiled platform.  Table II's per-step
+latencies come from the engine (:mod:`repro.experiments.profiling_exps`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.hardware.platforms import Platform, get_platform
-from repro.workloads import ModelWorkload, get_workload
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """Per-step latency profile of one attention formulation on one platform."""
-
-    model: str
-    platform: str
-    formulation: str                  # "vanilla" or "taylor"
-    step_latencies: dict[str, float]  # seconds per step
-
-    @property
-    def total_latency(self) -> float:
-        return sum(self.step_latencies.values())
-
-    def ratios(self) -> dict[str, float]:
-        """Each step's share of the total latency (the Ratio column of Table II)."""
-
-        total = self.total_latency
-        return {step: latency / total for step, latency in self.step_latencies.items()}
+from repro.hardware.platforms import get_platform
+from repro.workloads import get_workload
 
 
 def mha_runtime_breakdown_table(model: str = "deit-tiny",
@@ -47,40 +23,3 @@ def mha_runtime_breakdown_table(model: str = "deit-tiny",
 
     workload = get_workload(model)
     return {name: get_platform(name).mha_runtime_breakdown(workload) for name in platforms}
-
-
-def attention_step_profile(model: str = "deit-tiny", platform: str = "edge_gpu",
-                           formulation: str = "taylor") -> StepProfile:
-    """Table II: per-step latency of one attention formulation on one platform."""
-
-    workload = get_workload(model)
-    device = get_platform(platform)
-    if formulation == "taylor":
-        steps = device.taylor_attention_profile(workload)
-    elif formulation == "vanilla":
-        steps = device.vanilla_attention_profile(workload)
-    else:
-        raise ValueError(f"formulation must be 'taylor' or 'vanilla', got {formulation!r}")
-    return StepProfile(model=model, platform=platform, formulation=formulation,
-                       step_latencies=steps)
-
-
-def table2_rows(models: tuple[str, ...] = ("deit-tiny", "mobilevit-xs", "levit-128"),
-                platform: str = "edge_gpu") -> list[dict[str, object]]:
-    """Build the full Table II structure for several models."""
-
-    rows = []
-    for model in models:
-        taylor = attention_step_profile(model, platform, "taylor")
-        vanilla = attention_step_profile(model, platform, "vanilla")
-        rows.append({
-            "model": model,
-            "platform": platform,
-            "taylor_ms": {k: v * 1e3 for k, v in taylor.step_latencies.items()},
-            "taylor_total_ms": taylor.total_latency * 1e3,
-            "taylor_ratios": taylor.ratios(),
-            "vanilla_ms": {k: v * 1e3 for k, v in vanilla.step_latencies.items()},
-            "vanilla_total_ms": vanilla.total_latency * 1e3,
-            "vanilla_ratios": vanilla.ratios(),
-        })
-    return rows

@@ -167,6 +167,14 @@ class TestViTALiTyAccelerator:
         result = ViTALiTyAccelerator().run_model(DEIT_TINY, include_linear=False)
         assert result.linear_cycles == 0
 
+    def test_full_utilization_is_no_slower_than_half(self):
+        def attention_latency(utilization: float) -> float:
+            config = ViTALiTyAcceleratorConfig(systolic_utilization=utilization)
+            return ViTALiTyAccelerator(config).run_model(
+                DEIT_TINY, include_linear=False).attention_latency
+
+        assert attention_latency(1.0) <= attention_latency(0.5)
+
     def test_scaled_to_peak_increases_throughput(self):
         accelerator = ViTALiTyAccelerator()
         scaled = accelerator.scaled_to_peak(accelerator.peak_macs_per_second * 3)

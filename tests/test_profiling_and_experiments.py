@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import get_experiment, list_experiments, run_experiment
-from repro.experiments.complexity import PAPER_TABLE1
+from repro.experiments.complexity import PAPER_TABLE1, PAPER_TABLE4_FLOPS
 from repro.experiments.hardware_exps import (
     PAPER_ATTENTION_SPEEDUP,
     PAPER_FIG11_AVERAGE,
@@ -16,9 +15,13 @@ from repro.experiments.hardware_exps import (
     salo_comparison,
     table5_dataflow_energy,
 )
-from repro.experiments.profiling_exps import PAPER_FIG1, PAPER_TABLE2_TOTALS
-from repro.profiling import attention_flops, attention_flops_table, attention_step_profile
-from repro.profiling.breakdown import mha_runtime_breakdown_table, table2_rows
+from repro.experiments.profiling_exps import (
+    PAPER_FIG1,
+    PAPER_TABLE2_TOTALS,
+    table2_latency_profile,
+)
+from repro.profiling import attention_flops
+from repro.profiling.breakdown import mha_runtime_breakdown_table
 
 
 class TestFlops:
@@ -28,7 +31,7 @@ class TestFlops:
     def test_table4_ordering(self):
         """ViTALiTy's FLOPs are competitive with every comparator (Table IV)."""
 
-        table = attention_flops_table("deit-tiny")
+        table = run_experiment("tab4_flops")
         vitality = table["vitality"]["flops_g"]
         assert vitality < table["baseline"]["flops_g"]
         assert vitality < table["linformer"]["flops_g"]
@@ -38,8 +41,10 @@ class TestFlops:
     def test_flops_magnitude_close_to_paper(self):
         """DeiT-Tiny attention FLOPs: paper reports 0.50 G (baseline) and 0.33 G (ViTALiTy)."""
 
-        assert attention_flops("baseline") == pytest.approx(0.50, rel=0.25)
-        assert attention_flops("vitality") == pytest.approx(0.33, rel=0.25)
+        assert attention_flops("baseline") == pytest.approx(
+            PAPER_TABLE4_FLOPS["baseline"], rel=0.25)
+        assert attention_flops("vitality") == pytest.approx(
+            PAPER_TABLE4_FLOPS["vitality"], rel=0.25)
 
     def test_unknown_method(self):
         with pytest.raises(KeyError):
@@ -53,28 +58,24 @@ class TestBreakdowns:
             assert sum(breakdown.values()) == pytest.approx(1.0)
 
     def test_fig1_close_to_paper(self):
-        table = mha_runtime_breakdown_table()
+        table = run_experiment("fig1")
         for platform, paper in PAPER_FIG1.items():
             measured = table[platform]
             assert measured["step2_softmax_map"] == pytest.approx(paper["step2_softmax_map"],
                                                                   abs=0.12)
+            assert measured["step2_softmax_map"] == max(measured.values()), platform
 
     def test_step_profile_ratios(self):
-        profile = attention_step_profile("deit-tiny", "edge_gpu", "taylor")
-        ratios = profile.ratios()
+        ratios = table2_latency_profile(models=("deit-tiny",))[0]["taylor_ratios"]
         assert sum(ratios.values()) == pytest.approx(1.0)
         assert len(ratios) == 6
-
-    def test_step_profile_validation(self):
-        with pytest.raises(ValueError):
-            attention_step_profile(formulation="quadratic")
 
     def test_table2_totals_close_to_paper(self):
         """DeiT-Tiny (the calibration target) matches Table II closely; for the other
         models the qualitative conclusion must hold: the GPU does not benefit from
         Taylor attention (its Taylor latency is not lower than the vanilla latency)."""
 
-        rows = {row["model"]: row for row in table2_rows()}
+        rows = {row["model"]: row for row in table2_latency_profile()}
         deit = rows["deit-tiny"]
         assert deit["vanilla_total_ms"] == pytest.approx(PAPER_TABLE2_TOTALS["deit-tiny"]["vanilla"],
                                                          rel=0.3)
@@ -86,8 +87,7 @@ class TestBreakdowns:
     def test_table2_pre_post_processing_is_substantial_on_gpu(self):
         """The paper's point: pre/post steps are ~50% of Taylor latency on a GPU."""
 
-        profile = attention_step_profile("deit-tiny", "edge_gpu", "taylor")
-        ratios = profile.ratios()
+        ratios = table2_latency_profile(models=("deit-tiny",))[0]["taylor_ratios"]
         light_steps = ratios["1:k_hat"] + ratios["3:sums"] + ratios["4:tD"] + ratios["6:Z"]
         assert light_steps > 0.3
 
@@ -113,6 +113,15 @@ class TestHardwareExperiments:
         assert row["gpu"] == pytest.approx(PAPER_FIG11_AVERAGE["gpu"], rel=1.5)
         assert row["sanger"] == pytest.approx(PAPER_FIG11_AVERAGE["sanger"], rel=1.2)
 
+    @pytest.mark.parametrize("driver", [fig11_latency_speedup, fig12_energy_efficiency],
+                             ids=["fig11", "fig12"])
+    def test_all_model_average_beats_every_baseline(self, driver):
+        rows = driver()
+        assert len(rows) == 7
+        for baseline in ("cpu", "edge_gpu", "gpu", "sanger"):
+            average = sum(row[baseline] for row in rows.values()) / len(rows)
+            assert average > 1.0, baseline
+
     def test_fig12_energy_improvements(self):
         rows = fig12_energy_efficiency(models=("deit-tiny",))
         row = rows["deit-tiny"]
@@ -133,6 +142,13 @@ class TestHardwareExperiments:
         table = table5_dataflow_energy(models=("deit-base",))
         overall = table["deit-base"]["down_forward"]["overall_uj"]
         assert 100 < overall < 450
+
+    def test_table3_area_parity(self):
+        """Table III: the two accelerators are compared at matched silicon area."""
+
+        table = run_experiment("tab3")
+        gap = table["vitality"]["total_area_mm2"] - table["sanger"]["total_area_mm2"]
+        assert abs(gap) < 0.3
 
     def test_salo_comparison_speedups(self):
         speedups = salo_comparison()
@@ -166,6 +182,7 @@ class TestExperimentRegistry:
         for model, paper in PAPER_TABLE1.items():
             assert rows[model]["vitality_mul_m"] == pytest.approx(paper["vitality_mul"], rel=1.2)
             assert rows[model]["baseline_mul_m"] == pytest.approx(paper["baseline_mul"], rel=0.15)
+        assert rows["deit-tiny"]["ratio_mul"] > 2.5
 
     def test_eq1_3_runner(self):
         ratios = run_experiment("eq1_3")
@@ -174,7 +191,45 @@ class TestExperimentRegistry:
     def test_tab6_runner(self):
         table = run_experiment("tab6")
         assert table["vitality"]["processors"] == ["Acc.", "Div.", "Add."]
+        assert "Exp." in table["performer"]["processors"]
 
     def test_fig3_runner_calibrated(self):
         summary = run_experiment("fig3", quick=True, source="calibrated")
         assert summary["mean_fraction_weak_centred"] > summary["mean_fraction_weak_vanilla"]
+
+    def test_fig3_full_size_gain(self):
+        summary = run_experiment("fig3", quick=False, source="calibrated")
+        assert summary["mean_gain"] > 0.1
+
+
+class TestServingExperiments:
+    """The beyond-the-paper serving studies, on their registered defaults."""
+
+    @pytest.mark.parametrize("pair", ["accelerator", "cpu_platform"])
+    def test_taylor_fleet_out_serves_vanilla(self, pair):
+        rows = run_experiment("serve_comparison")
+        taylor, vanilla = (row for label, row in rows.items() if label.startswith(pair))
+        assert taylor["throughput_rps"] > vanilla["throughput_rps"]
+        assert taylor["energy_per_request_mj"] < vanilla["energy_per_request_mj"]
+        assert taylor["p99_ms"] < vanilla["p99_ms"]
+
+    def test_energy_aware_routing_spares_the_gpu(self):
+        rows = run_experiment("serve_fleet")
+        aware, least = rows["energy-aware"], rows["least-loaded"]
+        assert aware["energy_per_request_mj"] < least["energy_per_request_mj"]
+        assert aware["gpu_request_share"] < least["gpu_request_share"]
+
+    def test_continuous_batching_and_disaggregation(self):
+        rows = run_experiment("disagg")
+
+        def row(kind: str) -> dict:
+            return next(row for label, row in rows.items() if kind in label)
+
+        continuous, monolithic = row("continuous"), row("monolithic")
+        colocated, disaggregated = row("colocated"), row("disaggregated")
+        assert (continuous["decode_tokens_per_second"]
+                > monolithic["decode_tokens_per_second"])
+        assert continuous["mean_decode_batch"] > monolithic["mean_decode_batch"]
+        assert disaggregated["meets_slo_pair"]
+        assert not colocated["meets_slo_pair"]
+        assert disaggregated["tpot_p95_ms"] < colocated["tpot_p95_ms"]
