@@ -33,7 +33,7 @@ from repro.engine.results import LayerRecord, RunResult, StepRecord
 from repro.engine.spec import RunSpec
 from repro.hardware import (
     Dataflow,
-    HardwareConfig,
+    KnobConfig,
     MemSimConfig,
     MemSimViTALiTyAccelerator,
     ModelResult,
@@ -206,7 +206,7 @@ class VitalityTarget:
     def __init__(self, name: str = "vitality",
                  dataflow: Dataflow = Dataflow.DOWN_FORWARD,
                  pipelined: bool = True,
-                 design: HardwareConfig | None = None):
+                 design: KnobConfig | None = None):
         self.name = name
         self.default_dataflow = dataflow
         self.default_pipelined = pipelined
@@ -221,7 +221,7 @@ class VitalityTarget:
             design, self._config.memory.sram_kb,
             self._config.sa_general.rows, self._config.sa_general.columns)
 
-    def configured(self, name: str, design: HardwareConfig) -> "VitalityTarget":
+    def configured(self, name: str, design: KnobConfig) -> "VitalityTarget":
         """This variant at another design point (the ``name[...]`` factory)."""
 
         return VitalityTarget(name, dataflow=self.default_dataflow,
@@ -286,13 +286,13 @@ class SangerTarget:
     knob_schema = SANGER_SCHEMA
 
     def __init__(self, name: str = "sanger",
-                 design: HardwareConfig | None = None):
+                 design: KnobConfig | None = None):
         self.name = name
         self.design = design
         self.config_text = self.knob_schema.render(design) if design is not None else ""
         self._config = build_sanger_config(design)
 
-    def configured(self, name: str, design: HardwareConfig) -> "SangerTarget":
+    def configured(self, name: str, design: KnobConfig) -> "SangerTarget":
         return SangerTarget(name, design=design)
 
     @property
@@ -324,13 +324,13 @@ class SALOTarget:
     knob_schema = SALO_SCHEMA
 
     def __init__(self, name: str = "salo",
-                 design: HardwareConfig | None = None):
+                 design: KnobConfig | None = None):
         self.name = name
         self.design = design
         self.config_text = self.knob_schema.render(design) if design is not None else ""
         self._budget, self._pattern = build_salo_configs(design)
 
-    def configured(self, name: str, design: HardwareConfig) -> "SALOTarget":
+    def configured(self, name: str, design: KnobConfig) -> "SALOTarget":
         return SALOTarget(name, design=design)
 
     @property
@@ -369,13 +369,13 @@ class PlatformTarget:
     knob_schema = PLATFORM_SCHEMA
 
     def __init__(self, name: str, base: str | None = None,
-                 design: HardwareConfig | None = None):
+                 design: KnobConfig | None = None):
         self.name = name
         self.design = design
         self.config_text = self.knob_schema.render(design) if design is not None else ""
         self.platform = build_platform(get_platform(base or name), design)
 
-    def configured(self, name: str, design: HardwareConfig) -> "PlatformTarget":
+    def configured(self, name: str, design: KnobConfig) -> "PlatformTarget":
         return PlatformTarget(name, base=self.platform.name, design=design)
 
     @property

@@ -36,7 +36,7 @@ from repro.hardware.core.arrays import (
     AdderArray,
     DividerArray,
 )
-from repro.knobs import KnobConfig as HardwareConfig, KnobError, KnobSchema
+from repro.knobs import KnobConfig, KnobError, KnobSchema
 from repro.hardware.core.memory import EnergyBreakdown, MemoryTrafficModel
 from repro.hardware.core.pipeline import (
     pipeline_latency,
@@ -71,7 +71,7 @@ __all__ = [
     "ViTALiTyAcceleratorConfig",
     "SangerAcceleratorConfig",
     "MemoryEnergyConfig",
-    "HardwareConfig",
+    "KnobConfig",
     "KnobError",
     "KnobSchema",
     "FAMILY_SCHEMAS",

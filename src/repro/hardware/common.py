@@ -41,12 +41,6 @@ class LayerResult:
     def latency_seconds(self) -> float:
         return self.cycles / self.frequency_hz
 
-    def energy_by_chunk(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for step in self.steps:
-            totals[step.chunk] = totals.get(step.chunk, 0.0) + step.energy_joules
-        return totals
-
 
 @dataclass
 class ModelResult:

@@ -18,7 +18,7 @@ design point into a family of design points:
 
 A design point is a ``pe=32x32,freq=1ghz`` knob string parsed by the
 neutral grammar in :mod:`repro.knobs` into a hashable
-:class:`~repro.knobs.KnobConfig`, exported here as :class:`HardwareConfig`.
+:class:`~repro.knobs.KnobConfig`.
 
 Every scaling rule is exact at the reference point (all ratios 1 short-circuit
 to the original object), so default-knob design points stay bit-identical to
@@ -40,7 +40,7 @@ from repro.hardware.core.pipeline import (
     pipeline_speedup,
     sequential_latency,
 )
-from repro.knobs import KnobConfig as HardwareConfig, Knob, KnobError, KnobSchema
+from repro.knobs import KnobConfig, Knob, KnobError, KnobSchema
 
 __all__ = [
     "AccumulatorArray",
@@ -48,8 +48,8 @@ __all__ = [
     "ComponentConfig",
     "DividerArray",
     "EnergyBreakdown",
-    "HardwareConfig",
     "Knob",
+    "KnobConfig",
     "KnobError",
     "KnobSchema",
     "MatmulExecution",

@@ -22,15 +22,6 @@ def truncated_normal(shape: tuple[int, ...], std: float = 0.02, rng: np.random.G
     return np.clip(values, -2.0 * std, 2.0 * std)
 
 
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot/Xavier uniform init for dense layers."""
-
-    rng = rng or _DEFAULT_RNG
-    fan_in, fan_out = _fans(shape)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     """He-normal init for convolutional layers feeding ReLU-family activations."""
 

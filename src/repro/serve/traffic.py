@@ -384,9 +384,10 @@ class BurstyTraffic:
     """Two-state MMPP: quiet phases at ``rate * quiet_factor`` alternating with
     bursts at ``rate * burst_factor``; phase dwell times are exponential.
 
-    The default factors are dwell-weighted to make :attr:`mean_rate` equal
-    ``rate``, so Poisson and bursty runs at the same ``rate`` are load-matched
-    and differ only in arrival variance.
+    The time-averaged rate is ``rate * (quiet_factor * mean_quiet +
+    burst_factor * mean_burst) / (mean_quiet + mean_burst)``; the default
+    factors make it equal ``rate``, so Poisson and bursty runs at the same
+    ``rate`` are load-matched and differ only in arrival variance.
     """
 
     rate: float
@@ -396,14 +397,6 @@ class BurstyTraffic:
     mean_quiet: float = 1.0
     mean_burst: float = 0.25
     name: str = "bursty"
-
-    @property
-    def mean_rate(self) -> float:
-        """Time-averaged arrival rate over the quiet/burst cycle."""
-
-        weighted = (self.quiet_factor * self.mean_quiet
-                    + self.burst_factor * self.mean_burst)
-        return self.rate * weighted / (self.mean_quiet + self.mean_burst)
 
     def __post_init__(self):
         check_finite(rate=self.rate, burst_factor=self.burst_factor,

@@ -44,9 +44,6 @@ class WorkloadFamily:
     def family(self) -> str:
         return self.schema.family
 
-    def knob_names(self) -> list[str]:
-        return sorted(self.schema.knobs)
-
     def resolve(self, knob_text: str) -> KnobConfig:
         """Parse a bracket body (``"tokens=1024,phase=decode"``) canonically."""
 

@@ -24,7 +24,7 @@ from repro.engine.results import RunResult
 from repro.experiments import run_experiment
 from repro.experiments.dse_exps import explore_design_space, pareto_frontier
 from repro.hardware import (
-    HardwareConfig,
+    KnobConfig,
     KnobError,
     SALO_SCHEMA,
     SANGER_SCHEMA,
@@ -98,7 +98,7 @@ class TestKnobParsing:
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(KnobError, match="family"):
-            build_vitality_config(HardwareConfig("sanger", (("pe", (8, 8)),)))
+            build_vitality_config(KnobConfig("sanger", (("pe", (8, 8)),)))
 
 
 class TestConfiguredTargets:
