@@ -161,8 +161,15 @@ class TimeoutBatchPolicy:
 
 def make_policy(name: str, *, batch_size: int = 8,
                 timeout: float = 2e-3) -> BatchPolicy:
-    """Build a batching policy by name (the CLI entry point)."""
+    """Build a batching policy by name (the CLI entry point).
 
+    ``batch_size`` and ``timeout`` are checked under every name, ``fifo``
+    included, which uses neither: callers echo them into their payloads,
+    where a nan is not valid JSON.
+    """
+
+    check_counts(batch_size=batch_size)
+    check_finite(timeout=timeout, allow_zero=True)
     if name == "fifo":
         return FIFOPolicy()
     if name == "size":

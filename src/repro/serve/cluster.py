@@ -368,23 +368,31 @@ class LoadIndex:
             self._members.discard(replica.index)
             self._stamps[replica.index] = self._stamps.get(replica.index, 0) + 1
 
-    def _peek(self, heap: list[tuple[float, int, int, Replica]]) -> Replica | None:
-        while heap:
-            _, index, stamp, replica = heap[0]
-            if index in self._members and self._stamps.get(index) == stamp:
-                return replica
-            heapq.heappop(heap)
-        return None
-
     def argmin(self, now: float) -> Replica | None:
         """The indexed replica minimising ``(backlog_seconds(now), index)``."""
 
-        idle = self._peek(self._idle)
-        busy = self._peek(self._busy)
+        # Each heap's top, popping stale entries (replaced by a newer stamp
+        # or removed) until a live one shows; inline, as this runs once per
+        # arrival.
+        members, stamps = self._members, self._stamps
+        heap = self._idle
+        while heap:
+            _, index, stamp, idle = heap[0]
+            if index in members and stamps[index] == stamp:
+                break
+            heapq.heappop(heap)
+        else:
+            idle = None
+        heap = self._busy
+        while heap:
+            _, index, stamp, busy = heap[0]
+            if index in members and stamps[index] == stamp:
+                break
+            heapq.heappop(heap)
+        else:
+            return idle
         if idle is None:
             return busy
-        if busy is None:
-            return idle
         # Replica.backlog_seconds, inlined, and the scan's (backlog, index)
         # order: the busy top wins only if strictly smaller.
         idle_backlog = max(idle.busy_until - now, 0.0) + idle.queued_seconds

@@ -63,9 +63,14 @@ def percentile(values: Sequence[float], fraction: float) -> float:
 
     if not values:
         raise ValueError("percentile of an empty sample")
+    return _nearest_rank(sorted(values), fraction)
+
+
+def _nearest_rank(ordered: Sequence[float], fraction: float) -> float:
+    """:func:`percentile` of an already sorted, non-empty sample."""
+
     if not 0 <= fraction <= 1:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(values)
     rank = max(math.ceil(fraction * len(ordered)), 1)
     return ordered[rank - 1]
 
@@ -97,11 +102,14 @@ class LatencySummary:
             return cls(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0,
                        extras=tuple((percentile_label(fraction), 0.0)
                                     for fraction in extra_fractions))
+        # One sort serves every quantile.
+        ordered = sorted(values)
         return cls(count=len(values), mean=sum(values) / len(values),
-                   p50=percentile(values, 0.50), p95=percentile(values, 0.95),
-                   p99=percentile(values, 0.99), max=max(values),
+                   p50=_nearest_rank(ordered, 0.50),
+                   p95=_nearest_rank(ordered, 0.95),
+                   p99=_nearest_rank(ordered, 0.99), max=max(values),
                    extras=tuple((percentile_label(fraction),
-                                 percentile(values, fraction))
+                                 _nearest_rank(ordered, fraction))
                                 for fraction in extra_fractions))
 
     def quantile(self, fraction: float) -> float:

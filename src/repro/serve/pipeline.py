@@ -457,10 +457,14 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
                 return route.to
         return routes[-1].to
 
+    entry_model, new = entry.spec.model, tuple.__new__
+
+    # Both Request builds below are per request, so they go straight to
+    # tuple.__new__ with every field (see Request).
     def admit(request: Request) -> Request:
-        flights[request.index] = _Flight(request.arrival)
-        return Request(index=request.index, model=entry.spec.model,
-                       arrival=request.arrival)
+        index, arrival = request.index, request.arrival
+        flights[index] = _Flight(arrival)
+        return new(Request, (index, entry_model, arrival, None, None))
 
     def complete(stage: _Stage, replica: Replica, batch: list[Request],
                  now: float, finish: float) -> None:
@@ -487,9 +491,9 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
             handoffs += 1
             successor = stages[target]
             next_arrival = finish + handoff_seconds
-            batching.schedule(next_arrival, successor, Request(
-                index=request.index, model=successor.spec.model,
-                arrival=next_arrival))
+            batching.schedule(next_arrival, successor, new(Request, (
+                request.index, successor.spec.model, next_arrival, None,
+                None)))
             if obs is not None:
                 obs.stage_handoff(request.index, request.model, replica.name,
                                   finish, next_arrival, stage.spec.name)

@@ -17,28 +17,28 @@ One kernel (:class:`_Kernel`) runs the event loop under :func:`serve`,
 :func:`~repro.serve.pipeline.serve_pipeline` and
 :func:`~repro.serve.llm.serve_llm`.  It owns what the three share: the
 run-parameter checks, the per-run result cache and report fold, one heap of
-``(time, sequence, kind, payload)`` entries fed lazily with arrivals, the
-observer's begin/tick/end calls and the report with its config echo.  A
-simulator hands it an arrival hook plus one handler per runtime event kind
-it schedules.  :class:`_Batching` is the pool side of :func:`serve` and
-``serve_pipeline``: replica pools (a fleet, its routing index, an optional
-autoscaler, a stage name), the routing-estimate memo, route → enqueue →
-dispatch → retire, autoscaling and the run-end flush, with a per-batch
-``complete`` hook, an optional ``admit`` hook for arrivals and
+``(time, sequence, kind, payload)`` runtime events merged with the lazy
+arrival stream, the observer's begin/tick/end calls and the report with its
+config echo.  A simulator hands it an arrival hook plus one handler per
+runtime event kind it schedules.  :class:`_Batching` is the pool side of
+:func:`serve` and ``serve_pipeline``: replica pools (a fleet, its routing
+index, an optional autoscaler, a stage name), the routing-estimate memo,
+route → enqueue → dispatch → retire, autoscaling and the run-end flush, with
+a per-batch ``complete`` hook, an optional ``admit`` hook for arrivals and
 :meth:`_Batching.schedule` for pipeline hops.  ``serve_llm`` registers its
 own chunk/step/gang/handoff handlers over its KV state.
 
 Every random draw comes from the traffic pattern's seeded generator, so a
 (traffic, fleet, policy, router, duration, seed) tuple maps to one bit-exact
-:class:`ServeReport`.  Arrival events are sequenced by request index and all
-runtime events from a disjoint higher range, so event ordering (ties
-included) is identical whether arrivals are prefetched lazily or were all
-pushed up front.
+:class:`ServeReport`.  An arrival runs before every runtime event at the same
+time, and runtime events at one time run in the order they were scheduled,
+so event ordering (ties included) is the one a single heap holding every
+arrival, sequenced by request index below all runtime events, would give.
 
 The loop *streams*: arrivals are pulled lazily from
-:meth:`~repro.serve.traffic.TrafficPattern.iter_arrivals` (the heap holds
-in-flight work plus exactly one future arrival, never the whole trace), and
-every completed request goes to one
+:meth:`~repro.serve.traffic.TrafficPattern.iter_arrivals`, one at a time.
+The one pending arrival waits beside the heap, which holds only in-flight
+work, and every completed request goes to one
 :class:`~repro.serve.metrics.ReportAccumulator`.  ``summary="streaming"``
 folds it into bounded-memory P² sketches at once, making memory independent
 of request count; the default ``summary="exact"`` keeps every observation
@@ -94,8 +94,9 @@ DEFAULT_SLO = 0.05
 DEFAULT_CACHE_ENTRIES = 1024
 
 #: Runtime (non-arrival) events sequence from this base, far above any
-#: realistic arrival index — arrival ties thus always beat runtime ties, the
-#: exact ordering the historical push-everything-up-front loop produced.
+#: realistic request index.  Loops that put arrivals on the heap sequenced
+#: them by request index, so an arrival won every time tie;
+#: :meth:`_Kernel.run` keeps that rule with the arrival off the heap.
 RUNTIME_SEQUENCE_BASE = 2 ** 62
 
 
@@ -120,10 +121,12 @@ class _Kernel:
 
     Construction validates the shared run parameters and opens the run's
     result cache and :class:`ReportAccumulator` (``llm`` adds the TTFT and
-    TPOT summaries); :meth:`run` drains the event heap and :meth:`report`
-    renders the finished run.  Callers push runtime events onto
-    :attr:`events`, sequenced by :attr:`sequence`, and hand each completed
-    request to :attr:`accumulator`.
+    TPOT summaries); :meth:`run` merges the arrival stream with the event
+    heap until both are empty and :meth:`report` renders the finished run.
+    Callers push runtime events onto :attr:`events`, sequenced by
+    :attr:`sequence`, and hand each completed request to
+    :attr:`accumulator`.  Arrivals never enter the heap: the one pending
+    arrival runs before the heap's top whenever it is no later.
     """
 
     def __init__(self, traffic: TrafficPattern, *, duration: float, seed: int,
@@ -163,35 +166,34 @@ class _Kernel:
         """
 
         events, obs, duration = self.events, self.obs, self.duration
-        heappop, heappush = heapq.heappop, heapq.heappush
+        heappop = heapq.heappop
         if obs is not None:
             obs.begin_run(replicas, self.label)
         logger.info("%s: streaming arrivals over %.3fs to %d replica(s) "
                     "(summary=%s)", self.label, duration, len(replicas),
                     self.accumulator.summary)
-        # Arrival events are sequenced by request index, runtime events from
-        # RUNTIME_SEQUENCE_BASE up: the merged order (ties included) matches
-        # the historical loop that pushed every arrival before any runtime
-        # event.
         stream = (_iter_arrivals(self.traffic, duration, self.seed)
                   if arrivals is None else iter(arrivals))
-        first = next(stream, None)
-        if first is not None:
-            heappush(events, (first.arrival, first.index, "arrival", first))
         offered = 0
         tick = obs.event_tick if obs is not None else None
-        while events:
-            now, _, kind, payload = heappop(events)
-            if tick is not None:
-                tick(now)
-            if kind == "arrival":
+        # The one pending arrival waits beside the heap, not in it.  It runs
+        # before the heap's top when it is no later: on the heap it would
+        # have carried its request index as sequence, below every runtime
+        # sequence (RUNTIME_SEQUENCE_BASE up), so it won every time tie too.
+        upcoming = next(stream, None)
+        while upcoming is not None or events:
+            if upcoming is not None and (not events
+                                         or upcoming.arrival <= events[0][0]):
+                request, now = upcoming, upcoming.arrival
+                if tick is not None:
+                    tick(now)
                 offered += 1
                 upcoming = next(stream, None)
-                if upcoming is not None:
-                    heappush(events, (upcoming.arrival, upcoming.index,
-                                      "arrival", upcoming))
-                arrive(payload, now, upcoming is None)
+                arrive(request, now, upcoming is None)
             else:
+                now, _, kind, payload = heappop(events)
+                if tick is not None:
+                    tick(now)
                 handlers[kind](payload, now)
         self.offered = offered
 
@@ -315,12 +317,15 @@ class _Batching:
             # ``slot`` is the (pool, replica) pair its "free" and "poll"
             # events carry back here to re-evaluate it.
             pool, replica = slot
-            # A draining replica flushes like a run-end drain: it will never
-            # see another arrival, so holding out for a fuller batch only
-            # delays its retirement (and the requests already queued on it).
-            while replica.idle(now) and replica.queue:
-                batch = policy.take(replica.queue, now,
-                                    draining=(exhausted or not replica.active))
+            # Nothing below toggles ``active``, so one read of the property
+            # serves the whole call.  A draining replica flushes like a
+            # run-end drain: it will never see another arrival, so holding
+            # out for a fuller batch only delays its retirement (and the
+            # requests already queued on it).
+            active = replica.active
+            draining = exhausted or not active
+            while replica.busy_until <= now and replica.queue:
+                batch = policy.take(replica.queue, now, draining=draining)
                 if batch is None:
                     deadline = policy.deadline(replica.queue)
                     if deadline is not None and deadline > now:
@@ -351,14 +356,15 @@ class _Batching:
                 logger.debug("t=%.6f dispatch %s: %s x%d (service %.6fs, "
                              "%d queued)", now, replica.name, model, size,
                              service, len(replica.queue))
-            if (not replica.active and replica.retired_at is None
-                    and not replica.queue and replica.idle(now)):
+            if active:
+                if pool.index is not None:
+                    pool.index.update(replica, now)
+            elif (replica.retired_at is None and not replica.queue
+                    and replica.busy_until <= now):
                 replica.retired_at = now
                 if obs is not None:
                     obs.replica_retired(replica, now)
                 logger.debug("t=%.6f retired %s", now, replica.name)
-            if pool.index is not None and replica.active:
-                pool.index.update(replica, now)
 
         def enqueue(target: tuple[_Pool, Request], now: float,
                     entered: bool = False) -> None:

@@ -31,8 +31,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import (
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.knobs import KnobError, is_count
 from repro.workloads import UnknownWorkloadError, get_workload
@@ -117,14 +125,19 @@ class TokenProfile:
         return {"prompt": self.prompt.describe(), "output": self.output.describe()}
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One inference request: which workload, and when it arrived.
 
     ``prompt_tokens`` / ``output_tokens`` are the autoregressive-serving
     geometry (set by token-profiled mixes and token-carrying traces); ``None``
     means "use the server's defaults", and classic (non-LLM) serving ignores
     them entirely.
+
+    A named tuple, built in C, because one is built per arrival and per
+    pipeline hop; a frozen dataclass would pay an ``object.__setattr__`` per
+    field.  The hot sites call ``tuple.__new__(Request, (index, model,
+    arrival, prompt, output))`` with every field, which also skips the
+    generated Python ``__new__``.
     """
 
     index: int
@@ -155,6 +168,9 @@ class WorkloadMix:
 
     entries: tuple[tuple[str, float], ...]
     token_profiles: tuple[tuple[str, TokenProfile], ...] = ()
+    # What sample() reads on every draw, derived from ``entries`` once.
+    _bounds: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -168,6 +184,16 @@ class WorkloadMix:
         # Duplicate names collapse to one summed entry, so the config echo
         # (to_dict) describes exactly the distribution sample() draws from.
         object.__setattr__(self, "entries", tuple(merged.items()))
+        # sample() picks the first entry whose cumulative weight, added in
+        # entry order, exceeds rng.random() * total; the total is sum()'s,
+        # which may round differently from the last bound.
+        bounds, cumulative = [], 0.0
+        for weight in merged.values():
+            cumulative += weight
+            bounds.append(cumulative)
+        object.__setattr__(self, "_bounds", tuple(bounds))
+        object.__setattr__(self, "_total",
+                           sum(weight for _, weight in self.entries))
         models = {model for model, _ in self.entries}
         for model, _profile in self.token_profiles:
             if model not in models:
@@ -208,16 +234,13 @@ class WorkloadMix:
         return len(self.entries) > 1 or bool(self.token_profiles)
 
     def sample(self, rng: random.Random) -> str:
-        if len(self.entries) == 1:
-            return self.entries[0][0]
-        total = sum(weight for _, weight in self.entries)
-        pick = rng.random() * total
-        cumulative = 0.0
-        for model, weight in self.entries:
-            cumulative += weight
-            if pick < cumulative:
-                return model
-        return self.entries[-1][0]
+        entries = self.entries
+        if len(entries) == 1:
+            return entries[0][0]
+        # The first model whose cumulative bound exceeds the pick; a pick
+        # at or above the last bound (the total rounded up) takes the last.
+        position = bisect_right(self._bounds, rng.random() * self._total)
+        return entries[min(position, len(entries) - 1)][0]
 
     def sample_tokens(self, model: str,
                       rng: random.Random) -> tuple[int | None, int | None]:
@@ -338,9 +361,10 @@ def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
     """
 
     if not mix.draws_per_request:
-        model = mix.entries[0][0]
+        # All five fields, so the tuple is built in C (see Request).
+        model, new = mix.entries[0][0], tuple.__new__
         for index, time in enumerate(times):
-            yield Request(index=index, model=model, arrival=time)
+            yield new(Request, (index, model, time, None, None))
         return
     for index, time in enumerate(list(times)):
         model = mix.sample(rng)

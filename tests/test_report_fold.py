@@ -8,10 +8,14 @@ order.  The reference below is the earlier exact path, kept verbatim: one
 :func:`build_report_from_records`, with :func:`_build_windows` clamping a
 completion exactly at the makespan into the last window.  The accumulator
 must render byte-identical JSON from the same requests, fed in any order.
+
+:meth:`LatencySummary.of` sorts its sample once for every quantile; it is
+held to the one-``percentile()``-call-per-quantile form it replaced.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +34,7 @@ from repro.serve.metrics import (
     WindowReport,
     _window_count,
     percentile,
+    percentile_label,
 )
 
 
@@ -274,3 +279,46 @@ def test_exact_fold_equals_the_records_fold(observations, duration,
         ttft_values=[row[5] for row in rows],
         tpot_values=[row[6] for row in rows if row[6] is not None], llm=llm)
     assert report.to_json() == expected.to_json()
+
+
+# ------------------------------------------------ one sort per summary
+
+
+def _per_fraction_summary(values: Sequence[float],
+                          percentiles: Sequence[float]) -> LatencySummary:
+    """``LatencySummary.of`` as it was: each quantile through its own
+    :func:`percentile` call, and so its own sort."""
+
+    extra_fractions = tuple(sorted(fraction for fraction in set(percentiles)
+                                   if fraction not in DEFAULT_PERCENTILES))
+    if not values:
+        return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0,
+                              max=0.0,
+                              extras=tuple((percentile_label(fraction), 0.0)
+                                           for fraction in extra_fractions))
+    return LatencySummary(count=len(values), mean=sum(values) / len(values),
+                          p50=percentile(values, 0.50),
+                          p95=percentile(values, 0.95),
+                          p99=percentile(values, 0.99), max=max(values),
+                          extras=tuple((percentile_label(fraction),
+                                        percentile(values, fraction))
+                                       for fraction in extra_fractions))
+
+
+#: Latencies with repeats, and both zeros, which compare equal but print apart.
+LATENCY = st.one_of(st.floats(0.0, 10.0),
+                    st.sampled_from([0.0, -0.0, 1e-3, 0.5, 2.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(LATENCY, max_size=120),
+       extras=st.lists(st.one_of(st.floats(1e-6, 1 - 1e-6),
+                                 st.sampled_from([0.25, 0.5, 0.999, 0.9999])),
+                       max_size=4))
+@example(values=[0.0, -0.0, 1e-3, 1e-3], extras=[0.25])
+def test_summary_matches_the_per_fraction_percentiles(values, extras):
+    percentiles = DEFAULT_PERCENTILES + tuple(extras)
+    summary = LatencySummary.of(values, percentiles)
+    expected = _per_fraction_summary(values, percentiles)
+    assert summary == expected
+    assert json.dumps(summary.to_dict()) == json.dumps(expected.to_dict())

@@ -8,7 +8,9 @@ from collections import deque
 
 import pytest
 
+from repro.cli import main
 from repro.serve import (
+    BATCH_POLICIES,
     BurstyTraffic,
     DiurnalTraffic,
     FIFOPolicy,
@@ -440,6 +442,32 @@ class TestNonFiniteRunParameters:
         with pytest.raises(ValueError, match="timeout must be finite and >= 0"):
             TimeoutBatchPolicy(timeout=value)
 
+    @pytest.mark.parametrize("name", BATCH_POLICIES)
+    @pytest.mark.parametrize("parameter, value", [
+        ("batch_size", math.nan), ("batch_size", 2.5), ("batch_size", 0),
+        ("timeout", math.nan), ("timeout", math.inf), ("timeout", -1e-3),
+    ], ids=["batch-nan", "batch-2.5", "batch-zero", "timeout-nan",
+            "timeout-inf", "timeout-negative"])
+    def test_make_policy_checks_both_knobs_under_every_name(self, name,
+                                                            parameter, value):
+        """Unchecked, ``fifo`` built with any knob values, and ``repro plan
+        --policy fifo --timeout-ms nan`` echoed ``"timeout": NaN``, which is
+        not valid JSON.  Under ``timeout``, a bad ``batch_size`` was
+        reported as ``max_batch``."""
+
+        bound = ("an integer >= 1" if parameter == "batch_size"
+                 else "finite and >= 0")
+        with pytest.raises(ValueError, match=f"{parameter} must be {bound}"):
+            make_policy(name, **{parameter: value})
+
+    def test_plan_refuses_a_nan_timeout_under_fifo(self, capsys):
+        assert main(["plan", "--policy", "fifo", "--timeout-ms", "nan",
+                     "--rate", "600", "--duration", "0.5", "--slo-ms", "20",
+                     "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeout must be finite" in captured.err
+
     @pytest.mark.parametrize("pattern", [PoissonTraffic, BurstyTraffic,
                                          DiurnalTraffic])
     def test_traffic_rejects_a_bare_model_name_as_mix(self, pattern):
@@ -539,6 +567,26 @@ class TestServeEdgeCases:
         # Both late arrivals land on the surviving replica.
         assert sum(replica.requests for replica in survivor) >= 2
         assert report.completed == 4
+
+    def test_drained_replica_flushes_its_partial_batch(self):
+        """A draining replica will see no further arrival, so it flushes
+        its partial size batch at the drain instead of holding it until the
+        last arrival's run-end flush at 0.9 s."""
+
+        from repro.plan import Autoscaler, ScheduledScalePolicy
+
+        scaler = Autoscaler(ScheduledScalePolicy(((0.5, 1),)), "vitality",
+                            min_replicas=1, max_replicas=2, interval=0.25,
+                            provision_seconds=0.1)
+        traffic = ReplayTraffic.from_records(
+            [[0.1, "deit-tiny"], [0.2, "deit-tiny"], [0.9, "deit-tiny"]])
+        report = serve(traffic, "2xvitality", SizeBatchPolicy(batch_size=8),
+                       duration=1.0, seed=0, autoscaler=scaler)
+        retired = [replica for replica in report.per_replica
+                   if replica.retired_at is not None]
+        assert len(retired) == 1 and retired[0].requests == 1
+        assert 0.5 < retired[0].retired_at < 0.9
+        assert report.completed == 3
 
 
 class TestConfigurablePercentiles:
