@@ -15,13 +15,13 @@ sweep that revisits pairs another figure already simulated costs nothing::
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.engine.cache import DEFAULT_CACHE, ResultCache, canonicalise_spec, simulate
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
+from repro.knobs import is_count
 from repro.workloads import list_workloads
 
 
@@ -214,8 +214,11 @@ class Sweep:
         :class:`~concurrent.futures.ProcessPoolExecutor`; the simulators are
         deterministic, so the outcome — results *and* cache accounting — is
         identical to the serial path, only the wall clock changes.
+        ``jobs`` must be None or an integer >= 1.
         """
 
+        if jobs is not None and not is_count(jobs):
+            raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
         cache = DEFAULT_CACHE if cache is None else cache
         before = cache.stats()
         specs = tuple(self.expand())
@@ -249,6 +252,9 @@ class Sweep:
                    if spec not in cache and is_import_time_target(spec.target)]
         computed: dict[RunSpec, RunResult] = {}
         if pending:
+            # Only parallel runs pay for importing multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(jobs, len(pending))
             chunksize = max(1, len(pending) // (workers * 4))
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, target_area_mm2
+from repro.knobs import is_count
 from repro.serve.batching import make_policy
 from repro.serve.cluster import Fleet, ReplicaSpec
 from repro.serve.llm import (
@@ -137,15 +137,21 @@ def _search(candidates: Sequence[dict], *, rank_keys: Sequence[str],
     :func:`_rank_shortlist`, validates the shortlist through ``measure`` —
     serially, or across ``jobs`` worker processes — and returns the
     validated rows with the cheapest one that attained its SLO (``None`` if
-    none did).  ``name`` labels a candidate in progress notes.
+    none did).  ``name`` labels a candidate in progress notes.  ``jobs``
+    must be None or an integer >= 1.
     """
 
+    if jobs is not None and not is_count(jobs):
+        raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
     feasible = [candidate for candidate in candidates
                 if candidate["predicted_feasible"]]
     shortlist = _rank_shortlist(feasible, rank_keys, cost, top_k)
     _note(progress, f"analytic prune: {len(candidates)} {noun}s, "
                     f"{len(feasible)} feasible, validating {len(shortlist)}")
     if jobs is not None and jobs > 1 and len(shortlist) > 1:
+        # Only parallel runs pay for importing multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, len(shortlist))
         _note(progress, f"validating {len(shortlist)} {noun}s across "
                         f"{workers} processes")

@@ -5,10 +5,12 @@ parallel sweeps, the disk cache and the DSE Pareto frontier."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.engine import (
     DiskResultCache,
     ResultCache,
@@ -19,6 +21,7 @@ from repro.engine import (
     get_target,
     simulate,
     split_configured_names,
+    sweep,
 )
 from repro.engine.results import RunResult
 from repro.experiments import run_experiment
@@ -307,6 +310,47 @@ class TestParallelSweep:
         after = cache_stats()
         assert (after.size, after.misses) == (before.size, before.misses)
         assert outcome.results[0] == outcome.results[2]
+
+
+#: ``jobs`` values that are not None or an integer >= 1.
+BAD_JOBS = [-1, 0, 2.5, math.nan, True]
+BAD_JOBS_IDS = ["minus-one", "zero", "2.5", "nan", "True"]
+
+
+class TestJobsMustBeACount:
+    """Unchecked, ``jobs=2.5`` died inside the pool with a TypeError, and
+    -1, 0, nan and True silently ran serially."""
+
+    @pytest.mark.parametrize("jobs", BAD_JOBS, ids=BAD_JOBS_IDS)
+    @pytest.mark.parametrize("run", [
+        lambda jobs, cache: (Sweep().models("deit-tiny", "levit-128")
+                             .targets("vitality", "sanger")
+                             .run(cache=cache, jobs=jobs)),
+        lambda jobs, cache: sweep(["deit-tiny", "levit-128"],
+                                  ["vitality", "sanger"], cache=cache,
+                                  jobs=jobs),
+        lambda jobs, cache: explore_design_space(
+            pe=("32x32", "64x64"), freq=("1ghz",), sram_kb=(200,),
+            cache=cache, jobs=jobs),
+    ], ids=["Sweep.run", "sweep", "explore_design_space"])
+    def test_fails_before_any_simulation(self, run, jobs):
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=r"jobs must be None or an "
+                                             r"integer >= 1, got"):
+            run(jobs, cache)
+        assert cache.stats().hits == cache.stats().misses == 0
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--models", "deit-tiny", "--targets", "vitality,sanger"],
+        ["dse", "--pe", "32x32,64x64", "--freq", "1ghz", "--sram-kb", "200"],
+    ], ids=["sweep", "dse"])
+    def test_commands_exit_2(self, command, jobs, capsys):
+        assert main([*command, f"--jobs={jobs}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"jobs must be None or an integer >= 1, got {jobs}" \
+            in captured.err
 
 
 class TestDiskCache:

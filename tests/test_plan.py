@@ -296,6 +296,39 @@ class TestOptimizer:
             planner(**kwargs, slo_percentile=value, cache=cache)
         assert cache.stats().misses == 0
 
+    @pytest.mark.parametrize("jobs", [-1, 0, 2.5, math.nan, True],
+                             ids=["minus-one", "zero", "2.5", "nan", "True"])
+    @pytest.mark.parametrize("planner, kwargs", [
+        (plan_capacity, dict(rate=1200.0, models=["deit-tiny"],
+                             slo_seconds=0.02, max_replicas=3)),
+        (plan_pipeline_capacity, dict(
+            rate=120.0, pipeline="plan2 = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.02, max_replicas_per_stage=2)),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 max_replicas=2)),
+    ], ids=["capacity", "pipeline", "llm"])
+    def test_jobs_must_be_a_count(self, planner, kwargs, jobs):
+        """Unchecked, ``jobs=2.5`` died inside the pool with a TypeError,
+        and -1, 0, nan and True silently validated serially.  The shared
+        search refuses it before its first stage, so no validation runs."""
+
+        notes = []
+        with pytest.raises(ValueError, match=r"jobs must be None or an "
+                                             r"integer >= 1, got"):
+            planner(**kwargs, duration=0.5, jobs=jobs, progress=notes.append)
+        assert notes == []
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_plan_command_refuses_bad_jobs(self, jobs, capsys):
+        assert main(["plan", "--rate", "600", "--duration", "0.5",
+                     "--slo-ms", "20", "--max-replicas", "2",
+                     f"--jobs={jobs}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"jobs must be None or an integer >= 1, got {jobs}" \
+            in captured.err
+
 
 class TestAutoscaling:
     DIURNAL = dict(duration=4.0, seed=0)
