@@ -178,8 +178,9 @@ class WorkloadMix:
         merged: dict[str, float] = {}
         for model, weight in self.entries:
             _check_workload_name(model, "mix")
-            if weight <= 0:
-                raise ValueError(f"mix weight for {model!r} must be positive, got {weight}")
+            # A nan or infinite weight corrupts every draw, and the config
+            # echo would print it as NaN or Infinity, which is not JSON.
+            check_finite(**{f"mix weight for {model!r}": weight})
             merged[model] = merged.get(model, 0.0) + weight
         # Duplicate names collapse to one summed entry, so the config echo
         # (to_dict) describes exactly the distribution sample() draws from.

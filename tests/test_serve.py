@@ -468,6 +468,32 @@ class TestNonFiniteRunParameters:
         assert captured.out == ""
         assert "timeout must be finite" in captured.err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_mix_weight_names_its_model(self, value):
+        """Unchecked, a nan weight never wins a draw and an infinite one
+        wins every draw, and the config echo prints non-JSON NaN."""
+
+        with pytest.raises(ValueError, match="mix weight for 'deit-tiny' "
+                                             "must be finite and positive"):
+            WorkloadMix.of(["deit-tiny", "levit-128"], [value, 1.0])
+
+    @pytest.mark.parametrize("command", [
+        ["serve"], ["plan", "--slo-ms", "20", "--max-replicas", "2"]],
+        ids=["serve", "plan"])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_commands_refuse_a_non_finite_weight(self, command, weight,
+                                                 capsys):
+        """Unchecked, both commands exited 0 and printed
+        ``"deit-tiny": NaN``, and serve ran levit-128 only."""
+
+        assert main([*command, "--models", "deit-tiny,levit-128",
+                     f"--weights={weight},1", "--duration", "0.5",
+                     "--rate", "50", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mix weight for 'deit-tiny' must be finite" in captured.err
+
     @pytest.mark.parametrize("pattern", [PoissonTraffic, BurstyTraffic,
                                          DiurnalTraffic])
     def test_traffic_rejects_a_bare_model_name_as_mix(self, pattern):
