@@ -64,7 +64,6 @@ from repro.engine import (
 from repro.experiments.dse_exps import explore_design_space
 from repro.experiments import get_experiment, list_experiments, run_experiment
 from repro.experiments.reporting import markdown_table, render_experiment
-from repro.models import available_attention_modes, available_models
 from repro.obs import (
     LOG_LEVELS,
     MetricsCollector,
@@ -429,6 +428,9 @@ def _fail(message: str) -> int:
 
 
 def _command_list() -> int:
+    # The model zoo imports NumPy; only this command needs it.
+    from repro.models import available_attention_modes, available_models
+
     print("Experiments:")
     for identifier in list_experiments():
         spec = get_experiment(identifier)

@@ -7,6 +7,10 @@ suite checks each driver's output, except the training-backed ones, which
 
     from repro.experiments import run_experiment
     result = run_experiment("tab1")
+
+Importing this package loads only the registry; each driver module
+(``hardware_exps``, ``accuracy_exps``, ...) is imported when its experiment
+first runs, or by name.
 """
 
 from repro.experiments.registry import (
@@ -15,28 +19,10 @@ from repro.experiments.registry import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments import (
-    complexity,
-    profiling_exps,
-    hardware_exps,
-    accuracy_exps,
-    serving_exps,
-    dse_exps,
-    seqscale_exps,
-    plan_exps,
-)
 
 __all__ = [
     "ExperimentSpec",
     "list_experiments",
     "get_experiment",
     "run_experiment",
-    "complexity",
-    "profiling_exps",
-    "hardware_exps",
-    "accuracy_exps",
-    "serving_exps",
-    "dse_exps",
-    "seqscale_exps",
-    "plan_exps",
 ]

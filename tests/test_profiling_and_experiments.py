@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments import get_experiment, list_experiments, run_experiment
 from repro.experiments.complexity import PAPER_TABLE1, PAPER_TABLE4_FLOPS
 from repro.experiments.hardware_exps import (
@@ -176,6 +183,45 @@ class TestExperimentRegistry:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+    def test_every_driver_resolves_in_its_named_module(self):
+        """A typo in the registry table would otherwise fail only when that
+        experiment first runs."""
+
+        for identifier in list_experiments():
+            spec = get_experiment(identifier)
+            module, _, _ = spec.driver.rpartition(".")
+            assert callable(spec.runner), identifier
+            assert spec.runner.__module__ == f"repro.experiments.{module}", \
+                identifier
+
+    def test_simulator_path_loads_no_training_stack(self):
+        """The simulator commands, the registry and a hardware driver import
+        neither NumPy nor the training stack nor the process pool.  Checked
+        in a fresh interpreter, since this suite has long since loaded them."""
+
+        script = (
+            "import json, sys\n"
+            "import repro.cli, repro.serve, repro.plan, repro.engine\n"
+            "import repro.experiments.dse_exps, repro.experiments.reporting\n"
+            "from repro.experiments import get_experiment, list_experiments\n"
+            "titles = [get_experiment(name).title for name in list_experiments()]\n"
+            "runner = get_experiment('fig11').runner\n"
+            "print(json.dumps({'titles': len(titles), 'runner': runner.__name__,\n"
+            "                  'modules': sorted(sys.modules)}))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        loaded = json.loads(done.stdout)
+        assert loaded["titles"] == len(list_experiments())
+        assert loaded["runner"] == "fig11_latency_speedup"
+        heavy = {"numpy", "scipy", "repro.tensor", "repro.nn", "repro.models",
+                 "repro.training", "repro.attention",
+                 "repro.experiments.accuracy_exps",
+                 "concurrent.futures.process"}
+        assert heavy.isdisjoint(loaded["modules"]), \
+            sorted(heavy.intersection(loaded["modules"]))
 
     def test_tab1_runner_matches_paper_reference_values(self):
         rows = run_experiment("tab1")
