@@ -237,7 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--window-ms", type=float,
                      help="add per-window throughput/p99/replica-count rows "
                           "at this resolution")
-    srv.add_argument("--autoscale", choices=SCALE_POLICIES,
+    srv.add_argument("--autoscale",
+                     choices=[name for name in SCALE_POLICIES
+                              if name != "scheduled"],
                      help="make the fleet dynamic under this scaling policy")
     srv.add_argument("--scale-unit",
                      help="replica kind scale-ups add (default: the fleet's "

@@ -32,10 +32,12 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from repro.serve.cluster import Fleet, Replica, ReplicaSpec
 from repro.serve.metrics import ScaleEvent
+from repro.serve.traffic import check_counts, check_finite
 
 logger = logging.getLogger(__name__)
 
-#: Policy names accepted by :func:`make_scale_policy` and the CLI.
+#: Policy names accepted by :func:`make_scale_policy`.  The CLI offers all
+#: but ``scheduled``, whose ``(time, count)`` steps no flag carries.
 SCALE_POLICIES = ("utilization", "queue-depth", "scheduled")
 
 
@@ -128,11 +130,13 @@ class ScheduledScalePolicy:
     name = "scheduled"
 
     def __init__(self, steps: Sequence[tuple[float, int]]):
-        ordered = tuple((float(time), int(count)) for time, count in steps)
-        if not ordered:
+        steps = tuple(steps)
+        if not steps:
             raise ValueError("a schedule needs at least one (time, count) step")
-        if any(count < 1 for _, count in ordered):
-            raise ValueError("scheduled replica counts must be >= 1")
+        for index, (time, count) in enumerate(steps):
+            check_finite(allow_zero=True, **{f"steps[{index}] time": time})
+            check_counts(**{f"steps[{index}] count": count})
+        ordered = tuple((float(time), int(count)) for time, count in steps)
         if list(ordered) != sorted(ordered, key=lambda step: step[0]):
             raise ValueError("schedule steps must be sorted by time")
         self.steps = ordered
@@ -176,16 +180,12 @@ class Autoscaler:
                  interval: float = 0.25, provision_seconds: float = 0.5):
         self.policy = make_scale_policy(policy) if isinstance(policy, str) else policy
         self.unit = ReplicaSpec.parse(unit) if isinstance(unit, str) else unit
-        if min_replicas < 1:
-            raise ValueError(f"min_replicas must be >= 1, got {min_replicas}")
+        check_counts(min_replicas=min_replicas, max_replicas=max_replicas)
         if max_replicas < min_replicas:
             raise ValueError(f"max_replicas ({max_replicas}) must be >= "
                              f"min_replicas ({min_replicas})")
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if provision_seconds < 0:
-            raise ValueError(f"provision_seconds must be >= 0, "
-                             f"got {provision_seconds}")
+        check_finite(interval=interval)
+        check_finite(provision_seconds=provision_seconds, allow_zero=True)
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.interval = interval

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 from repro.engine import ResultCache, target_area_mm2
 from repro.knobs import is_count
 from repro.serve.batching import make_policy
-from repro.serve.cluster import Fleet, ReplicaSpec
+from repro.serve.cluster import ReplicaSpec, make_router
 from repro.serve.llm import (
     DEFAULT_HANDOFF_SECONDS,
     DEFAULT_MAX_BATCH,
@@ -70,7 +70,12 @@ from repro.serve.traffic import (
     check_counts,
     check_finite,
 )
-from repro.plan.queueing import ServiceTimes, estimate_fleet, estimate_llm_pools
+from repro.plan.queueing import (
+    PipelineEstimate,
+    ServiceTimes,
+    estimate_fleet,
+    estimate_llm_pools,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,6 +130,18 @@ def _rank_shortlist(feasible: Sequence[dict], keys: Sequence[str],
     return ranked[:top_k]
 
 
+def _check_search(jobs: int | None, **counts: int) -> None:
+    """Refuse bad search arguments before any estimate: every ``counts``
+    entry (replica bounds, ``top_k``, token sizes) must be an integer >= 1
+    and ``jobs`` None or one.  Unchecked, a fractional bound or ``top_k``
+    died mid-search with a TypeError that named nothing, and a bad ``jobs``
+    only after the whole analytic prune."""
+
+    check_counts(**counts)
+    if jobs is not None and not is_count(jobs):
+        raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
+
+
 def _search(candidates: Sequence[dict], *, rank_keys: Sequence[str],
             cost: Callable[[dict], tuple], measure: Callable[..., dict],
             name: Callable[[dict], str], noun: str, top_k: int,
@@ -137,12 +154,10 @@ def _search(candidates: Sequence[dict], *, rank_keys: Sequence[str],
     :func:`_rank_shortlist`, validates the shortlist through ``measure`` —
     serially, or across ``jobs`` worker processes — and returns the
     validated rows with the cheapest one that attained its SLO (``None`` if
-    none did).  ``name`` labels a candidate in progress notes.  ``jobs``
-    must be None or an integer >= 1.
+    none did).  ``name`` labels a candidate in progress notes; the planner
+    has checked ``jobs`` with :func:`_check_search`.
     """
 
-    if jobs is not None and not is_count(jobs):
-        raise ValueError(f"jobs must be None or an integer >= 1, got {jobs!r}")
     feasible = [candidate for candidate in candidates
                 if candidate["predicted_feasible"]]
     shortlist = _rank_shortlist(feasible, rank_keys, cost, top_k)
@@ -278,15 +293,13 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
     check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
                  allow_zero=True)
     check_fractions("slo_percentile", (slo_percentile,))
-    if max_replicas < 1:
-        raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_search(jobs, max_replicas=max_replicas, top_k=top_k)
     if not targets:
         raise ValueError("the search space needs at least one target kind")
     if isinstance(models, str):
         models = [models]
     batching = make_policy(policy, batch_size=batch_size, timeout=timeout)
+    routing = make_router(router)
     mix = WorkloadMix.of(tuple(models), weights)
     if traffic is None:
         traffic = PoissonTraffic(rate=rate, mix=mix)
@@ -329,7 +342,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
                 candidate["replicas"], candidate["kind"])
 
     measure = partial(_measure_fleet, traffic=traffic, policy=batching,
-                      router=router, duration=duration, seed=seed,
+                      router=routing, duration=duration, seed=seed,
                       slo_seconds=slo_seconds,
                       dispatch_overhead_seconds=dispatch_overhead_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
@@ -442,13 +455,16 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
     check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
                  handoff_seconds=handoff_seconds, allow_zero=True)
     check_fractions("slo_percentile", (slo_percentile,))
-    if max_replicas_per_stage < 1:
-        raise ValueError(f"max_replicas_per_stage must be >= 1, "
-                         f"got {max_replicas_per_stage}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_search(jobs, max_replicas_per_stage=max_replicas_per_stage,
+                  top_k=top_k)
     batching = make_policy(policy, batch_size=batch_size, timeout=timeout)
+    routing = make_router(router)
     stage_names = [stage.name for stage in pipeline.stages]
+    unknown = [name for name in stage_slo_seconds or {}
+               if name not in stage_names]
+    if unknown:
+        raise ValueError(f"stage_slo_seconds names unknown stages "
+                         f"{', '.join(repr(n) for n in unknown)}")
     if isinstance(targets, str):
         kinds = {name: targets for name in stage_names}
     else:
@@ -475,7 +491,6 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
     # by the pipeline's visit ratios, so the whole count-vector product
     # space composes from S x max_replicas_per_stage estimates.
     visits = pipeline.visit_ratios()
-    handoff_total = pipeline.expected_handoffs() * handoff_seconds
     stage_estimates: dict[tuple[str, int], object] = {}
     for stage in pipeline.stages:
         for count in range(1, max_replicas_per_stage + 1):
@@ -488,24 +503,19 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
     candidates = []
     for counts in itertools.product(range(1, max_replicas_per_stage + 1),
                                     repeat=len(stage_names)):
-        per_stage = {name: stage_estimates[(name, count)]
-                     for name, count in zip(stage_names, counts)}
-        stable = all(estimate.stable for estimate in per_stage.values())
-        bottleneck = max(stage_names,
-                         key=lambda name: per_stage[name].utilization)
-        predicted = None
-        if stable:
-            predicted = handoff_total + sum(
-                visits[name] * per_stage[name].predicted(slo_percentile)
-                for name in stage_names)
-        feasible = stable and predicted is not None \
+        estimate = PipelineEstimate.compose(
+            pipeline, rate, handoff_seconds,
+            {name: stage_estimates[(name, count)]
+             for name, count in zip(stage_names, counts)})
+        predicted = estimate.predicted(slo_percentile)
+        feasible = estimate.stable and predicted is not None \
             and predicted <= slo_seconds * margin
         pools = {name: f"{count}x{kinds[name]}"
                  for name, count in zip(stage_names, counts)}
         area = None if cost_key != "area_mm2" else sum(
             areas[name] * count for name, count in zip(stage_names, counts))
-        energy = sum(visits[name] * per_stage[name].energy_per_request_joules
-                     for name in stage_names)
+        energy = sum(ratio * stage.energy_per_request_joules
+                     for _, ratio, stage in estimate.stages)
         candidates.append({
             "pools": pools,
             "pools_text": ";".join(f"{name}={pools[name]}"
@@ -514,15 +524,16 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
             "replicas": sum(counts),
             "area_mm2": area,
             "energy_per_request_mj": energy * 1e3,
-            "predicted_utilization": per_stage[bottleneck].utilization,
-            "bottleneck": bottleneck,
+            "predicted_utilization":
+                estimate.stage_estimate(estimate.bottleneck).utilization,
+            "bottleneck": estimate.bottleneck,
             f"predicted_{label}_ms":
                 None if predicted is None else predicted * 1e3,
             "predicted_feasible": feasible,
-            "per_stage": {name: {"visit_ratio": visits[name],
-                                 "utilization": per_stage[name].utilization,
-                                 "stable": per_stage[name].stable}
-                          for name in stage_names},
+            "per_stage": {name: {"visit_ratio": ratio,
+                                 "utilization": stage.utilization,
+                                 "stable": stage.stable}
+                          for name, ratio, stage in estimate.stages},
         })
 
     def cost(candidate: dict) -> tuple:
@@ -532,7 +543,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                 candidate["replicas"], candidate["pools_text"])
 
     measure = partial(_measure_pipeline, traffic=traffic, pipeline=pipeline,
-                      policy=batching, router=router, duration=duration,
+                      policy=batching, router=routing, duration=duration,
                       seed=seed, slo_seconds=slo_seconds,
                       stage_slo_seconds=stage_slo_seconds,
                       handoff_seconds=handoff_seconds,
@@ -684,14 +695,13 @@ def plan_llm_capacity(rate: float, model: str, *,
                  tpot_slo_seconds=tpot_slo_seconds)
     check_finite(step_overhead_seconds=step_overhead_seconds,
                  handoff_seconds=handoff_seconds, allow_zero=True)
-    check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
-                 prefill_chunk=prefill_chunk, max_batch=max_batch)
     check_fractions("slo_percentile", (slo_percentile,))
+    _check_search(jobs, prompt_tokens=prompt_tokens,
+                  output_tokens=output_tokens, prefill_chunk=prefill_chunk,
+                  max_batch=max_batch, max_replicas=max_replicas, top_k=top_k)
     if max_replicas < 2:
         raise ValueError(f"max_replicas must be >= 2 (one replica per pool), "
                          f"got {max_replicas}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     kv = KVCacheConfig() if kv is None else kv
     cache = ResultCache() if cache is None else cache
     if traffic is None:

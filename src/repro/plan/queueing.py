@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate
-from repro.serve.batching import BatchPolicy
+from repro.serve.batching import BatchPolicy, make_policy
 from repro.serve.cluster import Fleet, ReplicaSpec
 from repro.serve.llm import (
     DEFAULT_HANDOFF_SECONDS,
@@ -42,7 +42,11 @@ from repro.serve.llm import (
     KVCacheConfig,
     _bucket,
 )
-from repro.serve.metrics import DEFAULT_PERCENTILES, percentile_label
+from repro.serve.metrics import (
+    DEFAULT_PERCENTILES,
+    check_fractions,
+    percentile_label,
+)
 from repro.serve.pipeline import DEFAULT_STAGE_HANDOFF, PipelineSpec
 from repro.serve.simulator import DEFAULT_DISPATCH_OVERHEAD
 from repro.serve.traffic import WorkloadMix, check_counts, check_finite
@@ -70,6 +74,73 @@ def erlang_c(servers: int, offered_erlangs: float) -> float:
         blocking = offered_erlangs * blocking / (k + offered_erlangs * blocking)
     rho = offered_erlangs / servers
     return blocking / (1.0 - rho + rho * blocking)
+
+
+def _erlang_latency(servers: int, rate: float, per_request: float,
+                    before: float, after: float,
+                    percentiles: Sequence[float]
+                    ) -> tuple[float, float, float | None,
+                               tuple[tuple[str, float | None], ...]]:
+    """The wait model: latency ``before + wait + after`` in an M/M/c queue.
+
+    ``rate`` req/s share ``servers`` servers at ``per_request`` seconds of
+    service each; ``wait`` is the Erlang C queueing delay, exponential past
+    the wait probability.  ``before`` is paid ahead of the queue (batch
+    formation), ``after`` behind it (the service itself).  Returns
+    (utilization, wait probability, mean latency, per-percentile latency);
+    for an unstable queue (utilization >= 1) the wait probability is 1 and
+    every latency ``None`` — the queue grows without bound.
+    """
+
+    offered = rate * per_request                      # erlangs
+    utilization = offered / servers
+    fractions = sorted(set(percentiles))
+    if not utilization < 1.0:
+        return utilization, 1.0, None, tuple(
+            (percentile_label(fraction), None) for fraction in fractions)
+    wait_probability = erlang_c(servers, offered)
+    drain = servers / per_request - rate              # spare service rate
+
+    def wait_quantile(fraction: float) -> float:
+        if fraction <= 1.0 - wait_probability:
+            return 0.0
+        return -math.log((1.0 - fraction) / wait_probability) / drain
+
+    mean_latency = before + wait_probability / drain + after
+    latency = tuple((percentile_label(fraction),
+                     before + wait_quantile(fraction) + after)
+                    for fraction in fractions)
+    return utilization, wait_probability, mean_latency, latency
+
+
+def _settle(bound: int, demand: Callable[[int], float]) -> int:
+    """The batch fixed point: the batch size load forms, in ``[1, bound]``.
+
+    ``demand(batch)`` is the batch that accumulates while batches of
+    ``batch`` are in service (one engine lookup per call).  Each of at most
+    32 steps moves halfway to it, so two-cycles converge; deterministic.
+    """
+
+    batch = 1.0
+    for _ in range(32):
+        target = min(float(bound), demand(max(1, round(batch))))
+        if abs(target - batch) < 0.5:
+            batch = target
+            break
+        batch = (batch + target) / 2.0
+    return max(1, min(bound, round(batch)))
+
+
+def _predicted(latency: tuple[tuple[str, float | None], ...],
+               fraction: float) -> float | None:
+    """The latency an estimate predicts at one percentile fraction."""
+
+    label = percentile_label(fraction)
+    for key, value in latency:
+        if key == label:
+            return value
+    raise KeyError(f"percentile {label} was not estimated; "
+                   f"request it via the percentiles knob")
 
 
 class ServiceTimes:
@@ -150,12 +221,7 @@ class QueueingEstimate:
     def predicted(self, fraction: float) -> float | None:
         """The predicted latency at one percentile fraction (``0.99``)."""
 
-        label = percentile_label(fraction)
-        for key, value in self.latency:
-            if key == label:
-                return value
-        raise KeyError(f"percentile {label} was not estimated; "
-                       f"request it via the percentiles knob")
+        return _predicted(self.latency, fraction)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -175,35 +241,7 @@ class QueueingEstimate:
         }
 
 
-def _effective_batch(rate_per_server: float, service_at, max_batch: int,
-                     batching_window: float) -> int:
-    """Fixed point of batch formation under load.
-
-    At light load a timeout batch is its opening request plus whatever
-    arrives during the window (``1 + rate * window``); near saturation
-    batches form back-to-back while the previous one is in service
-    (``rate * service``).  The next batch is the larger of the two, bounded
-    to ``[1, max_batch]``, iterated with half-step damping so two-cycles
-    converge; deterministic.
-    """
-
-    if max_batch <= 1:
-        return 1
-    batch = 1.0
-    for _ in range(32):
-        service = service_at(max(1, round(batch)))
-        target = min(float(max_batch),
-                     max(1.0 + rate_per_server * batching_window,
-                         rate_per_server * service))
-        if abs(target - batch) < 0.5:
-            batch = target
-            break
-        batch = (batch + target) / 2.0
-    return max(1, min(max_batch, round(batch)))
-
-
-def _policy_batching(policy: BatchPolicy | str, batch_size: int,
-                     timeout: float) -> tuple[int, float, bool]:
+def _policy_batching(policy: BatchPolicy) -> tuple[int, float, bool]:
     """(max batch, batching window, fixed?) the analytic model should assume.
 
     ``fixed`` marks strict-size batching: every dispatch is a full batch, so
@@ -214,38 +252,34 @@ def _policy_batching(policy: BatchPolicy | str, batch_size: int,
     so its percentile predictions under ``size`` are optimistic.
     """
 
-    if not isinstance(policy, str):
-        name = policy.name
-        batch_size = getattr(policy, "max_batch",
-                             getattr(policy, "batch_size", batch_size))
-        timeout = getattr(policy, "timeout", timeout)
-        policy = name
-    if policy == "fifo":
+    if policy.name == "fifo":
         return 1, 0.0, False
-    if policy == "size":
-        return batch_size, 0.0, True
-    if policy == "timeout":
-        return batch_size, timeout, False
-    raise ValueError(f"unknown batching policy {policy!r}")
+    if policy.name == "size":
+        return policy.batch_size, 0.0, True
+    if policy.name == "timeout":
+        return policy.max_batch, policy.timeout, False
+    raise ValueError(f"unknown batching policy {policy.name!r}")
 
 
 def estimate_fleet(fleet: Fleet | str, rate: float,
                    mix: WorkloadMix | Sequence[str] | str, *,
                    policy: BatchPolicy | str = "timeout",
-                   batch_size: int = 8, timeout: float = 2e-3,
                    dispatch_overhead_seconds: float = DEFAULT_DISPATCH_OVERHEAD,
                    percentiles: Sequence[float] = DEFAULT_PERCENTILES,
                    service_times: ServiceTimes | None = None) -> QueueingEstimate:
     """Predict steady-state behavior of ``fleet`` under ``rate`` req/s.
 
     ``mix`` accepts a :class:`~repro.serve.WorkloadMix`, a workload name, or a
-    sequence of names (uniform weights).  ``policy`` mirrors the simulator's
-    batching argument; a built policy instance contributes its own
-    ``max_batch`` / ``timeout``.  Pass a shared :class:`ServiceTimes` to reuse
-    engine results across many estimates (the optimizer does).
+    sequence of names (uniform weights).  ``policy`` is the batching policy
+    the simulator runs — a built :class:`~repro.serve.BatchPolicy`, or a name
+    built by :func:`~repro.serve.make_policy` at its defaults — and
+    contributes its own ``max_batch`` / ``timeout``.  Pass a shared
+    :class:`ServiceTimes` to reuse engine results across many estimates (the
+    optimizer does).
     """
 
     check_finite(rate=rate)
+    check_fractions("percentiles", percentiles)
     if isinstance(fleet, str):
         fleet = Fleet.parse(fleet)
     if isinstance(mix, str):
@@ -255,7 +289,7 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
     if service_times is None:
         service_times = ServiceTimes(dispatch_overhead_seconds)
     max_batch, batching_window, fixed_batch = _policy_batching(
-        policy, batch_size, timeout)
+        make_policy(policy) if isinstance(policy, str) else policy)
 
     servers = len(fleet.replicas)
     specs = [replica.spec for replica in fleet.replicas]
@@ -267,23 +301,21 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
         return sum(service_times.mixed_service_seconds(mix, spec, batch)
                    for spec in specs) / servers
 
-    batch = max_batch if fixed_batch else _effective_batch(
-        rate_per_server, service_at, max_batch, batching_window)
+    # At light load a timeout batch is its opening request plus whatever
+    # arrives during the window; near saturation batches form back-to-back
+    # while the previous one is in service.
+    batch = max_batch if fixed_batch or max_batch <= 1 else _settle(
+        max_batch, lambda size: max(1.0 + rate_per_server * batching_window,
+                                    rate_per_server * service_at(size)))
     batch_service = service_at(batch)
     per_request = batch_service / batch
-    offered = rate * per_request                      # erlangs
-    if offered >= servers and batch < max_batch:
+    if rate * per_request >= servers and batch < max_batch:
         # The light-load fixed point says overload, but a saturated queue
         # builds full batches — amortising the dispatch overhead further.
         # Judge stability at the batch size saturation actually produces.
         batch = max_batch
         batch_service = service_at(batch)
         per_request = batch_service / batch
-        offered = rate * per_request
-    utilization = offered / servers
-    stable = utilization < 1.0
-    ceiling = servers / per_request
-    wait_probability = erlang_c(servers, offered) if stable else 1.0
     energy = sum(service_times.mixed_energy_joules(mix, spec, batch)
                  for spec in specs) / (servers * batch)
 
@@ -295,25 +327,9 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
         formation_delay = (batch - 1) / rate_per_server
     else:
         formation_delay = batching_window
-    fractions = sorted(set(percentiles))
-    if stable:
-        drain = servers / per_request - rate          # spare service rate
-        mean_wait = wait_probability / drain
-        mean_latency = formation_delay + mean_wait + batch_service
-
-        def wait_quantile(fraction: float) -> float:
-            if fraction <= 1.0 - wait_probability:
-                return 0.0
-            return -math.log((1.0 - fraction) / wait_probability) / drain
-
-        latency = tuple(
-            (percentile_label(fraction),
-             formation_delay + wait_quantile(fraction) + batch_service)
-            for fraction in fractions)
-    else:
-        mean_latency = None
-        latency = tuple((percentile_label(fraction), None)
-                        for fraction in fractions)
+    utilization, wait_probability, mean_latency, latency = _erlang_latency(
+        servers, rate, per_request, formation_delay, batch_service,
+        percentiles)
 
     return QueueingEstimate(
         fleet=fleet.describe(),
@@ -323,8 +339,8 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
         batch_service_seconds=batch_service,
         per_request_seconds=per_request,
         utilization=utilization,
-        stable=stable,
-        throughput_ceiling_rps=ceiling,
+        stable=mean_latency is not None,
+        throughput_ceiling_rps=servers / per_request,
         wait_probability=wait_probability,
         mean_latency_seconds=mean_latency,
         latency=latency,
@@ -368,12 +384,48 @@ class PipelineEstimate:
     def predicted(self, fraction: float) -> float | None:
         """The predicted end-to-end latency at one percentile fraction."""
 
-        label = percentile_label(fraction)
-        for key, value in self.latency:
-            if key == label:
-                return value
-        raise KeyError(f"percentile {label} was not estimated; "
-                       f"request it via the percentiles knob")
+        return _predicted(self.latency, fraction)
+
+    @classmethod
+    def compose(cls, pipeline: PipelineSpec, rate: float,
+                handoff_seconds: float,
+                estimates: "dict[str, QueueingEstimate]") -> PipelineEstimate:
+        """The tandem composition of per-stage estimates (one per stage
+        name, each at the stage's thinned rate and the same percentiles)."""
+
+        visits = pipeline.visit_ratios()
+        expected_handoffs = pipeline.expected_handoffs()
+        stages = tuple((stage.name, visits[stage.name], estimates[stage.name])
+                       for stage in pipeline.stages)
+        unstable = tuple(name for name, _, estimate in stages
+                         if not estimate.stable)
+        labels = [label for label, _ in stages[0][2].latency]
+        handoff_total = expected_handoffs * handoff_seconds
+        if unstable:
+            mean_latency = None
+            latency = tuple((label, None) for label in labels)
+        else:
+            mean_latency = handoff_total + sum(
+                ratio * estimate.mean_latency_seconds
+                for _, ratio, estimate in stages)
+            latency = tuple(
+                (label, handoff_total + sum(
+                    ratio * dict(estimate.latency)[label]
+                    for _, ratio, estimate in stages))
+                for label in labels)
+        return cls(
+            pipeline=pipeline.name,
+            rate_rps=rate,
+            handoff_seconds=handoff_seconds,
+            expected_handoffs=expected_handoffs,
+            stages=stages,
+            stable=not unstable,
+            # Ties go to the first stage in pipeline order.
+            bottleneck=max(stages, key=lambda entry: entry[2].utilization)[0],
+            unstable_stages=unstable,
+            mean_latency_seconds=mean_latency,
+            latency=latency,
+        )
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -395,7 +447,6 @@ class PipelineEstimate:
 def estimate_pipeline(pipeline: PipelineSpec | str,
                       pools: "dict[str, Fleet | str]", rate: float, *,
                       policy: BatchPolicy | str = "timeout",
-                      batch_size: int = 8, timeout: float = 2e-3,
                       handoff_seconds: float = DEFAULT_STAGE_HANDOFF,
                       dispatch_overhead_seconds: float = DEFAULT_DISPATCH_OVERHEAD,
                       percentiles: Sequence[float] = DEFAULT_PERCENTILES,
@@ -406,8 +457,9 @@ def estimate_pipeline(pipeline: PipelineSpec | str,
     Stage-k arrival rate is ``rate * visit_ratio(k)`` — the tandem-queue
     thinning :func:`repro.serve.serve_pipeline` realises event by event —
     and each stage pool goes through :func:`estimate_fleet` on its own
-    workload.  Pass a shared :class:`ServiceTimes` to reuse engine results
-    across many candidate pool sizings (``plan_pipeline_capacity`` does).
+    workload; :meth:`PipelineEstimate.compose` joins them.  Pass a shared
+    :class:`ServiceTimes` to reuse engine results across many candidate pool
+    sizings (``plan_pipeline_capacity`` does).
     """
 
     if isinstance(pipeline, str):
@@ -423,47 +475,12 @@ def estimate_pipeline(pipeline: PipelineSpec | str,
         service_times = ServiceTimes(dispatch_overhead_seconds)
 
     visits = pipeline.visit_ratios()
-    expected_handoffs = pipeline.expected_handoffs()
-    stages: list[tuple[str, float, QueueingEstimate]] = []
-    for stage in pipeline.stages:
-        estimate = estimate_fleet(
+    return PipelineEstimate.compose(pipeline, rate, handoff_seconds, {
+        stage.name: estimate_fleet(
             pools[stage.name], rate * visits[stage.name], stage.model,
-            policy=policy, batch_size=batch_size, timeout=timeout,
-            dispatch_overhead_seconds=dispatch_overhead_seconds,
+            policy=policy, dispatch_overhead_seconds=dispatch_overhead_seconds,
             percentiles=percentiles, service_times=service_times)
-        stages.append((stage.name, visits[stage.name], estimate))
-
-    unstable = tuple(name for name, _, estimate in stages if not estimate.stable)
-    stable = not unstable
-    bottleneck = max(stages, key=lambda entry: entry[2].utilization)[0]
-    handoff_total = expected_handoffs * handoff_seconds
-    if stable:
-        mean_latency = handoff_total + sum(
-            ratio * estimate.mean_latency_seconds
-            for _, ratio, estimate in stages)
-        latency = tuple(
-            (label, handoff_total + sum(
-                ratio * dict(estimate.latency)[label]
-                for _, ratio, estimate in stages))
-            for label in (percentile_label(fraction)
-                          for fraction in sorted(set(percentiles))))
-    else:
-        mean_latency = None
-        latency = tuple((percentile_label(fraction), None)
-                        for fraction in sorted(set(percentiles)))
-
-    return PipelineEstimate(
-        pipeline=pipeline.name,
-        rate_rps=rate,
-        handoff_seconds=handoff_seconds,
-        expected_handoffs=expected_handoffs,
-        stages=tuple(stages),
-        stable=stable,
-        bottleneck=bottleneck,
-        unstable_stages=unstable,
-        mean_latency_seconds=mean_latency,
-        latency=latency,
-    )
+        for stage in pipeline.stages})
 
 
 @dataclass(frozen=True)
@@ -504,12 +521,7 @@ class LLMPoolEstimate:
     def predicted_ttft(self, fraction: float) -> float | None:
         """The predicted TTFT at one percentile fraction (``0.95``)."""
 
-        label = percentile_label(fraction)
-        for key, value in self.ttft:
-            if key == label:
-                return value
-        raise KeyError(f"percentile {label} was not estimated; "
-                       f"request it via the percentiles knob")
+        return _predicted(self.ttft, fraction)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -559,19 +571,14 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
     check_counts(prompt_tokens=prompt_tokens, output_tokens=output_tokens,
                  prefill_chunk=prefill_chunk, max_batch=max_batch,
                  kv_bucket=kv_bucket)
+    check_fractions("percentiles", percentiles)
     prefill_fleet = Fleet.parse(prefill_fleet) \
         if isinstance(prefill_fleet, str) else prefill_fleet
     decode_fleet = Fleet.parse(decode_fleet) \
         if isinstance(decode_fleet, str) else decode_fleet
     kv = KVCacheConfig() if kv is None else kv
-    cache = ResultCache() if cache is None else cache
+    service_times = ServiceTimes(step_overhead_seconds, cache)
     bytes_per_token = kv.bytes_per_token(get_workload(model))
-
-    def run_seconds(name: str, spec: ReplicaSpec, batch: int = 1) -> float:
-        result = simulate(RunSpec(name, target=spec.target,
-                                  attention=spec.attention, batch_size=batch),
-                          cache=cache)
-        return step_overhead_seconds + result.end_to_end_latency
 
     # --- prefill pool: M/M/c on the full chunked-prompt service time -------
     prefill_specs = [replica.spec for replica in prefill_fleet.replicas]
@@ -583,33 +590,14 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
             chunk = min(prefill_chunk, prompt_tokens - progress)
             name = configured_name(model, tokens=chunk,
                                    kv_tokens=progress + chunk, phase="prefill")
-            total += run_seconds(name, spec)
+            total += service_times.service_seconds(name, spec)
             progress += chunk
         return total
 
     prefill_service = sum(prefill_seconds(spec)
                           for spec in prefill_specs) / servers_p
-    offered_p = rate * prefill_service
-    utilization_p = offered_p / servers_p
-    stable_p = utilization_p < 1.0
-    fractions = sorted(set(percentiles))
-    if stable_p:
-        wait_probability = erlang_c(servers_p, offered_p)
-        drain = servers_p / prefill_service - rate
-        ttft_mean = wait_probability / drain + prefill_service
-
-        def wait_quantile(fraction: float) -> float:
-            if fraction <= 1.0 - wait_probability:
-                return 0.0
-            return -math.log((1.0 - fraction) / wait_probability) / drain
-
-        ttft = tuple((percentile_label(fraction),
-                      wait_quantile(fraction) + prefill_service)
-                     for fraction in fractions)
-    else:
-        ttft_mean = None
-        ttft = tuple((percentile_label(fraction), None)
-                     for fraction in fractions)
+    utilization_p, _, ttft_mean, ttft = _erlang_latency(
+        servers_p, rate, prefill_service, 0.0, prefill_service, percentiles)
 
     # --- decode pool: batch fixed point under the KV concurrency cap -------
     decode_specs = [replica.spec for replica in decode_fleet.replicas]
@@ -626,7 +614,7 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
                                   phase="decode")
 
     def step_seconds(batch: int) -> float:
-        return sum(run_seconds(decode_name, spec, batch)
+        return sum(service_times.service_seconds(decode_name, spec, batch)
                    for spec in decode_specs) / servers_d
 
     decode_steps = output_tokens - 1
@@ -636,16 +624,8 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
     else:
         # Concurrency fixed point: requests decoding at once = arrival rate x
         # time spent decoding, spread across the pool and clamped to the cap.
-        batch = 1.0
-        for _ in range(32):
-            step = step_seconds(max(1, round(batch)))
-            target = min(float(cap),
-                         max(1.0, rate * decode_steps * step / servers_d))
-            if abs(target - batch) < 0.5:
-                batch = target
-                break
-            batch = (batch + target) / 2.0
-        batch_d = max(1, min(cap, round(batch)))
+        batch_d = _settle(cap, lambda size: max(
+            1.0, rate * decode_steps * step_seconds(size) / servers_d))
         step = step_seconds(batch_d)
         utilization_d = rate * decode_steps * step / (servers_d * batch_d)
         if utilization_d >= 1.0 and batch_d < cap:
@@ -666,7 +646,7 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
         output_tokens=output_tokens,
         prefill_service_seconds=prefill_service,
         prefill_utilization=utilization_p,
-        prefill_stable=stable_p,
+        prefill_stable=ttft_mean is not None,
         ttft_mean_seconds=ttft_mean,
         ttft=ttft,
         decode_batch=batch_d,

@@ -30,6 +30,8 @@ from repro.plan import (
     UtilizationScalePolicy,
     erlang_c,
     estimate_fleet,
+    estimate_llm_pools,
+    estimate_pipeline,
     make_scale_policy,
     plan_capacity,
     plan_llm_capacity,
@@ -39,7 +41,9 @@ from repro.serve import (
     DiurnalTraffic,
     PoissonTraffic,
     ReplicaSpec,
+    TimeoutBatchPolicy,
     WorkloadMix,
+    make_policy,
     serve,
 )
 
@@ -119,8 +123,8 @@ class TestQueueingEstimate:
 
     def test_batching_raises_predicted_throughput_ceiling(self):
         fifo = estimate_fleet("1xvitality", 400.0, MIX, policy="fifo")
-        batched = estimate_fleet("1xvitality", 3000.0, MIX, policy="timeout",
-                                 batch_size=8)
+        batched = estimate_fleet("1xvitality", 3000.0, MIX,
+                                 policy=TimeoutBatchPolicy(max_batch=8))
         assert batched.effective_batch > 1
         assert batched.throughput_ceiling_rps > fifo.throughput_ceiling_rps
 
@@ -149,6 +153,49 @@ class TestQueueingEstimate:
             ServiceTimes(dispatch_overhead_seconds=math.nan)
         with pytest.raises(KeyError, match="p75"):
             estimate_fleet("1xvitality", 10.0, MIX).predicted(0.75)
+
+    @pytest.mark.parametrize("value", [1.0, math.nan, -0.1],
+                             ids=["one", "nan", "negative"])
+    @pytest.mark.parametrize("estimate", [
+        lambda cache, percentiles: estimate_fleet(
+            "1xvitality", 100.0, MIX, percentiles=percentiles,
+            service_times=ServiceTimes(cache=cache)),
+        lambda cache, percentiles: estimate_pipeline(
+            "two = encoder[tokens=128] -> deit-tiny",
+            {"encoder": "1xvitality", "deit-tiny": "1xvitality"}, 100.0,
+            percentiles=percentiles, service_times=ServiceTimes(cache=cache)),
+        lambda cache, percentiles: estimate_llm_pools(
+            "1xvitality", "1xvitality", 10.0, "decoder",
+            percentiles=percentiles, cache=cache),
+    ], ids=["fleet", "pipeline", "llm"])
+    def test_percentiles_are_checked_on_entry(self, estimate, value):
+        """Unchecked, 1.0 died in the wait model with ``math domain
+        error``, nan returned a ``"pnan"`` key and -0.1 a ``"p-10"`` one."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=r"percentiles must be finite "
+                                             r"and in \(0, 1\)"):
+            estimate(cache, (0.5, value))
+        assert cache.stats().hits + cache.stats().misses == 0
+
+    def test_policy_is_a_built_instance_or_a_default_name(self):
+        """Under a name the estimate batches at make_policy's defaults; the
+        ``batch_size`` and ``timeout`` parameters that once fed the name
+        path, unchecked (a nan timeout gave a stable fleet with a nan p99),
+        are gone."""
+
+        named = estimate_fleet("1xvitality", 3000.0, MIX, policy="timeout")
+        built = estimate_fleet("1xvitality", 3000.0, MIX,
+                               policy=make_policy("timeout"))
+        assert named == built
+        with pytest.raises(TypeError, match="timeout"):
+            estimate_fleet("1xvitality", 100.0, MIX, policy="timeout",
+                           timeout=math.nan)
+        with pytest.raises(TypeError, match="batch_size"):
+            estimate_pipeline("two = encoder[tokens=128] -> deit-tiny",
+                              {"encoder": "1xvitality",
+                               "deit-tiny": "1xvitality"}, 100.0,
+                              batch_size=2.5)
 
 
 class TestOptimizer:
@@ -310,14 +357,63 @@ class TestOptimizer:
     ], ids=["capacity", "pipeline", "llm"])
     def test_jobs_must_be_a_count(self, planner, kwargs, jobs):
         """Unchecked, ``jobs=2.5`` died inside the pool with a TypeError,
-        and -1, 0, nan and True silently validated serially.  The shared
-        search refuses it before its first stage, so no validation runs."""
+        and -1, 0, nan and True silently validated serially.  Checked in
+        the search driver, it still failed only after the analytic prune
+        (4 engine misses and 119 hits for ``plan_capacity``); the planners
+        now refuse it before any estimate."""
 
-        notes = []
+        notes, cache = [], ResultCache()
         with pytest.raises(ValueError, match=r"jobs must be None or an "
                                              r"integer >= 1, got"):
-            planner(**kwargs, duration=0.5, jobs=jobs, progress=notes.append)
+            planner(**kwargs, duration=0.5, jobs=jobs, progress=notes.append,
+                    cache=cache)
         assert notes == []
+        assert cache.stats().hits + cache.stats().misses == 0
+
+    @pytest.mark.parametrize("planner, kwargs, argument", [
+        (plan_capacity, dict(rate=1200.0, models=["deit-tiny"],
+                             slo_seconds=0.02, top_k=2.5), "top_k"),
+        (plan_capacity, dict(rate=1200.0, models=["deit-tiny"],
+                             slo_seconds=0.02, max_replicas=2.5),
+         "max_replicas"),
+        (plan_capacity, dict(rate=1200.0, models=["deit-tiny"],
+                             slo_seconds=0.02, max_replicas=math.nan),
+         "max_replicas"),
+        (plan_capacity, dict(rate=100.0, models=["deit-tiny"],
+                             slo_seconds=0.05, router="nosuch"), "router"),
+        (plan_pipeline_capacity, dict(
+            rate=100.0, pipeline="p = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.05, max_replicas_per_stage=2.5),
+         "max_replicas_per_stage"),
+        (plan_pipeline_capacity, dict(
+            rate=100.0, pipeline="p = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.05, router="nosuch"), "router"),
+        (plan_pipeline_capacity, dict(
+            rate=100.0, pipeline="p = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.05, stage_slo_seconds={"nosuch": 0.01}),
+         "stage_slo_seconds"),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 top_k=1.5), "top_k"),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 max_replicas=2.5), "max_replicas"),
+    ], ids=["capacity-top-k", "capacity-max-replicas",
+            "capacity-nan-max-replicas", "capacity-router",
+            "pipeline-max-replicas-per-stage", "pipeline-router",
+            "pipeline-stage-slo-name", "llm-top-k", "llm-max-replicas"])
+    def test_bad_search_arguments_fail_before_any_estimate(
+            self, planner, kwargs, argument):
+        """Unchecked, a fractional ``top_k`` died in the ranking with
+        ``slice indices must be integers`` after the analytic prune, a
+        fractional replica bound with ``'float' object cannot be interpreted
+        as an integer``, and an unknown router or stage-SLO name only inside
+        the first validation run."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=argument):
+            planner(**kwargs, duration=0.3, cache=cache)
+        assert cache.stats().hits + cache.stats().misses == 0
 
     @pytest.mark.parametrize("jobs", ["-3", "0"])
     def test_plan_command_refuses_bad_jobs(self, jobs, capsys):
@@ -429,6 +525,52 @@ class TestAutoscaling:
             Autoscaler("utilization", "tpu")
         assert Autoscaler("utilization",
                           ReplicaSpec("gpu", "taylor")).unit.label == "gpu:taylor"
+
+    @pytest.mark.parametrize("kwargs, argument", [
+        (dict(interval=math.nan), "interval"),
+        (dict(interval=math.inf), "interval"),
+        (dict(provision_seconds=math.inf), "provision_seconds"),
+        (dict(provision_seconds=math.nan), "provision_seconds"),
+        (dict(min_replicas=1.5), "min_replicas"),
+        (dict(max_replicas=math.inf), "max_replicas"),
+    ], ids=["nan-interval", "inf-interval", "inf-provision", "nan-provision",
+            "fractional-min", "infinite-max"])
+    def test_autoscaler_checks_its_inputs(self, kwargs, argument):
+        """Unchecked, a nan interval never scheduled a scale check and an
+        infinite one or provision delay echoed as non-JSON ``Infinity``."""
+
+        with pytest.raises(ValueError, match=argument):
+            Autoscaler("utilization", "vitality", **kwargs)
+
+    @pytest.mark.parametrize("steps", [[(math.nan, 2)], [(math.inf, 2)],
+                                       [(0.0, 1), (1.0, 2.5)]],
+                             ids=["nan-time", "inf-time", "fractional-count"])
+    def test_schedule_checks_its_steps(self, steps):
+        """Unchecked, a nan step time constructed and a count of 2.5 was
+        truncated to 2."""
+
+        with pytest.raises(ValueError, match=r"steps\[\d\]"):
+            ScheduledScalePolicy(steps)
+
+    @pytest.mark.parametrize("flags, argument", [
+        (["--scale-interval-ms", "nan"], "interval"),
+        (["--provision-ms", "inf"], "provision"),
+    ], ids=["nan-interval", "inf-provision"])
+    def test_serve_refuses_bad_autoscaler_flags(self, flags, argument, capsys):
+        assert main(["serve", "--autoscale", "utilization", "--duration", "2",
+                     *flags, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argument in captured.err
+
+    def test_serve_offers_only_the_policies_it_can_build(self, capsys):
+        """``scheduled`` needs (time, count) steps no flag carries: offered
+        anyway, it always failed with a TypeError about ``steps``."""
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--autoscale", "scheduled", "--duration", "1"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'scheduled'" in capsys.readouterr().err
 
 
 class TestRegisteredExperiments:
