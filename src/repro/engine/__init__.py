@@ -8,9 +8,9 @@ evaluation matrix.  The pieces:
   ``vitality-unpipelined``, ``sanger``, ``salo``, ``cpu``, ``edge_gpu``,
   ``gpu``, ``pixel3``) to adapters over the cycle-level accelerators and
   analytic platform models (:mod:`targets`);
-* :class:`RunSpec` — a frozen, hashable description of one run (model,
-  target, attention mode, batch size, dataflow, pipelining, peak scaling)
-  (:mod:`spec`);
+* :class:`RunSpec` — a validated named tuple describing one run (model,
+  target, attention mode, batch size, dataflow, pipelining, peak scaling),
+  hashed and compared by value in C (:mod:`spec`);
 * :func:`simulate` and :class:`ResultCache` — memoised execution keyed on
   the spec, so repeated figure/table experiments never re-simulate an
   identical run (:mod:`cache`);

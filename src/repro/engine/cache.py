@@ -134,17 +134,15 @@ def _resolve(spec: RunSpec):
     resolver.
     """
 
-    from dataclasses import replace
-
     from repro.engine.targets import get_target
     from repro.workloads import canonical_workload_name
 
     target = get_target(spec.target)
     if target.name != spec.target:
-        spec = replace(spec, target=target.name)
+        spec = spec._replace(target=target.name)
     model = canonical_workload_name(spec.model)
     if model != spec.model:
-        spec = replace(spec, model=model)
+        spec = spec._replace(model=model)
     canonicalise = getattr(target, "canonical_spec", None)
     if canonicalise is not None:
         spec = canonicalise(spec)
@@ -165,7 +163,7 @@ def simulate(spec: RunSpec, *, cache: ResultCache | None = None) -> RunResult:
 
     target, spec = _resolve(spec)
     cache = DEFAULT_CACHE if cache is None else cache
-    return cache.get_or_run(spec, lambda s: target.simulate(s))
+    return cache.get_or_run(spec, target.simulate)
 
 
 def cache_stats() -> CacheStats:

@@ -11,8 +11,7 @@ cross-product sweeps can be expanded mechanically.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from repro.knobs import is_count
 from repro.workloads import ModelWorkload, get_workload
@@ -25,8 +24,19 @@ DATAFLOWS = ("down_forward", "g_stationary")
 ATTENTION_MODES = ("vanilla", "taylor")
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class _RunSpecFields(NamedTuple):
+    # The fields and their defaults; RunSpec adds the checks.
+    model: str
+    target: str = "vitality"
+    attention: str | None = None
+    batch_size: int = 1
+    dataflow: str | None = None
+    pipelined: bool | None = None
+    include_linear: bool = True
+    scale_to_peak: float | None = None
+
+
+class RunSpec(_RunSpecFields):
     """One simulation request.
 
     Attributes:
@@ -53,45 +63,44 @@ class RunSpec:
             before simulating, if the target supports scaling and its native
             peak is lower (the paper's platform-comparison methodology).
 
-    The hash is computed once, at construction, and equals the generated
-    dataclass hash.  A pickle or copy is rebuilt through the constructor and
-    hashes again, since string hashes are salted per process.
+    A validated named tuple, because every resolver and result-cache lookup
+    hashes and compares one: a tuple does both in C, by value, under the
+    running process's string-hash salt, so a spec equals the plain tuple of
+    its fields.  Every construction runs the checks in ``__new__``: keyword
+    and positional calls, :meth:`_replace` and :meth:`_make` (the generated
+    ones skip ``__new__``), and copies and pickles (protocol 2 and up, the
+    default), which rebuild through the constructor.
     """
 
-    model: str
-    target: str = "vitality"
-    attention: str | None = None
-    batch_size: int = 1
-    dataflow: str | None = None
-    pipelined: bool | None = None
-    include_linear: bool = True
-    scale_to_peak: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.model:
+    def __new__(cls, *args, **kwargs) -> RunSpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        if not spec.model:
             raise ValueError("RunSpec.model must be a non-empty workload name")
-        if not self.target:
+        if not spec.target:
             raise ValueError("RunSpec.target must be a non-empty target name")
-        if not is_count(self.batch_size):
+        if not is_count(spec.batch_size):
             raise ValueError(f"batch_size must be an integer >= 1, "
-                             f"got {self.batch_size!r}")
-        if self.attention is not None and self.attention not in ATTENTION_MODES:
+                             f"got {spec.batch_size!r}")
+        if spec.attention is not None and spec.attention not in ATTENTION_MODES:
             raise ValueError(f"attention must be one of {ATTENTION_MODES}, "
-                             f"got {self.attention!r}")
-        if self.dataflow is not None and self.dataflow not in DATAFLOWS:
-            raise ValueError(f"dataflow must be one of {DATAFLOWS}, got {self.dataflow!r}")
-        if self.scale_to_peak is not None and not (
-                math.isfinite(self.scale_to_peak) and self.scale_to_peak > 0):
+                             f"got {spec.attention!r}")
+        if spec.dataflow is not None and spec.dataflow not in DATAFLOWS:
+            raise ValueError(f"dataflow must be one of {DATAFLOWS}, got {spec.dataflow!r}")
+        if spec.scale_to_peak is not None and not (
+                math.isfinite(spec.scale_to_peak) and spec.scale_to_peak > 0):
             # nan would pass a bare ``<= 0`` and never equal itself as a key.
             raise ValueError(f"scale_to_peak must be finite and positive, "
-                             f"got {self.scale_to_peak}")
-        object.__setattr__(self, "_hash", hash(_field_values(self)))
+                             f"got {spec.scale_to_peak}")
+        return spec
 
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, iterable) -> RunSpec:
+        """A spec from all of its field values, through the checks
+        (``_replace`` builds through this too)."""
 
-    def __reduce__(self):
-        return type(self), _field_values(self)
+        return cls(*_RunSpecFields._make(iterable))
 
     def workload(self) -> ModelWorkload:
         """Resolve the configured workload this spec runs on; every spelling
@@ -100,8 +109,4 @@ class RunSpec:
         return get_workload(self.model)
 
     def to_dict(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: Field values in declaration order: the generated hash's tuple, and __init__'s args.
-_field_values = operator.attrgetter(*(f.name for f in fields(RunSpec)))
+        return self._asdict()

@@ -259,7 +259,7 @@ class VitalityTarget:
 
         if (spec.scale_to_peak is not None
                 and spec.scale_to_peak <= self.peak_macs_per_second):
-            spec = replace(spec, scale_to_peak=None)
+            spec = spec._replace(scale_to_peak=None)
         return spec
 
     def simulate(self, spec: RunSpec) -> RunResult:
@@ -345,7 +345,7 @@ class SALOTarget:
         """``include_linear`` is a no-op here (SALO models attention only)."""
 
         if not spec.include_linear:
-            spec = replace(spec, include_linear=True)
+            spec = spec._replace(include_linear=True)
         return spec
 
     def simulate(self, spec: RunSpec) -> RunResult:
@@ -386,7 +386,7 @@ class PlatformTarget:
         """An unset attention mode means the platform default, ``vanilla``."""
 
         if spec.attention is None:
-            spec = replace(spec, attention="vanilla")
+            spec = spec._replace(attention="vanilla")
         return spec
 
     def simulate(self, spec: RunSpec) -> RunResult:

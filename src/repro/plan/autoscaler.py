@@ -108,7 +108,10 @@ class QueueDepthScalePolicy:
     name = "queue-depth"
 
     def __init__(self, high: float = 4.0, low: float = 0.5):
-        if not 0.0 <= low < high:
+        # An infinite bound would echo as non-JSON Infinity.
+        check_finite(high=high)
+        check_finite(allow_zero=True, low=low)
+        if not low < high:
             raise ValueError(f"need 0 <= low < high, got low={low}, high={high}")
         self.high = high
         self.low = low

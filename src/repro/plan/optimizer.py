@@ -292,7 +292,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
                  slo_seconds=slo_seconds)
     check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
                  allow_zero=True)
-    check_fractions("slo_percentile", (slo_percentile,))
+    check_fractions("slo_percentile", (slo_percentile, *DEFAULT_PERCENTILES))
     _check_search(jobs, max_replicas=max_replicas, top_k=top_k)
     if not targets:
         raise ValueError("the search space needs at least one target kind")
@@ -454,7 +454,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                     for name, slo in (stage_slo_seconds or {}).items()})
     check_finite(dispatch_overhead_seconds=dispatch_overhead_seconds,
                  handoff_seconds=handoff_seconds, allow_zero=True)
-    check_fractions("slo_percentile", (slo_percentile,))
+    check_fractions("slo_percentile", (slo_percentile, *DEFAULT_PERCENTILES))
     _check_search(jobs, max_replicas_per_stage=max_replicas_per_stage,
                   top_k=top_k)
     batching = make_policy(policy, batch_size=batch_size, timeout=timeout)
@@ -695,7 +695,7 @@ def plan_llm_capacity(rate: float, model: str, *,
                  tpot_slo_seconds=tpot_slo_seconds)
     check_finite(step_overhead_seconds=step_overhead_seconds,
                  handoff_seconds=handoff_seconds, allow_zero=True)
-    check_fractions("slo_percentile", (slo_percentile,))
+    check_fractions("slo_percentile", (slo_percentile, *DEFAULT_PERCENTILES))
     _check_search(jobs, prompt_tokens=prompt_tokens,
                   output_tokens=output_tokens, prefill_chunk=prefill_chunk,
                   max_batch=max_batch, max_replicas=max_replicas, top_k=top_k)

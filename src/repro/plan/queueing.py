@@ -161,11 +161,20 @@ class ServiceTimes:
                      allow_zero=True)
         self.dispatch_overhead_seconds = dispatch_overhead_seconds
         self.cache = ResultCache() if cache is None else cache
+        self._specs: dict[tuple, RunSpec] = {}
 
     def _result(self, model: str, spec: ReplicaSpec, batch: int):
-        return simulate(RunSpec(model, target=spec.target,
-                                attention=spec.attention, batch_size=batch),
-                        cache=self.cache)
+        # One engine spec per shape, like the serving kernel's ``run_spec``;
+        # every lookup still calls ``simulate``, so the cache counts hold.
+        # The key holds the batch's type: 2.0 and True equal the int keys 2
+        # and 1, and must still meet RunSpec's check.
+        key = (model, spec.target, spec.attention, batch, type(batch))
+        run = self._specs.get(key)
+        if run is None:
+            run = self._specs[key] = RunSpec(model, target=spec.target,
+                                             attention=spec.attention,
+                                             batch_size=batch)
+        return simulate(run, cache=self.cache)
 
     def service_seconds(self, model: str, spec: ReplicaSpec,
                         batch: int = 1) -> float:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from repro.engine import Sweep, get_target, split_configured_names
 from repro.engine.spec import ATTENTION_MODES
-from repro.serve.traffic import Request
+from repro.serve.traffic import Request, check_finite
 
 #: Router names accepted by :func:`make_router` and the CLI.
 ROUTERS = ("least-loaded", "energy-aware")
@@ -411,8 +411,8 @@ class EnergyAwareRouter:
     name = "energy-aware"
 
     def __init__(self, slack_seconds: float = 0.01):
-        if slack_seconds < 0:
-            raise ValueError(f"slack_seconds must be >= 0, got {slack_seconds}")
+        # A nan slack makes every replica ineligible.
+        check_finite(allow_zero=True, slack_seconds=slack_seconds)
         self.slack_seconds = slack_seconds
 
     def choose(self, replicas: Sequence[Replica], model: str, now: float,

@@ -49,13 +49,21 @@ def check_summary(summary: str) -> None:
 
 def check_fractions(name: str, fractions: Sequence[float]) -> None:
     """Reject quantile fractions that are not finite and strictly inside
-    (0, 1); the error names the argument.  Unchecked, an exact-summary run
-    meets a bad fraction only after the whole simulation."""
+    (0, 1), and distinct fractions that share a :func:`percentile_label`;
+    the error names the argument.  Unchecked, an exact-summary run meets a
+    bad fraction only after the whole simulation, and a second fraction
+    labelled ``"p99"`` overwrites the first in every report."""
 
+    labelled: dict[str, float] = {}
     for fraction in fractions:
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"{name} must be finite and in (0, 1), "
                              f"got {fraction!r}")
+        label = percentile_label(fraction)
+        first = labelled.setdefault(label, fraction)
+        if first != fraction:
+            raise ValueError(f"{name} {first!r} and {fraction!r} share the "
+                             f"label {label!r}")
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:

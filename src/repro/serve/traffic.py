@@ -358,20 +358,28 @@ def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
     the time stream to materialise here so the interleaving (and with it the
     bit-exact arrival sequence) is preserved.  Mixes that draw nothing per
     request (one model, no token profile) stream straight through in O(1)
-    memory, naming their one model without calling the samplers.
+    memory, naming their one model without calling the samplers.  Mixes
+    without token profiles skip :meth:`WorkloadMix.sample_tokens`, which
+    draws nothing for an unprofiled model.
     """
 
+    # All five fields, so each tuple is built in C (see Request).
+    new = tuple.__new__
     if not mix.draws_per_request:
-        # All five fields, so the tuple is built in C (see Request).
-        model, new = mix.entries[0][0], tuple.__new__
+        model = mix.entries[0][0]
         for index, time in enumerate(times):
             yield new(Request, (index, model, time, None, None))
         return
+    sample = mix.sample
+    if not mix.token_profiles:
+        for index, time in enumerate(list(times)):
+            yield new(Request, (index, sample(rng), time, None, None))
+        return
+    sample_tokens = mix.sample_tokens
     for index, time in enumerate(list(times)):
-        model = mix.sample(rng)
-        prompt, output = mix.sample_tokens(model, rng)
-        yield Request(index=index, model=model, arrival=time,
-                      prompt_tokens=prompt, output_tokens=output)
+        model = sample(rng)
+        prompt, output = sample_tokens(model, rng)
+        yield new(Request, (index, model, time, prompt, output))
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,37 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="scale_to_peak"):
             RunSpec("deit-tiny", scale_to_peak=peak)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+        ({"attention": "x"},
+         "attention must be one of ('vanilla', 'taylor'), got 'x'"),
+        ({"scale_to_peak": float("nan")},
+         "scale_to_peak must be finite and positive, got nan"),
+    ], ids=["batch_size", "attention", "scale_to_peak"])
+    def test_every_construction_path_runs_the_checks(self, bad, message):
+        """A named tuple's generated ``_make`` and ``_replace`` skip
+        ``__new__``; the resolver and the targets' ``canonical_spec`` build
+        through ``_replace``, and pickles and copies rebuild through the
+        constructor."""
+
+        good = RunSpec("deit-tiny", target="gpu")
+        values = {**good.to_dict(), **bad}
+        # Built past every check, as a foreign pickle could carry it.
+        unchecked = tuple.__new__(RunSpec, tuple(values.values()))
+        paths = {
+            "keywords": lambda: RunSpec(**values),
+            "positional": lambda: RunSpec(*values.values()),
+            "_replace": lambda: good._replace(**bad),
+            "_make": lambda: RunSpec._make(values.values()),
+            "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+            "copy": lambda: copy.copy(unchecked),
+            "deepcopy": lambda: copy.deepcopy(unchecked),
+        }
+        for path, build in paths.items():
+            with pytest.raises(ValueError) as error:
+                build()
+            assert str(error.value) == message, path
+
     def test_to_dict_round_trip(self):
         spec = RunSpec("levit-128", target="salo", include_linear=False)
         assert RunSpec(**spec.to_dict()) == spec
@@ -139,16 +170,16 @@ class TestRunSpec:
            include_linear=st.booleans(),
            scale_to_peak=st.none() | st.floats(1e9, 1e15))
     def test_cached_hash_is_the_field_tuple_hash(self, **values):
-        """The hash computed at construction is the generated dataclass
-        hash; ``replace`` and ``deepcopy`` give equal specs that hash equal."""
+        """A spec hashes as the tuple of its fields; ``_replace`` and
+        ``deepcopy`` give equal specs that hash equal."""
 
         spec = RunSpec(**values)
-        assert hash(spec) == hash(tuple(getattr(spec, field.name)
-                                        for field in dataclasses.fields(spec)))
-        for twin in (dataclasses.replace(spec), copy.deepcopy(spec),
+        assert hash(spec) == hash(tuple(getattr(spec, field)
+                                        for field in spec._fields))
+        for twin in (spec._replace(), copy.deepcopy(spec),
                      copy.copy(spec), pickle.loads(pickle.dumps(spec))):
             assert twin == spec and hash(twin) == hash(spec)
-        bigger = dataclasses.replace(spec, batch_size=spec.batch_size + 1)
+        bigger = spec._replace(batch_size=spec.batch_size + 1)
         assert bigger != spec
         assert hash(bigger) == hash(tuple(bigger.to_dict().values()))
 

@@ -343,6 +343,28 @@ class TestOptimizer:
             planner(**kwargs, slo_percentile=value, cache=cache)
         assert cache.stats().misses == 0
 
+    @pytest.mark.parametrize("planner, kwargs", [
+        (plan_capacity, dict(rate=1200.0, models=["deit-tiny"],
+                             slo_seconds=0.02, duration=1.0)),
+        (plan_pipeline_capacity, dict(
+            rate=120.0, pipeline="plan2 = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.02, duration=1.0)),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 duration=1.0)),
+    ], ids=["capacity", "pipeline", "llm"])
+    def test_slo_percentile_sharing_a_report_label_fails_first(
+            self, planner, kwargs):
+        """Validation reports carry the default percentiles plus the SLO's.
+        Unchecked, 0.9900001 ran the search and its "p99" overwrote
+        0.99's in every validation report."""
+
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=r"slo_percentile 0\.9900001 and "
+                                             r"0\.99 share the label 'p99'"):
+            planner(**kwargs, slo_percentile=0.9900001, cache=cache)
+        assert cache.stats().hits == cache.stats().misses == 0
+
     @pytest.mark.parametrize("jobs", [-1, 0, 2.5, math.nan, True],
                              ids=["minus-one", "zero", "2.5", "nan", "True"])
     @pytest.mark.parametrize("planner, kwargs", [
@@ -541,6 +563,17 @@ class TestAutoscaling:
 
         with pytest.raises(ValueError, match=argument):
             Autoscaler("utilization", "vitality", **kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("argument", ["high", "low"])
+    def test_queue_depth_bounds_must_be_finite(self, argument, value):
+        """Unchecked, ``high=inf`` constructed and an autoscaled report
+        echoed it as non-JSON ``Infinity``."""
+
+        with pytest.raises(ValueError, match=f"{argument} must be finite"):
+            QueueDepthScalePolicy(**{argument: value})
+        assert QueueDepthScalePolicy(low=0.0).low == 0.0
 
     @pytest.mark.parametrize("steps", [[(math.nan, 2)], [(math.inf, 2)],
                                        [(0.0, 1), (1.0, 2.5)]],

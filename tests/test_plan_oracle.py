@@ -15,7 +15,8 @@ same order, over:
 - fifo, size and timeout policies, built at batch sizes 1-16 and timeouts of
   0-5 ms or named at :func:`make_policy`'s defaults;
 - rates from light load to past saturation, with extra percentiles (label
-  collisions included);
+  collisions included: the reference carried both fractions under one key,
+  and the code under test refuses them before any engine lookup);
 - two-stage, three-stage and cascade pipelines;
 - LLM pools across prefill and decode counts, token lengths (one-token
   outputs included), chunk sizes and KV capacities, too-small ones included.
@@ -31,6 +32,7 @@ import math
 from types import SimpleNamespace
 from typing import Sequence
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ResultCache, RunSpec, simulate
@@ -481,11 +483,33 @@ REFERENCE = SimpleNamespace(estimate_fleet=estimate_fleet,
                             estimate_llm_pools=estimate_llm_pools)
 
 
-def assert_matches(run) -> None:
+def _shared_label(percentiles: Sequence[float]) -> tuple[float, float] | None:
+    """(earlier, later) for the first fraction, in order, whose label a
+    different earlier fraction already has; None if the labels are unique."""
+
+    labelled: dict[str, float] = {}
+    for fraction in percentiles:
+        first = labelled.setdefault(percentile_label(fraction), fraction)
+        if first != fraction:
+            return first, fraction
+    return None
+
+
+def assert_matches(run, percentiles: Sequence[float]) -> None:
     """``run(module, cache)`` shows the same outcome with ``module`` the
-    code under test (:mod:`repro.plan.queueing`) and the reference."""
+    code under test (:mod:`repro.plan.queueing`) and the reference, unless
+    two of ``percentiles`` share a label: then the code under test refuses
+    them, naming both, before any engine lookup."""
 
     new = _outcome(lambda cache: run(queueing, cache))
+    shared = _shared_label(percentiles)
+    if shared is not None:
+        first, second = shared
+        assert new == (("ValueError",
+                        f"percentiles {first!r} and {second!r} share the "
+                        f"label {percentile_label(first)!r}"),
+                       ResultCache().stats(), [])
+        return
     old = _outcome(lambda cache: run(REFERENCE, cache))
     assert new == old
 
@@ -534,7 +558,7 @@ def test_estimate_fleet_matches_reference(fleet, rate, mix, policy,
                                           percentiles, overhead):
     assert_matches(lambda module, cache: module.estimate_fleet(
         fleet, rate, mix, policy=policy, percentiles=percentiles,
-        service_times=ServiceTimes(overhead, cache)))
+        service_times=ServiceTimes(overhead, cache)), percentiles)
 
 
 @settings(max_examples=80, deadline=None)
@@ -547,7 +571,8 @@ def test_estimate_pipeline_matches_reference(pipeline, data, rate, policy,
              for stage in pipeline.stages}
     assert_matches(lambda module, cache: module.estimate_pipeline(
         pipeline, pools, rate, policy=policy, handoff_seconds=handoff,
-        percentiles=percentiles, service_times=ServiceTimes(overhead, cache)))
+        percentiles=percentiles, service_times=ServiceTimes(overhead, cache)),
+        percentiles)
 
 
 @settings(max_examples=80, deadline=None)
@@ -571,4 +596,27 @@ def test_estimate_llm_pools_matches_reference(
         prefill, decode, rate, "decoder", prompt_tokens=prompt_tokens,
         output_tokens=output_tokens, prefill_chunk=prefill_chunk,
         max_batch=max_batch, kv=kv, step_overhead_seconds=overhead,
-        kv_bucket=kv_bucket, percentiles=percentiles, cache=cache))
+        kv_bucket=kv_bucket, percentiles=percentiles, cache=cache),
+        percentiles)
+
+
+@pytest.mark.parametrize("extra", [(0.9900001,), (0.9, 0.5000001),
+                                   (0.25, 0.2500000001, 0.25)],
+                         ids=["p99", "p50", "p25"])
+def test_percentiles_sharing_a_label_are_refused(extra):
+    """The strategies above seldom draw two fractions that agree to six
+    significant digits of the percent; these always do."""
+
+    percentiles = (*DEFAULT_PERCENTILES, *extra)
+    assert _shared_label(percentiles) is not None
+    assert_matches(lambda module, cache: module.estimate_fleet(
+        "2xvitality", 600.0, "deit-tiny", percentiles=percentiles,
+        service_times=ServiceTimes(0.0, cache)), percentiles)
+    assert_matches(lambda module, cache: module.estimate_pipeline(
+        "two = encoder[tokens=128] -> deit-tiny",
+        {"encoder": "1xvitality", "deit-tiny": "1xvitality"}, 60.0,
+        percentiles=percentiles, service_times=ServiceTimes(0.0, cache)),
+        percentiles)
+    assert_matches(lambda module, cache: module.estimate_llm_pools(
+        "1xvitality", "1xvitality", 2.0, "decoder", percentiles=percentiles,
+        cache=cache), percentiles)

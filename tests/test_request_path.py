@@ -9,7 +9,8 @@ These tests pin that the cuts change nothing observable:
   loop it replaced, kept here verbatim as the oracle;
 - :class:`Request` is a named tuple with the dataclass's fields, defaults,
   ``to_dict`` and immutability, and the arrivals built straight from
-  ``tuple.__new__`` equal keyword-built ones;
+  ``tuple.__new__`` equal keyword-built ones; multi-model arrivals equal
+  the keyword-built loop they replaced, kept here verbatim as the oracle;
 - :meth:`WorkloadMix.sample` draws what the per-draw linear scan drew;
 - the batch policies take the same batch, leave the same queue order and make
   the same take-or-wait decision as the full-queue pop and count they
@@ -18,7 +19,8 @@ These tests pin that the cuts change nothing observable:
   exact backlog ties included;
 - a dispatch reuses one engine spec per (model, replica kind, batch size)
   while still making one ``simulate`` call, and so one cache lookup, per
-  batch, plus one per routing estimate.
+  batch, plus one per routing estimate; so do the planner's service-time
+  lookups, one call per lookup.
 """
 
 from __future__ import annotations
@@ -35,15 +37,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import ResultCache, simulate
 from repro.obs import Observability, TraceRecorder, chrome_trace_json
-from repro.plan import Autoscaler, ScheduledScalePolicy
+from repro.plan import (
+    Autoscaler,
+    ScheduledScalePolicy,
+    ServiceTimes,
+    estimate_fleet,
+)
 from repro.serve import (
     BurstyTraffic,
+    DiurnalTraffic,
     PipelineSpec,
     PoissonTraffic,
     ReplayTraffic,
     Request,
     SizeBatchPolicy,
     TimeoutBatchPolicy,
+    TokenProfile,
     WorkloadMix,
     make_policy,
     serve,
@@ -52,7 +61,7 @@ from repro.serve import (
 )
 from repro.serve.cluster import LoadIndex, Replica, ReplicaSpec
 from repro.serve.simulator import _Kernel
-from repro.serve.traffic import iter_arrivals as _iter_arrivals
+from repro.serve.traffic import _lazy_requests, iter_arrivals as _iter_arrivals
 
 MODELS = ("deit-tiny", "levit-128", "deit-small")
 
@@ -299,6 +308,79 @@ def test_tuple_built_requests_equal_keyword_built_ones():
                                   arrival=request.arrival)
 
 
+# ------------------------------------------ multi-model arrivals vs keywords
+
+
+def _keyword_requests(times, mix: WorkloadMix, rng: random.Random):
+    """The multi-model branch of ``_lazy_requests`` as it was: every draw
+    through both samplers, and one keyword-built request per arrival."""
+
+    for index, time in enumerate(list(times)):
+        model = mix.sample(rng)
+        prompt, output = mix.sample_tokens(model, rng)
+        yield Request(index=index, model=model, arrival=time,
+                      prompt_tokens=prompt, output_tokens=output)
+
+
+#: Fixed counts draw nothing; ranges draw one integer each.
+TOKEN_COUNTS = st.one_of(
+    st.integers(1, 512),
+    st.tuples(st.integers(1, 64), st.integers(0, 64)).map(
+        lambda pair: f"{pair[0]}:{pair[0] + pair[1]}"))
+
+
+@st.composite
+def mixes(draw) -> WorkloadMix:
+    """2-4 models at uneven weights, some listed twice (duplicates merge),
+    with token profiles on none, some or all of them."""
+
+    models = draw(st.lists(st.sampled_from(MODELS + ("decoder",)),
+                           min_size=2, max_size=4, unique=True))
+    entries = [(model, draw(WEIGHTS)) for model in models]
+    entries += [(model, draw(WEIGHTS))
+                for model in draw(st.lists(st.sampled_from(models),
+                                           max_size=2))]
+    profiled = draw(st.lists(st.sampled_from(models), unique=True))
+    return WorkloadMix(tuple(entries), tuple(
+        (model, TokenProfile.of(draw(TOKEN_COUNTS), draw(TOKEN_COUNTS)))
+        for model in profiled))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mix=mixes(),
+       pattern=st.sampled_from(["poisson", "bursty", "diurnal", "replay"]),
+       rate=st.floats(20.0, 400.0), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_multi_model_arrivals_match_the_keyword_loop(mix, pattern, rate,
+                                                     seed, data):
+    """Element by element, each a :class:`Request`, from the same draws;
+    a replayed time list goes through the same loop."""
+
+    duration, rng = 0.5, random.Random(seed)
+    if pattern == "replay":
+        traffic = None
+        times = sorted(data.draw(st.lists(st.floats(0.0, duration),
+                                          max_size=80), label="times"))
+    else:
+        traffic = (PoissonTraffic(rate, mix) if pattern == "poisson"
+                   else BurstyTraffic(rate, mix, mean_quiet=0.125,
+                                      mean_burst=0.0625)
+                   if pattern == "bursty"
+                   else DiurnalTraffic(rate, mix, period=0.25))
+        times = list(traffic._times(duration, rng))
+    oracle_rng = random.Random()
+    oracle_rng.setstate(rng.getstate())
+    made = list(_lazy_requests(iter(times), mix, rng))
+    expected = list(_keyword_requests(iter(times), mix, oracle_rng))
+    assert len(made) == len(expected) == len(times)
+    for request, reference in zip(made, expected):
+        assert type(request) is Request
+        assert request == reference
+    assert rng.random() == oracle_rng.random()
+    if traffic is not None:
+        assert traffic.arrivals(duration, seed) == made
+
+
 # -------------------------------------------------- mix draws vs linear scan
 
 
@@ -496,3 +578,35 @@ def test_each_dispatch_shape_builds_one_spec(monkeypatch):
         assert len(kinds) > 2
         assert len(passed) == stats.hits + stats.misses \
             == batches + len(kinds)
+
+
+def test_service_times_build_one_spec_per_shape(monkeypatch):
+    """Every estimator lookup makes its own engine call and cache lookup,
+    but equal shapes share one spec object; a float or bool batch equal to
+    a looked-up int one still meets the spec's check."""
+
+    import repro.plan.queueing as queueing
+
+    passed = []
+
+    def recording(spec, **kwargs):
+        passed.append(spec)
+        return simulate(spec, **kwargs)
+
+    monkeypatch.setattr(queueing, "simulate", recording)
+    cache = ResultCache()
+    times = ServiceTimes(cache=cache)
+    mix = WorkloadMix.of(["deit-tiny", "levit-128"], [3.0, 1.0])
+    for count in range(1, 5):
+        for kind in ("vitality", "gpu:taylor"):
+            estimate_fleet(f"{count}x{kind}", 1500.0, mix, policy="timeout",
+                           service_times=times)
+    stats = cache.stats()
+    assert len(passed) == stats.hits + stats.misses > 2 * stats.misses
+    assert len({id(spec) for spec in passed}) == len(set(passed)) \
+        == stats.misses > 4
+    replica = ReplicaSpec("vitality")
+    times.service_seconds("deit-tiny", replica, 2)
+    for batch in (2.0, True):
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            times.service_seconds("deit-tiny", replica, batch)

@@ -13,6 +13,7 @@ from repro.serve import (
     BATCH_POLICIES,
     BurstyTraffic,
     DiurnalTraffic,
+    EnergyAwareRouter,
     FIFOPolicy,
     Fleet,
     PoissonTraffic,
@@ -26,6 +27,7 @@ from repro.serve import (
     make_router,
     make_traffic,
     percentile,
+    percentile_label,
     serve,
     serve_llm,
     serve_pipeline,
@@ -293,6 +295,20 @@ class TestServeBehavior:
         gpu = [r for r in report.per_replica if r.target == "gpu"][0]
         assert gpu.requests == 0
         assert make_router("energy-aware").name == "energy-aware"
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -0.001],
+                             ids=["nan", "inf", "negative"])
+    def test_energy_aware_slack_must_be_finite(self, slack):
+        """Unchecked, a nan slack constructed and every routing decision
+        then found no eligible replica: the run died mid-way with
+        ``min() arg is an empty sequence``."""
+
+        for build in (lambda: EnergyAwareRouter(slack_seconds=slack),
+                      lambda: make_router("energy-aware", slack_seconds=slack)):
+            with pytest.raises(ValueError,
+                               match="slack_seconds must be finite and >= 0"):
+                build()
+        assert EnergyAwareRouter(slack_seconds=0.0).slack_seconds == 0.0
 
     def test_serve_uses_bounded_cache_and_reports_it(self):
         traffic = PoissonTraffic(rate=200.0, mix=MIX)
@@ -636,6 +652,41 @@ class TestConfigurablePercentiles:
         assert "p99.9_ms" in report.summary_row()
         # The kernel echoes non-default percentiles for every simulator.
         assert report.config["percentiles"] == [0.5, 0.95, 0.99, 0.999]
+
+    @pytest.mark.parametrize("summary", ["exact", "streaming"])
+    @pytest.mark.parametrize("first, second", [(0.99, 0.9900001),
+                                               (0.5, 0.5000001),
+                                               (0.999, 0.99900004)],
+                             ids=["p99", "p50", "p99.9"])
+    @pytest.mark.parametrize("run", [_serve_run, _pipeline_run, _llm_run],
+                             ids=["serve", "serve_pipeline", "serve_llm"])
+    def test_percentiles_sharing_a_label_fail_before_any_simulation(
+            self, run, first, second, summary):
+        """Labels are six significant digits of the percent, so two
+        fractions can share one.  Unchecked, the report carried both under
+        one key, and the second overwrote the first."""
+
+        from repro.engine import ResultCache
+
+        cache = ResultCache()
+        with pytest.raises(ValueError) as error:
+            run(percentiles=(first, 0.95, second), summary=summary,
+                cache=cache)
+        assert str(error.value) == (
+            f"percentiles {first!r} and {second!r} share the label "
+            f"{percentile_label(first)!r}")
+        assert cache.stats().hits == cache.stats().misses == 0
+        # The same fraction twice is one quantile, not a collision.
+        assert run(percentiles=(first, first), summary=summary) \
+            .latency.quantile(first) is not None
+
+    def test_serve_cli_refuses_percentiles_sharing_a_label(self, capsys):
+        assert main(["serve", "--percentiles", "50,95,99,99.00001",
+                     "--duration", "1", "--rate", "200", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "percentiles 0.99 and 0.9900001 share the label 'p99'" \
+            in captured.err
 
     def test_quantile_lookup_errors_on_missing(self):
         report = serve(PoissonTraffic(rate=50.0, mix=MIX), "1xvitality",
