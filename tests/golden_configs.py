@@ -19,7 +19,13 @@ exported sample must come out as the one-value-at-a-time fold made them.
 The two-model LLM entries (continuous, monolithic and disaggregated on a
 mixed, attention-pinned fleet) were captured while ``serve_llm`` still built
 a new engine spec on every iteration, and pin building each distinct shape's
-spec once per run.
+spec once per run.  The shape-churn LLM entries (two models with short
+prompts and outputs at 400 rps, 16-token KV buckets and batches of at most
+3, so the decode shape changes on most steps and each run visits 86-87
+engine shapes: continuous and monolithic on ``2xvitality``, and
+disaggregated ``1xvitality`` -> ``1xgpu:taylor`` with streaming summaries)
+were captured while every iteration still resolved its spec through
+``simulate``, and pin resolving each shape once per run.
 
 Regenerate (only when a report-shape change is intended and documented)::
 
@@ -66,6 +72,8 @@ THREE = WorkloadMix.of(["deit-tiny", "levit-128", "deit-small"], [3.0, 2.0, 1.0]
 LLM_MIX = WorkloadMix.of(["decoder"], tokens=TokenProfile.of("64:256", "16:64"))
 LLM_PAIR = WorkloadMix.of(["decoder", "decoder[layers=6]"],
                           tokens=TokenProfile.of("64:256", "16:64"))
+LLM_SHORT = WorkloadMix.of(["decoder", "decoder[layers=6]"],
+                           tokens=TokenProfile.of("8:40", "4:24"))
 TAIL = (0.5, 0.95, 0.99, 0.999)
 CHAIN = "rag = encoder[tokens=128] -> rerank:encoder[tokens=64] -> deit-tiny"
 CHAIN_POOLS = {"encoder": "2xvitality", "rerank": "1xvitality",
@@ -184,6 +192,18 @@ def build_golden_reports() -> dict[str, str]:
         PoissonTraffic(30.0, LLM_PAIR), prefill_fleet="1xvitality",
         decode_fleet="1xgpu:taylor", duration=2.0, seed=5,
         summary="streaming").to_json()
+    # Short two-model requests at 400 rps, 16-token KV buckets and batches
+    # of at most 3: the decode shape changes on most steps, so a run visits
+    # about 90 engine shapes and a shape memo that hands one step another
+    # shape's spec or simulator shows up here.
+    churn = dict(duration=1.0, seed=5, kv_bucket=16, max_batch=3)
+    for scheduler in ("continuous", "monolithic"):
+        reports[f"llm-shape-churn-{scheduler}"] = serve_llm(
+            PoissonTraffic(400.0, LLM_SHORT), "2xvitality",
+            scheduler=scheduler, **churn).to_json()
+    reports["llm-shape-churn-disagg-streaming"] = serve_llm(
+        PoissonTraffic(400.0, LLM_SHORT), prefill_fleet="1xvitality",
+        decode_fleet="1xgpu:taylor", summary="streaming", **churn).to_json()
     return reports
 
 
