@@ -13,7 +13,10 @@ evaluation matrix.  The pieces:
   hashed and compared by value in C (:mod:`spec`);
 * :func:`simulate` and :class:`ResultCache` — memoised execution keyed on
   the spec, so repeated figure/table experiments never re-simulate an
-  identical run (:mod:`cache`);
+  identical run (:mod:`cache`).  :func:`resolve` is its first half: the
+  spec's target and canonical cache key.  A hot loop resolves each shape
+  once and then calls ``cache.get_or_run(canonical, target.simulate)``
+  itself, which is what ``simulate`` does on every call;
 * :class:`Sweep` — declarative cross-product expansion of models x targets x
   options, executed through the cache (:mod:`sweep`);
 * :class:`RunResult` — the uniform latency/energy/step schema every target
@@ -34,6 +37,7 @@ from repro.engine.cache import (
     cache_stats,
     canonicalise_spec,
     clear_cache,
+    resolve,
     simulate,
 )
 from repro.engine.store import DiskResultCache
@@ -83,6 +87,7 @@ __all__ = [
     "get_target",
     "list_targets",
     "register_target",
+    "resolve",
     "simulate",
     "split_configured_names",
     "sweep",

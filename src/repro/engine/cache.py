@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
+
+if TYPE_CHECKING:
+    from repro.engine.targets import Target
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,8 @@ DEFAULT_CACHE = ResultCache()
 
 
 @functools.lru_cache(maxsize=1024)
-def _resolve(spec: RunSpec):
-    """(target, canonical spec) for one run request.
+def resolve(spec: RunSpec) -> tuple[Target, RunSpec]:
+    """``(target, canonical spec)`` for one run request.
 
     Three canonicalisations keep physically identical runs on one cache
     entry: the target's name is normalised (configured names —
@@ -125,13 +128,18 @@ def _resolve(spec: RunSpec):
     and the target collapses spec options that are no-ops for it (e.g. a
     ``scale_to_peak`` at or below ViTALiTy's native peak).
 
-    Memoised on the incoming frozen spec, so a serving run that simulates
-    one decode shape per step parses its names once, not once per step.
-    The answer depends only on the target registry (workload families are
-    fixed at import), and :func:`~repro.engine.register_target` clears the
-    memo on every registration.  It is LRU-bounded like a serving
-    :class:`ResultCache`; ``_resolve.__wrapped__`` is the unmemoised
-    resolver.
+    :func:`simulate` is this plus one cache lookup,
+    ``cache.get_or_run(canonical, target.simulate)``.  A hot loop that runs
+    one shape many times resolves it once and then makes only that lookup,
+    with the same hits, misses and LRU order; the serving simulators do so
+    once per shape per run.
+
+    Memoised on the incoming frozen spec.  The answer depends only on the
+    target registry (workload families are fixed at import), and
+    :func:`~repro.engine.register_target` clears the memo on every
+    registration; a pair held past a registration keeps the old target.
+    It is LRU-bounded like a serving :class:`ResultCache`;
+    ``resolve.__wrapped__`` is the unmemoised resolver.
     """
 
     from repro.engine.targets import get_target
@@ -152,16 +160,19 @@ def _resolve(spec: RunSpec):
 def canonicalise_spec(spec: RunSpec) -> RunSpec:
     """The exact spec :func:`simulate` would key the result cache on."""
 
-    return _resolve(spec)[1]
+    return resolve(spec)[1]
 
 
 def simulate(spec: RunSpec, *, cache: ResultCache | None = None) -> RunResult:
     """Simulate one run, memoised through a result cache::
 
         simulate(RunSpec("deit-tiny", target="sanger"))
+
+    That is :func:`resolve` and then one ``cache.get_or_run`` (``cache``
+    defaults to :data:`DEFAULT_CACHE`).
     """
 
-    target, spec = _resolve(spec)
+    target, spec = resolve(spec)
     cache = DEFAULT_CACHE if cache is None else cache
     return cache.get_or_run(spec, target.simulate)
 

@@ -68,8 +68,8 @@ class RunSpec(_RunSpecFields):
     running process's string-hash salt, so a spec equals the plain tuple of
     its fields.  Every construction runs the checks in ``__new__``: keyword
     and positional calls, :meth:`_replace` and :meth:`_make` (the generated
-    ones skip ``__new__``), and copies and pickles (protocol 2 and up, the
-    default), which rebuild through the constructor.
+    ones skip ``__new__``), and copies and pickles at every protocol, which
+    rebuild through the constructor (:meth:`__reduce__`).
     """
 
     __slots__ = ()
@@ -101,6 +101,11 @@ class RunSpec(_RunSpecFields):
         (``_replace`` builds through this too)."""
 
         return cls(*_RunSpecFields._make(iterable))
+
+    def __reduce__(self):
+        # Without it, pickle protocols 0 and 1 rebuild a tuple subclass with
+        # tuple.__new__, past the checks.
+        return type(self), tuple(self)
 
     def workload(self) -> ModelWorkload:
         """Resolve the configured workload this spec runs on; every spelling

@@ -446,12 +446,13 @@ def register_target(target: Target, replace: bool = False) -> Target:
     and drops every configured instance derived from it — so the new backend
     cannot be shadowed by its predecessor's numbers.  (Privately held
     :class:`~repro.engine.ResultCache` instances must be invalidated by
-    their owners.)  Every registration also clears the spec-resolution memo
-    of :func:`~repro.engine.simulate`, so no spec resolves to a replaced
-    backend or one of its configured instances.
+    their owners.)  Every registration also clears the memo of
+    :func:`~repro.engine.resolve`, so no later resolution or
+    :func:`~repro.engine.simulate` reaches a replaced backend or one of its
+    configured instances.
     """
 
-    from repro.engine.cache import DEFAULT_CACHE, _resolve
+    from repro.engine.cache import DEFAULT_CACHE, resolve
 
     if target.name in _TARGETS:
         if not replace:
@@ -463,7 +464,7 @@ def register_target(target: Target, replace: bool = False) -> Target:
             del _CONFIGURED[name]
             DEFAULT_CACHE.invalidate_target(name)
     _TARGETS[target.name] = target
-    _resolve.cache_clear()
+    resolve.cache_clear()
     return target
 
 

@@ -10,6 +10,7 @@ static configuration inventories and need no simulation.
 from __future__ import annotations
 
 from repro.engine import RunSpec, get_target, simulate
+from repro.fold import left_sum
 from repro.hardware import (
     SangerAcceleratorConfig,
     ViTALiTyAcceleratorConfig,
@@ -128,7 +129,7 @@ def table5_dataflow_energy(models: tuple[str, ...] = ("deit-base", "mobilevit-xx
                 "data_access_uj": breakdown["data_access"] * 1e6,
                 "other_processors_uj": breakdown["other_processors"] * 1e6,
                 "systolic_array_uj": breakdown["systolic_array"] * 1e6,
-                "overall_uj": sum(breakdown.values()) * 1e6,
+                "overall_uj": left_sum(breakdown.values()) * 1e6,
             }
         rows[model] = per_dataflow
     return rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.fold import left_sum
 from repro.hardware.common import Dataflow, LayerResult, ModelResult, StepResult
 from repro.hardware.config import ViTALiTyAcceleratorConfig
 from repro.hardware.core.arrays import (
@@ -157,7 +158,7 @@ class ViTALiTyAccelerator:
                                 sram_accesses=memory.sram_accesses))
 
         cycles = pipeline_latency(steps) if self.pipelined else sequential_latency(steps)
-        energy = sum(step.energy_joules for step in steps)
+        energy = left_sum(step.energy_joules for step in steps)
         return LayerResult(name=f"attention(n={n},d={d},h={h})", cycles=cycles,
                            energy_joules=energy, frequency_hz=self.config.frequency_hz,
                            steps=steps)
@@ -178,7 +179,8 @@ class ViTALiTyAccelerator:
                        sram_accesses=memory.sram_accesses),
         ]
         return LayerResult(name=f"linear({spec.tokens}x{spec.in_features}x{spec.out_features})",
-                           cycles=execution.cycles, energy_joules=sum(s.energy_joules for s in steps),
+                           cycles=execution.cycles,
+                           energy_joules=left_sum(s.energy_joules for s in steps),
                            frequency_hz=self.config.frequency_hz, steps=steps)
 
     # -- whole model ----------------------------------------------------------------------------

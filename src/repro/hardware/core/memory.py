@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.fold import left_sum
 from repro.hardware.core.component import MemoryEnergyConfig
 
 
@@ -18,7 +19,8 @@ class EnergyBreakdown:
 
     @property
     def overall(self) -> float:
-        return self.data_access + self.other_processors + self.systolic_array + sum(self.extra.values())
+        return (self.data_access + self.other_processors + self.systolic_array
+                + left_sum(self.extra.values()))
 
     def add(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         merged_extra = dict(self.extra)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.fold import left_sum
 from repro.workloads import AttentionLayerSpec, ModelWorkload
 
 
@@ -131,7 +132,7 @@ class Platform:
     def attention_latency(self, workload: ModelWorkload, taylor: bool = False) -> float:
         profile = (self.taylor_attention_profile(workload) if taylor
                    else self.vanilla_attention_profile(workload))
-        return sum(profile.values())
+        return left_sum(profile.values())
 
     def linear_latency(self, workload: ModelWorkload) -> float:
         """Latency of the projection/MLP GEMMs (Step 1 of Fig. 1 plus the MLP module)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.fold import left_sum
 from repro.hardware.common import LayerResult, ModelResult, StepResult
 from repro.hardware.config import ViTALiTyAcceleratorConfig
 from repro.hardware.core.arrays import SystolicArray
@@ -65,7 +66,7 @@ class SALOAccelerator:
             StepResult("window_sv", "systolic", sv.cycles * h, sv.energy_joules * h, sv.macs * h),
         ]
         cycles = sum(step.cycles for step in steps)
-        energy = sum(step.energy_joules for step in steps)
+        energy = left_sum(step.energy_joules for step in steps)
         return LayerResult(name=f"salo_attention(n={n},d={d},h={h})", cycles=cycles,
                            energy_joules=energy, frequency_hz=self.frequency_hz, steps=steps)
 

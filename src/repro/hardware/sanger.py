@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+from repro.fold import left_sum
 from repro.hardware.common import LayerResult, ModelResult, StepResult
 from repro.hardware.config import SangerAcceleratorConfig
 from repro.hardware.core.arrays import SystolicArray, matmul_cycles
@@ -102,7 +103,7 @@ class SangerAccelerator:
         # the dominant stage bounds the latency, the other is partially hidden.
         compute_cycles = (sparse_qk.cycles + sparse_sv.cycles) * h + softmax_cycles
         cycles = max(prediction_cycles, compute_cycles) + min(prediction_cycles, compute_cycles) // 4
-        energy = sum(step.energy_joules for step in steps)
+        energy = left_sum(step.energy_joules for step in steps)
         return LayerResult(name=f"sanger_attention(n={n},d={d},h={h})", cycles=cycles,
                            energy_joules=energy, frequency_hz=frequency, steps=steps)
 
@@ -120,7 +121,7 @@ class SangerAccelerator:
         ]
         return LayerResult(name=f"linear({spec.tokens}x{spec.in_features}x{spec.out_features})",
                            cycles=execution.cycles,
-                           energy_joules=sum(s.energy_joules for s in steps),
+                           energy_joules=left_sum(s.energy_joules for s in steps),
                            frequency_hz=self.config.frequency_hz, steps=steps)
 
     # -- whole model -------------------------------------------------------------------------------

@@ -22,11 +22,10 @@ fold however the stream is batched or read.
 from __future__ import annotations
 
 import math
-import operator
 from copy import deepcopy
-from functools import reduce
 from typing import Iterable, Sequence
 
+from repro.fold import left_sum
 from repro.serve.metrics import (
     DEFAULT_PERCENTILES,
     LatencySummary,
@@ -215,9 +214,8 @@ class StreamingLatency:
         if not pending:
             return
         self._count += len(pending)
-        # A left fold, not sum(): Python 3.12's sum() compensates float
-        # rounding, which would change the running total's bits.
-        self._total = reduce(operator.add, pending, self._total)
+        # One value at a time in arrival order, as an unbuffered add() would.
+        self._total = left_sum(pending, self._total)
         # max() replaces only on a strict >, like a per-value update.
         self._max = max(self._max, *pending)
         for sketch in self._sketches.values():

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 
+from repro.fold import left_sum
+
 from .trace import PHASES, PID_FLEET, PID_REQUESTS
 
 
@@ -74,10 +76,10 @@ def summarize_trace(trace: dict[str, object]) -> dict[str, object]:
                 kind = _replica_kind(name)
                 fleet_busy[kind] = fleet_busy.get(kind, 0.0) + seconds
 
-    total = sum(phase_seconds.values())
+    total = left_sum(phase_seconds.values())
 
     def rows(by_phase: dict[str, float]) -> dict[str, object]:
-        subtotal = sum(by_phase.values())
+        subtotal = left_sum(by_phase.values())
         return {
             "total_seconds": subtotal,
             "phases": {phase: {"seconds": by_phase[phase],

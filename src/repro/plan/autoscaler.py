@@ -30,6 +30,7 @@ import logging
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
+from repro.fold import left_sum
 from repro.serve.cluster import Fleet, Replica, ReplicaSpec
 from repro.serve.metrics import ScaleEvent
 from repro.serve.traffic import check_counts, check_finite
@@ -227,9 +228,9 @@ class Autoscaler:
         """
 
         active = fleet.active_replicas
-        accrued = sum(replica.busy_seconds
-                      - self._busy_snapshot.get(replica, 0.0)
-                      for replica in active)
+        accrued = left_sum(replica.busy_seconds
+                           - self._busy_snapshot.get(replica, 0.0)
+                           for replica in active)
         self._busy_snapshot = {replica: replica.busy_seconds
                                for replica in fleet.replicas}
         capacity = self.interval * len(active)

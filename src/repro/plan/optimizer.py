@@ -39,6 +39,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, target_area_mm2
+from repro.fold import left_sum
 from repro.knobs import is_count
 from repro.serve.batching import make_policy
 from repro.serve.cluster import ReplicaSpec, make_router
@@ -512,10 +513,10 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
             and predicted <= slo_seconds * margin
         pools = {name: f"{count}x{kinds[name]}"
                  for name, count in zip(stage_names, counts)}
-        area = None if cost_key != "area_mm2" else sum(
+        area = None if cost_key != "area_mm2" else left_sum(
             areas[name] * count for name, count in zip(stage_names, counts))
-        energy = sum(ratio * stage.energy_per_request_joules
-                     for _, ratio, stage in estimate.stages)
+        energy = left_sum(ratio * stage.energy_per_request_joules
+                          for _, ratio, stage in estimate.stages)
         candidates.append({
             "pools": pools,
             "pools_text": ";".join(f"{name}={pools[name]}"

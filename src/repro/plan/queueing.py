@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate
+from repro.fold import left_sum
 from repro.serve.batching import BatchPolicy, make_policy
 from repro.serve.cluster import Fleet, ReplicaSpec
 from repro.serve.llm import (
@@ -193,15 +194,15 @@ class ServiceTimes:
                               batch: int = 1) -> float:
         """Mix-weighted expected batch service time on one replica kind."""
 
-        total = sum(weight for _, weight in mix.entries)
-        return sum(weight * self.service_seconds(model, spec, batch)
-                   for model, weight in mix.entries) / total
+        total = left_sum(weight for _, weight in mix.entries)
+        return left_sum(weight * self.service_seconds(model, spec, batch)
+                        for model, weight in mix.entries) / total
 
     def mixed_energy_joules(self, mix: WorkloadMix, spec: ReplicaSpec,
                             batch: int = 1) -> float:
-        total = sum(weight for _, weight in mix.entries)
-        return sum(weight * self.energy_joules(model, spec, batch)
-                   for model, weight in mix.entries) / total
+        total = left_sum(weight for _, weight in mix.entries)
+        return left_sum(weight * self.energy_joules(model, spec, batch)
+                        for model, weight in mix.entries) / total
 
 
 @dataclass(frozen=True)
@@ -307,8 +308,8 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
     # Heterogeneous fleets collapse to one average server: the mix-weighted
     # batch service time, averaged across replica kinds.
     def service_at(batch: int) -> float:
-        return sum(service_times.mixed_service_seconds(mix, spec, batch)
-                   for spec in specs) / servers
+        return left_sum(service_times.mixed_service_seconds(mix, spec, batch)
+                        for spec in specs) / servers
 
     # At light load a timeout batch is its opening request plus whatever
     # arrives during the window; near saturation batches form back-to-back
@@ -325,8 +326,8 @@ def estimate_fleet(fleet: Fleet | str, rate: float,
         batch = max_batch
         batch_service = service_at(batch)
         per_request = batch_service / batch
-    energy = sum(service_times.mixed_energy_joules(mix, spec, batch)
-                 for spec in specs) / (servers * batch)
+    energy = left_sum(service_times.mixed_energy_joules(mix, spec, batch)
+                      for spec in specs) / (servers * batch)
 
     # Batching charges a formation delay on top of queueing: the opener of a
     # timeout batch waits out the window, the opener of a strict-size batch
@@ -414,11 +415,11 @@ class PipelineEstimate:
             mean_latency = None
             latency = tuple((label, None) for label in labels)
         else:
-            mean_latency = handoff_total + sum(
+            mean_latency = handoff_total + left_sum(
                 ratio * estimate.mean_latency_seconds
                 for _, ratio, estimate in stages)
             latency = tuple(
-                (label, handoff_total + sum(
+                (label, handoff_total + left_sum(
                     ratio * dict(estimate.latency)[label]
                     for _, ratio, estimate in stages))
                 for label in labels)
@@ -603,8 +604,8 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
             progress += chunk
         return total
 
-    prefill_service = sum(prefill_seconds(spec)
-                          for spec in prefill_specs) / servers_p
+    prefill_service = left_sum(prefill_seconds(spec)
+                               for spec in prefill_specs) / servers_p
     utilization_p, _, ttft_mean, ttft = _erlang_latency(
         servers_p, rate, prefill_service, 0.0, prefill_service, percentiles)
 
@@ -623,8 +624,8 @@ def estimate_llm_pools(prefill_fleet: Fleet | str, decode_fleet: Fleet | str,
                                   phase="decode")
 
     def step_seconds(batch: int) -> float:
-        return sum(service_times.service_seconds(decode_name, spec, batch)
-                   for spec in decode_specs) / servers_d
+        return left_sum(service_times.service_seconds(decode_name, spec, batch)
+                        for spec in decode_specs) / servers_d
 
     decode_steps = output_tokens - 1
     if decode_steps == 0:

@@ -125,9 +125,6 @@ class Replica:
         self.batches = 0
         self.served = 0
 
-    def idle(self, now: float) -> bool:
-        return self.busy_until <= now
-
     def lifetime_seconds(self, makespan: float) -> float:
         """Provisioned replica-seconds this replica contributed to the run."""
 

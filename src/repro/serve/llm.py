@@ -52,9 +52,9 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.engine import ResultCache, RunSpec, simulate, target_sram_kb
+from repro.engine import ResultCache, RunResult, RunSpec, resolve, target_sram_kb
 from repro.knobs import is_count
 from repro.serve.cluster import Fleet, Replica, ReplicaSpec
 from repro.serve.metrics import DEFAULT_PERCENTILES, ServeReport
@@ -161,8 +161,8 @@ class LLMRequest:
     """Mutable in-flight state of one autoregressive request."""
 
     __slots__ = ("index", "model", "arrival", "prompt_tokens", "output_tokens",
-                 "prefilled", "decoded", "prefill_start", "first_token_time",
-                 "completion", "decode_batch")
+                 "decode_target", "prefilled", "decoded", "prefill_start",
+                 "first_token_time", "completion", "decode_batch")
 
     def __init__(self, request: Request, prompt_tokens: int, output_tokens: int):
         if not (is_count(prompt_tokens) and is_count(output_tokens)):
@@ -174,18 +174,14 @@ class LLMRequest:
         self.arrival = request.arrival
         self.prompt_tokens = prompt_tokens
         self.output_tokens = output_tokens
+        # Decode steps still owed after prefill emits the first token.
+        self.decode_target = output_tokens - 1
         self.prefilled = 0                      # prompt tokens cached so far
         self.decoded = 0                        # tokens generated after the first
         self.prefill_start: float | None = None
         self.first_token_time: float | None = None
         self.completion: float | None = None
         self.decode_batch = 1                   # batch size when decode admitted
-
-    @property
-    def decode_target(self) -> int:
-        """Decode steps still owed after prefill emits the first token."""
-
-        return self.output_tokens - 1
 
     @property
     def reserved_tokens(self) -> int:
@@ -210,6 +206,7 @@ class LLMReplica(Replica):
         self.kv_peak = 0
         self.decode_steps = 0
         self.prefill_queue: deque[LLMRequest] = deque()
+        self.queued_prompt_tokens = 0              # summed over prefill_queue
         self.current_prefill: LLMRequest | None = None
         self.decode_ready: list[LLMRequest] = []   # KV-admitted, awaiting a slot
         self.batch: list[LLMRequest] = []          # running decode batch
@@ -227,6 +224,15 @@ class LLMReplica(Replica):
     def release(self, tokens: int) -> None:
         self.kv_used -= tokens
 
+    def queue_prefill(self, request: LLMRequest) -> None:
+        self.prefill_queue.append(request)
+        self.queued_prompt_tokens += request.prompt_tokens
+
+    def next_prefill(self) -> LLMRequest:
+        request = self.prefill_queue.popleft()
+        self.queued_prompt_tokens -= request.prompt_tokens
+        return request
+
     @property
     def slots_used(self) -> int:
         return len(self.batch) + len(self.decode_ready) + len(self.gang)
@@ -240,7 +246,10 @@ class LLMReplica(Replica):
 
     @property
     def pending_prefill_tokens(self) -> int:
-        tokens = sum(request.prompt_tokens for request in self.prefill_queue)
+        """Prompt tokens routed here and not yet prefilled (disaggregated
+        routing key); the queued part is a running count, not a scan."""
+
+        tokens = self.queued_prompt_tokens
         if self.current_prefill is not None:
             tokens += self.current_prefill.prompt_tokens - self.current_prefill.prefilled
         return tokens
@@ -388,7 +397,11 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     total_prefill_tokens = 0
     total_generated = 0
 
-    specs: dict[tuple, RunSpec] = {}        # one engine spec per iteration shape
+    # Each iteration shape is resolved once per run, to its canonical spec
+    # and its target's simulator; every chunk and step then makes one cache
+    # lookup, with ``simulate``'s hits, misses and LRU order.
+    shapes: dict[tuple, tuple[RunSpec, Callable[[RunSpec], RunResult]]] = {}
+    get_or_run = cache.get_or_run
 
     def run_iteration(replica: LLMReplica, now: float, kind: str, payload,
                       model: str, phase: str, tokens: int, kv_tokens: int,
@@ -397,13 +410,15 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
 
         target, attention = replica.spec.target, replica.spec.attention
         key = (model, phase, tokens, kv_tokens, target, attention, batch_size)
-        spec = specs.get(key)
-        if spec is None:
+        shape = shapes.get(key)
+        if shape is None:
             name = configured_name(model, tokens=tokens, kv_tokens=kv_tokens,
                                    phase=phase)
-            spec = specs[key] = RunSpec(name, target=target, attention=attention,
-                                        batch_size=batch_size)
-        result = simulate(spec, cache=cache)
+            resolved, spec = resolve(RunSpec(name, target=target,
+                                             attention=attention,
+                                             batch_size=batch_size))
+            shape = shapes[key] = (spec, resolved.simulate)
+        result = get_or_run(*shape)
         service = step_overhead_seconds + result.end_to_end_latency
         replica.busy_until = finish = now + service
         replica.busy_seconds += service
@@ -428,10 +443,16 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         # A monolithic gang is charged at its full size: members that
         # already finished pad the batch until the gang drains.
         batch = tuple(members)
-        kv_tokens = max(request.prompt_tokens + request.decoded for request in batch)
+        kv_tokens = 0
+        for request in batch:
+            tokens = request.prompt_tokens + request.decoded
+            if tokens > kv_tokens:
+                kv_tokens = tokens
+        # ``_bucket``'s KV bucket in integers; a prompt holds at least one
+        # token, so its floor of one bucket never binds.
         finish = run_iteration(replica, now, kind, (replica, batch),
                                batch[0].model, "decode", 1,
-                               _bucket(kv_tokens, kv_bucket), len(batch))
+                               -(-kv_tokens // kv_bucket) * kv_bucket, len(batch))
         replica.decode_steps += 1
         if obs is not None:
             obs.decode_step(replica, batch, now, finish)
@@ -460,10 +481,9 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
 
     def admit_ready(replica: LLMReplica, now: float) -> None:
         """Fold KV-admitted requests into the running batch (same model only —
-        a decode step lowers to one engine shape)."""
+        a decode step lowers to one engine shape); ``decode_ready`` is not
+        empty."""
 
-        if not replica.decode_ready:
-            return
         model = replica.batch[0].model if replica.batch \
             else replica.decode_ready[0].model
         kept = []
@@ -525,7 +545,7 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     def form_gang(replica: LLMReplica, now: float) -> None:
         while (replica.prefill_queue and len(replica.gang) < max_batch
                and replica.prefill_queue[0].reserved_tokens <= replica.kv_free):
-            request = replica.prefill_queue.popleft()
+            request = replica.next_prefill()
             replica.reserve(request.reserved_tokens)
             request.prefill_start = now
             replica.gang.append(request)
@@ -566,19 +586,20 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         replica.gang = []
 
     def kick(replica: LLMReplica, now: float) -> None:
-        if not replica.idle(now):
+        if replica.busy_until > now:
             return
         if scheduler == "monolithic":
             kick_monolithic(replica, now)
             return
-        admit_ready(replica, now)
+        if replica.decode_ready:
+            admit_ready(replica, now)
         if replica.role != ROLE_DECODE:
             if replica.current_prefill is None and replica.prefill_queue:
                 head = replica.prefill_queue[0]
                 need = (head.prompt_tokens if disaggregated
                         else head.reserved_tokens)
                 if need <= replica.kv_free:
-                    replica.prefill_queue.popleft()
+                    replica.next_prefill()
                     replica.reserve(need)
                     head.prefill_start = now
                     replica.current_prefill = head
@@ -616,7 +637,7 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         else:
             replica = min(prefill_pool,
                           key=lambda r: (r.pending_load, r.index))
-        replica.prefill_queue.append(request)
+        replica.queue_prefill(request)
         if obs is not None:
             obs.request_routed(request, replica, now,
                                len(replica.prefill_queue))

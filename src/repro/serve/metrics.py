@@ -22,6 +22,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from repro.engine import CacheStats
+from repro.fold import left_sum
 
 #: Latency quantiles every report carries (the pre-configurable-percentile
 #: default — the JSON shape with exactly these is the backward-compatible one).
@@ -112,7 +113,7 @@ class LatencySummary:
                                     for fraction in extra_fractions))
         # One sort serves every quantile.
         ordered = sorted(values)
-        return cls(count=len(values), mean=sum(values) / len(values),
+        return cls(count=len(values), mean=left_sum(values) / len(values),
                    p50=_nearest_rank(ordered, 0.50),
                    p95=_nearest_rank(ordered, 0.95),
                    p99=_nearest_rank(ordered, 0.99), max=max(values),
@@ -524,7 +525,7 @@ class ReportAccumulator:
             end = min(start + window_seconds, makespan)
             width = end - start
             # Provisioned replica-seconds overlapping [start, end).
-            overlap = sum(
+            overlap = left_sum(
                 max(0.0, min(replica.retired_at if replica.retired_at is not None
                              else makespan, end) - max(replica.started_at, start))
                 for replica in replicas)
@@ -580,7 +581,7 @@ def build_report(accumulator: ReportAccumulator, config: dict[str, object], *,
 
     completed = accumulator.completed
     makespan = max(duration, accumulator.last_completion)
-    total_energy = sum(replica.energy_joules for replica in replicas)
+    total_energy = left_sum(replica.energy_joules for replica in replicas)
     total_batches = sum(replica.batches for replica in replicas)
     ttft, tpot = accumulator.ttft, accumulator.tpot
     return ServeReport(
@@ -616,8 +617,8 @@ def build_report(accumulator: ReportAccumulator, config: dict[str, object], *,
                 stage=getattr(replica, "stage", None))
             for replica in replicas),
         cache=cache_stats,
-        replica_seconds=sum(replica.lifetime_seconds(makespan)
-                            for replica in replicas),
+        replica_seconds=left_sum(replica.lifetime_seconds(makespan)
+                                 for replica in replicas),
         scale_events=tuple(scale_events),
         windows=(None if accumulator.window_seconds is None
                  else accumulator._windows(replicas, makespan)),

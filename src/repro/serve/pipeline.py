@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from repro.engine import ResultCache
+from repro.fold import left_sum
 from repro.serve.batching import BatchPolicy
 from repro.serve.cluster import Fleet, Replica, Router
 from repro.serve.metrics import (
@@ -98,7 +99,8 @@ class PipelineStage:
 
         if not self.routes:
             return 1.0
-        return sum(route.probability for route in self.routes if route.to is None)
+        return left_sum(route.probability for route in self.routes
+                        if route.to is None)
 
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "model": self.model,
@@ -295,8 +297,8 @@ class PipelineSpec:
         delay once)."""
 
         visits = self.visit_ratios()
-        return sum(visits[stage.name] * (1.0 - stage.exit_probability())
-                   for stage in self.stages)
+        return left_sum(visits[stage.name] * (1.0 - stage.exit_probability())
+                        for stage in self.stages)
 
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "entry": self.entry,
@@ -514,7 +516,8 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
             "latency": latency.to_dict(),
             "queue_wait": wait.to_dict(),
             "service": service.to_dict(),
-            "utilization": (sum(replica.busy_seconds for replica in replicas)
+            "utilization": (left_sum(replica.busy_seconds
+                                     for replica in replicas)
                             / (len(replicas) * makespan)
                             if replicas and makespan else 0.0),
             "slo_seconds": slo,

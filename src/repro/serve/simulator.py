@@ -3,9 +3,11 @@
 :func:`serve` runs one online-serving experiment: a traffic pattern emits
 requests, a router places each on a fleet replica, the replica's batching
 policy folds its queue into single-model batches, and every batch's service
-time/energy comes from the engine (``simulate`` of a batched ``RunSpec``
-through the run's own LRU-bounded :class:`~repro.engine.ResultCache`, so
-repeated (model, batch-size) shapes simulate exactly once per run).
+time/energy comes from the engine: each (model, replica kind, batch size)
+shape goes through :func:`~repro.engine.resolve` once per run, and every
+batch is one lookup in the run's own LRU-bounded
+:class:`~repro.engine.ResultCache`, so repeated shapes simulate exactly once
+per run.
 
 Each dispatch additionally pays ``dispatch_overhead_seconds`` — the host-side
 launch/weight-staging cost a real deployment amortises by batching.  Without
@@ -62,7 +64,7 @@ import itertools
 import logging
 from typing import Callable, Iterable, Sequence
 
-from repro.engine import ResultCache, RunSpec, simulate
+from repro.engine import ResultCache, RunResult, RunSpec, resolve
 from repro.serve.batching import BatchPolicy, make_policy
 from repro.serve.cluster import (
     Estimate,
@@ -279,21 +281,27 @@ class _Batching:
         duration, overhead = kernel.duration, self.overhead
         entry = pools[0] if entry is None else entry
 
-        # One engine spec per (model, replica kind, batch size), shared by
+        # Each (model, replica kind, batch size) shape is resolved once per
+        # run, to its canonical spec and its target's simulator, shared by
         # the estimates and every dispatch of that shape; each still makes
-        # its own ``simulate`` call and cache lookup.  Replica kinds key as
-        # their (target, attention) strings, which hash in C, where
-        # ``ReplicaSpec``'s generated hash would run in Python on every lookup.
-        specs: dict[tuple[str, str, str | None, int], RunSpec] = {}
+        # its own cache lookup, so hits, misses and LRU order are
+        # ``simulate``'s.  Replica kinds key as their (target, attention)
+        # strings, which hash in C, where ``ReplicaSpec``'s generated hash
+        # would run in Python on every lookup.
+        shapes: dict[tuple[str, str, str | None, int],
+                     tuple[RunSpec, Callable[[RunSpec], RunResult]]] = {}
+        get_or_run = cache.get_or_run
 
-        def run_spec(model: str, replica: Replica, size: int) -> RunSpec:
+        def run_shape(model: str, replica: Replica, size: int) -> RunResult:
             target, attention = replica.spec.target, replica.spec.attention
             key = (model, target, attention, size)
-            spec = specs.get(key)
-            if spec is None:
-                spec = specs[key] = RunSpec(model, target=target,
-                                            attention=attention, batch_size=size)
-            return spec
+            shape = shapes.get(key)
+            if shape is None:
+                resolved, spec = resolve(RunSpec(model, target=target,
+                                                 attention=attention,
+                                                 batch_size=size))
+                shape = shapes[key] = (spec, resolved.simulate)
+            return get_or_run(*shape)
 
         # Routing estimates are memoised outside the result cache: one engine
         # simulation per (model, replica kind) for the whole run, and the
@@ -305,7 +313,7 @@ class _Batching:
             key = (model, replica.spec.target, replica.spec.attention)
             cached = estimates.get(key)
             if cached is None:
-                result = simulate(run_spec(model, replica, 1), cache=cache)
+                result = run_shape(model, replica, 1)
                 cached = Estimate(overhead + result.end_to_end_latency,
                                   result.end_to_end_energy)
                 estimates[key] = cached
@@ -341,7 +349,7 @@ class _Batching:
                     replica.queued_seconds -= latency
                 if not replica.queue:
                     replica.queued_seconds = 0.0    # shed float residue when empty
-                result = simulate(run_spec(model, replica, size), cache=cache)
+                result = run_shape(model, replica, size)
                 service = overhead + result.end_to_end_latency
                 finish = now + service
                 replica.busy_until = finish

@@ -186,15 +186,14 @@ class WorkloadMix:
         # (to_dict) describes exactly the distribution sample() draws from.
         object.__setattr__(self, "entries", tuple(merged.items()))
         # sample() picks the first entry whose cumulative weight, added in
-        # entry order, exceeds rng.random() * total; the total is sum()'s,
-        # which may round differently from the last bound.
+        # entry order, exceeds rng.random() * total; the total is the last
+        # bound, the left fold of the weights (see repro.fold).
         bounds, cumulative = [], 0.0
         for weight in merged.values():
             cumulative += weight
             bounds.append(cumulative)
         object.__setattr__(self, "_bounds", tuple(bounds))
-        object.__setattr__(self, "_total",
-                           sum(weight for _, weight in self.entries))
+        object.__setattr__(self, "_total", cumulative)
         models = {model for model, _ in self.entries}
         for model, _profile in self.token_profiles:
             if model not in models:

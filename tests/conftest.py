@@ -2,10 +2,73 @@
 
 from __future__ import annotations
 
+import builtins
+
 import numpy as np
 import pytest
 
+from repro.engine import ResultCache
 from repro.tensor import Tensor
+
+
+_builtin_sum = builtins.sum
+
+
+def _integer_sum(values, /, start=0):
+    values = list(values)
+    if isinstance(start, float) or any(isinstance(value, float)
+                                       for value in values):
+        raise TypeError("builtin sum() over floats compensates rounding from "
+                        "Python 3.12 on; fold floats with "
+                        "repro.fold.left_sum")
+    return _builtin_sum(values, start)
+
+
+@pytest.fixture
+def no_float_sum(monkeypatch):
+    """Builtin ``sum()`` refuses float operands while the test runs.
+
+    From Python 3.12 ``sum()`` compensates float rounding, so a float total
+    taken with it changes the bit-exact goldens on 3.12 alone.  The golden
+    tests use this fixture, so such a total fails them on every interpreter.
+    """
+
+    monkeypatch.setattr(builtins, "sum", _integer_sum)
+
+
+class EngineCalls:
+    """The specs a run passes to ``resolve`` and to ``ResultCache.get_or_run``,
+    in call order (``watch(module)`` records that module's ``resolve``)."""
+
+    def __init__(self, monkeypatch):
+        self.resolved: list = []
+        self.lookups: list = []
+        self._monkeypatch = monkeypatch
+        get_or_run = ResultCache.get_or_run
+
+        def recording_get_or_run(cache, spec, runner):
+            self.lookups.append(spec)
+            return get_or_run(cache, spec, runner)
+
+        monkeypatch.setattr(ResultCache, "get_or_run", recording_get_or_run)
+
+    def watch(self, module) -> None:
+        resolve = module.resolve
+
+        def recording_resolve(spec):
+            self.resolved.append(spec)
+            return resolve(spec)
+
+        self._monkeypatch.setattr(module, "resolve", recording_resolve)
+
+    def clear(self) -> None:
+        self.resolved.clear()
+        self.lookups.clear()
+
+
+@pytest.fixture
+def engine_calls(monkeypatch) -> EngineCalls:
+    return EngineCalls(monkeypatch)
 
 
 @pytest.fixture

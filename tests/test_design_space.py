@@ -192,6 +192,7 @@ class TestConfiguredTargets:
         assert cheap.end_to_end_energy < base.end_to_end_energy
 
 
+@pytest.mark.usefixtures("no_float_sum")
 class TestSeedEquivalence:
     """Default-config targets must reproduce the seed outputs bit-identically.
 

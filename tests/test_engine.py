@@ -27,10 +27,10 @@ from repro.engine import (
     get_target,
     list_targets,
     register_target,
+    resolve,
     simulate,
     sweep,
 )
-from repro.engine.cache import _resolve
 from repro.hardware import (
     SangerAccelerator,
     StepResult,
@@ -154,6 +154,22 @@ class TestRunSpec:
             with pytest.raises(ValueError) as error:
                 build()
             assert str(error.value) == message, path
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_pickle_protocol_rebuilds_through_the_checks(self, protocol):
+        """Protocols 0 and 1 rebuild a tuple subclass with ``tuple.__new__``
+        unless it reduces through its constructor."""
+
+        good = RunSpec("decoder[kv_tokens=512,phase=decode,tokens=1]",
+                       target="gpu", attention="taylor", batch_size=3)
+        unchecked = tuple.__new__(
+            RunSpec, tuple({**good.to_dict(), "batch_size": 0}.values()))
+        with pytest.raises(ValueError) as error:
+            pickle.loads(pickle.dumps(unchecked, protocol=protocol))
+        assert str(error.value) == "batch_size must be an integer >= 1, got 0"
+        twin = pickle.loads(pickle.dumps(good, protocol=protocol))
+        assert type(twin) is RunSpec
+        assert twin == good and hash(twin) == hash(good)
 
     def test_to_dict_round_trip(self):
         spec = RunSpec("levit-128", target="salo", include_linear=False)
@@ -345,8 +361,9 @@ _TARGETS = ("vitality", "vitality-unpipelined", "vitality[pe=32x32]",
 
 
 class TestSpecResolutionMemo:
-    """``simulate`` resolves each distinct :class:`RunSpec` once per process;
-    every observable output equals the unmemoised resolver's."""
+    """``resolve`` runs once per distinct :class:`RunSpec` per process, and a
+    serving run once per shape; every observable output equals the
+    unmemoised resolver's."""
 
     def test_replacing_a_base_target_refreshes_its_configured_names(self):
         original = get_target("vitality")
@@ -360,24 +377,69 @@ class TestSpecResolutionMemo:
             register_target(original, replace=True)
         assert simulate(spec, cache=ResultCache()) == stock
 
-    def test_serve_llm_resolves_each_distinct_spec_once(self, monkeypatch):
+    def test_serve_llm_resolves_each_distinct_spec_once(self, engine_calls):
+        """One resolution per distinct shape per run, then one cache lookup
+        per iteration."""
+
         import repro.serve.llm as llm
         from repro.serve import PoissonTraffic, WorkloadMix, serve_llm
 
-        passed = []
-
-        def recording(spec, **kwargs):
-            passed.append(spec)
-            return simulate(spec, **kwargs)
-
-        monkeypatch.setattr(llm, "simulate", recording)
-        _resolve.cache_clear()
+        engine_calls.watch(llm)
+        resolve.cache_clear()
+        cache = ResultCache()
         serve_llm(PoissonTraffic(rate=30.0, mix=WorkloadMix.of(["decoder"])),
                   fleet="2xvitality", duration=1.0, output_tokens=8, seed=0,
-                  cache=ResultCache())
-        resolutions = _resolve.cache_info()
-        assert resolutions.misses == len(set(passed)) < len(passed)
-        assert resolutions.hits + resolutions.misses == len(passed)
+                  cache=cache)
+        resolutions = resolve.cache_info()
+        resolved, lookups = engine_calls.resolved, engine_calls.lookups
+        assert resolutions.misses == len(set(resolved)) == len(resolved) \
+            == len(set(lookups)) < len(lookups)
+        assert resolutions.hits + resolutions.misses == len(resolved)
+        stats = cache.stats()
+        assert len(lookups) == stats.hits + stats.misses
+
+    @pytest.mark.parametrize("run", ["serve", "serve_llm"])
+    def test_a_target_re_registered_between_runs_serves_the_next(self, run):
+        """Runs hold each shape's resolved target for the run only: the run
+        after a re-registration simulates on the new backend, and the run
+        after restoring the original reproduces the first."""
+
+        from repro.serve import PoissonTraffic, WorkloadMix, serve, serve_llm
+
+        if run == "serve":
+            traffic = PoissonTraffic(rate=200.0,
+                                     mix=WorkloadMix.of(["deit-tiny"]))
+            serve_once = lambda: serve(traffic, "2xvitality", duration=0.5,
+                                       seed=0, cache=ResultCache())
+        else:
+            traffic = PoissonTraffic(rate=30.0, mix=WorkloadMix.of(["decoder"]))
+            serve_once = lambda: serve_llm(traffic, fleet="2xvitality",
+                                           duration=1.0, output_tokens=8,
+                                           seed=0, cache=ResultCache())
+
+        class Slowed(_Doubled):
+            """Doubles the end-to-end latency, which a serving report shows,
+            and counts its simulations."""
+
+            calls = 0
+
+            def simulate(self, spec):
+                Slowed.calls += 1
+                result = self.inner.simulate(spec)
+                return dataclasses.replace(
+                    result, end_to_end_latency=2 * result.end_to_end_latency)
+
+        original = get_target("vitality")
+        stock = serve_once()
+        try:
+            register_target(Slowed(original), replace=True)
+            slowed = serve_once()
+        finally:
+            register_target(original, replace=True)
+        assert Slowed.calls == slowed.cache.misses > 0
+        assert slowed.latency.mean > stock.latency.mean
+        assert serve_once().to_json() == stock.to_json()
+        assert Slowed.calls == slowed.cache.misses
 
     @settings(max_examples=80, deadline=None)
     @given(model=st.sampled_from(_MODELS), target=st.sampled_from(_TARGETS),
@@ -388,12 +450,12 @@ class TestSpecResolutionMemo:
             self, model, target, batch_size, attention, scale_to_peak):
         spec = RunSpec(model, target=target, batch_size=batch_size,
                        attention=attention, scale_to_peak=scale_to_peak)
-        resolved_target, canonical = _resolve.__wrapped__(spec)
+        resolved_target, canonical = resolve.__wrapped__(spec)
         assert canonicalise_spec(spec) == canonical
-        assert _resolve(spec)[0] is resolved_target
+        assert resolve(spec)[0] is resolved_target
         memoised, reference = ResultCache(), ResultCache()
         for _ in range(2):              # a result-cache miss, then a hit
-            resolved_target, canonical = _resolve.__wrapped__(spec)
+            resolved_target, canonical = resolve.__wrapped__(spec)
             assert (_outcome(lambda: simulate(spec, cache=memoised))
                     == _outcome(lambda: reference.get_or_run(
                         canonical, resolved_target.simulate)))

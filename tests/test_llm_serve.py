@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.engine import ResultCache, simulate
+from repro.engine import ResultCache
 from repro.plan import estimate_llm_pools, plan_llm_capacity
 from repro.serve import (
     KVCacheConfig,
@@ -200,6 +200,36 @@ class TestServeLLM:
         second = serve_llm(_traffic(), **kwargs)
         assert first.to_json() == second.to_json()
 
+    def test_routing_count_is_the_queued_prompt_sum(self, monkeypatch):
+        """Disaggregated routing reads each prefill replica's queued prompt
+        tokens as a running count; at every routing decision of an
+        overloaded run it equals the sum over the queue it replaced."""
+
+        from repro.serve.llm import LLMReplica
+
+        running = LLMReplica.pending_prefill_tokens.fget
+        decisions, depths = [], []
+
+        def checked(replica):
+            scanned = sum(request.prompt_tokens
+                          for request in replica.prefill_queue)
+            current = replica.current_prefill
+            if current is not None:
+                scanned += current.prompt_tokens - current.prefilled
+            decisions.append(running(replica) == scanned)
+            depths.append(len(replica.prefill_queue))
+            return running(replica)
+
+        monkeypatch.setattr(LLMReplica, "pending_prefill_tokens",
+                            property(checked))
+        mix = WorkloadMix.of(["decoder"],
+                             tokens=TokenProfile.of("64:1024", "8:32"))
+        report = serve_llm(_traffic(120.0, mix), prefill_fleet="2xvitality",
+                           decode_fleet="1xvitality", duration=3.0, seed=3)
+        assert report.completed == report.offered
+        assert len(decisions) == 2 * report.offered and all(decisions)
+        assert max(depths) > 20
+
     def test_every_request_served_with_roles(self):
         report = serve_llm(_traffic(), prefill_fleet="1xvitality",
                            decode_fleet="1xvitality", duration=2.0, seed=0)
@@ -300,28 +330,24 @@ class TestServeLLM:
         dict(fleet="1xvitality,1xgpu:taylor", scheduler="monolithic"),
         dict(prefill_fleet="1xvitality", decode_fleet="1xgpu:taylor"),
     ], ids=["continuous", "monolithic", "disaggregated"])
-    def test_each_iteration_shape_builds_one_spec(self, monkeypatch, fleets):
-        """Every prefill chunk and decode step still makes its own engine
-        call with one cache lookup, but equal shapes share one spec object:
-        one per cache miss."""
+    def test_each_iteration_shape_builds_one_spec(self, engine_calls, fleets):
+        """Each distinct shape is resolved once per run, and every prefill
+        chunk and decode step still makes its own cache lookup, with equal
+        shapes sharing one spec object: one per cache miss."""
 
         import repro.serve.llm as llm
 
-        passed = []
-
-        def recording(spec, **kwargs):
-            passed.append(spec)
-            return simulate(spec, **kwargs)
-
-        monkeypatch.setattr(llm, "simulate", recording)
+        engine_calls.watch(llm)
         cache = ResultCache()
         report = serve_llm(_traffic(30.0, PAIR), duration=2.0, seed=5,
                            cache=cache, **fleets)
         stats = cache.stats()
-        assert len({id(spec) for spec in passed}) == len(set(passed)) \
-            == stats.misses > 1
+        resolved, lookups = engine_calls.resolved, engine_calls.lookups
+        assert len(resolved) == len(set(resolved)) == stats.misses > 1
+        assert len({id(spec) for spec in lookups}) == len(set(lookups)) \
+            == stats.misses
         dispatches = sum(replica.batches for replica in report.per_replica)
-        assert len(passed) == stats.hits + stats.misses == dispatches
+        assert len(lookups) == stats.hits + stats.misses == dispatches
 
     def test_classic_report_shape_unchanged(self):
         """The additive LLM fields must not leak into classic serve JSON."""

@@ -135,6 +135,7 @@ class TestMemsimActivation:
         assert RunResult.from_dict(payload) == result
 
 
+@pytest.mark.usefixtures("no_float_sum")
 class TestMemsimGolden:
     """The memsim outputs for two reference design points are pinned exactly,
     and activating the subsystem must not move any seed experiment."""

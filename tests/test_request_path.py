@@ -17,10 +17,10 @@ These tests pin that the cuts change nothing observable:
   replaced, kept here verbatim as the oracle;
 - :meth:`LoadIndex.argmin` picks what the linear reference scan picks,
   exact backlog ties included;
-- a dispatch reuses one engine spec per (model, replica kind, batch size)
-  while still making one ``simulate`` call, and so one cache lookup, per
-  batch, plus one per routing estimate; so do the planner's service-time
-  lookups, one call per lookup.
+- a run resolves each (model, replica kind, batch size) shape once and
+  then makes one cache lookup per batch, plus one per routing estimate; the
+  planner's service-time lookups reuse one engine spec per shape and make
+  one ``simulate`` call per lookup.
 """
 
 from __future__ import annotations
@@ -542,19 +542,14 @@ def test_argmin_matches_the_reference_scan(state):
 # ------------------------------------------------------- one spec per shape
 
 
-def test_each_dispatch_shape_builds_one_spec(monkeypatch):
-    """Every batch and every routing estimate makes its own engine call
-    and cache lookup, but equal shapes share one spec object."""
+def test_each_dispatch_shape_builds_one_spec(engine_calls):
+    """Each distinct shape is resolved once per run, and every batch and
+    every routing estimate makes its own cache lookup, with equal shapes
+    sharing one spec object."""
 
     import repro.serve.simulator as simulator
 
-    passed = []
-
-    def recording(spec, **kwargs):
-        passed.append(spec)
-        return simulate(spec, **kwargs)
-
-    monkeypatch.setattr(simulator, "simulate", recording)
+    engine_calls.watch(simulator)
     mix = WorkloadMix.of(["deit-tiny", "levit-128"])
     runs = [
         lambda cache: serve(PoissonTraffic(rate=300.0, mix=mix),
@@ -567,16 +562,18 @@ def test_each_dispatch_shape_builds_one_spec(monkeypatch):
             duration=1.0, seed=3, cache=cache),
     ]
     for run in runs:
-        passed.clear()
+        engine_calls.clear()
         cache = ResultCache()
         report = run(cache)
         stats = cache.stats()
-        assert len({id(spec) for spec in passed}) == len(set(passed)) \
-            == stats.misses > 2
+        resolved, lookups = engine_calls.resolved, engine_calls.lookups
+        assert len(resolved) == len(set(resolved)) == stats.misses > 2
+        assert len({id(spec) for spec in lookups}) == len(set(lookups)) \
+            == stats.misses
         batches = sum(replica.batches for replica in report.per_replica)
-        kinds = {(spec.model, spec.target, spec.attention) for spec in passed}
+        kinds = {(spec.model, spec.target, spec.attention) for spec in resolved}
         assert len(kinds) > 2
-        assert len(passed) == stats.hits + stats.misses \
+        assert len(lookups) == stats.hits + stats.misses \
             == batches + len(kinds)
 
 

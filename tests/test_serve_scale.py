@@ -57,6 +57,7 @@ def close(estimate: float, exact: float) -> bool:
     return abs(estimate - exact) <= 0.15 * abs(exact) + 5e-4
 
 
+@pytest.mark.usefixtures("no_float_sum")
 class TestExactBitIdentity:
     def test_reports_match_pre_streaming_goldens(self):
         expected = json.loads(GOLDENS.read_text())
