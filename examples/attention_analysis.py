@@ -16,7 +16,7 @@ from repro.attention.distribution import (
     generate_calibrated_qk,
     summarize_weak_fraction,
 )
-from repro.profiling import mha_runtime_breakdown_table
+from repro.experiments.profiling_exps import fig1_runtime_breakdown
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
           f"gain {summary['mean_gain']:.3f}   (paper: 0.46 -> 0.67)")
 
     print("\nFig. 1 — MHA runtime breakdown per platform:")
-    for platform, breakdown in mha_runtime_breakdown_table("deit-tiny").items():
+    for platform, breakdown in fig1_runtime_breakdown("deit-tiny").items():
         print(f"  {platform:9s} QKV {breakdown['step1_qkv']:.0%}  "
               f"softmax-map {breakdown['step2_softmax_map']:.0%}  "
               f"score {breakdown['step3_attention_score']:.0%}")

@@ -55,7 +55,6 @@ from repro.engine import (
     ResultCache,
     RunSpec,
     Sweep,
-    UnknownTargetError,
     get_target,
     list_targets,
     simulate,
@@ -86,11 +85,15 @@ from repro.plan import (
 )
 from repro.serve import (
     BATCH_POLICIES,
+    DEFAULT_OUTPUT_TOKENS,
     DEFAULT_PERCENTILES,
+    DEFAULT_PROMPT_TOKENS,
+    DEFAULT_SLO,
     Fleet,
     KVCacheConfig,
     ROUTERS,
     SCHEDULERS,
+    SUMMARY_MODES,
     TRAFFIC_PATTERNS,
     TokenDistribution,
     TokenProfile,
@@ -101,9 +104,9 @@ from repro.serve import (
     serve_llm,
     serve_pipeline,
 )
+from repro.serve.llm import DEFAULT_LLM_SLO
 from repro.workloads import (
     FAMILIES,
-    UnknownWorkloadError,
     canonical_workload_name,
     configured_name,
     get_workload,
@@ -111,8 +114,90 @@ from repro.workloads import (
     list_workloads,
 )
 
-#: Baselines the ``accelerate`` command compares against by default.
+#: Baselines the ``accelerate`` command compares against by default: those of
+#: Figs. 11-12 (``hardware_exps.FIG11_12_BASELINES``), restated here so that
+#: importing the CLI does not import ``hardware_exps``.
 DEFAULT_BASELINES = ("sanger", "cpu", "edge_gpu", "gpu")
+
+
+def _add_run_flags(parser, *, rate: float, duration: float,
+                   slo_ms: float | None) -> None:
+    """The traffic, batching and output flags ``serve`` and ``plan`` share."""
+
+    parser.add_argument("--rate", type=float, default=rate,
+                        help="arrival rate in requests per second (the "
+                             "peak rate of diurnal traffic)")
+    parser.add_argument("--duration", type=float, default=duration,
+                        help="length of the simulated arrival window in seconds")
+    parser.add_argument("--models", default="deit-tiny",
+                        help="comma-separated workloads requests are drawn from; "
+                             "configured names work inline, e.g. "
+                             "'deit-tiny[tokens=1024],levit-128'")
+    parser.add_argument("--weights", default="",
+                        help="comma-separated mix weights matching --models")
+    parser.add_argument("--slo-ms", type=float, default=slo_ms,
+                        help="per-request end-to-end latency SLO " + (
+                            "(default: 50, or 1000 under --llm)"
+                            if slo_ms is None else "(default: %(default)g)"))
+    parser.add_argument("--policy", default="timeout", choices=BATCH_POLICIES,
+                        help="batch-formation policy (default: timeout)")
+    parser.add_argument("--batch", type=int, default=8,
+                        help="target/max batch size for size and timeout batching")
+    parser.add_argument("--timeout-ms", type=float, default=2.0,
+                        help="batching window for the timeout policy")
+    parser.add_argument("--overhead-ms", type=float, default=0.5,
+                        help="host-side dispatch overhead per batch")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress stderr progress output")
+
+
+def _add_llm_flags(group, *, token_ranges: bool) -> None:
+    """The LLM flags ``serve`` and ``plan`` share.
+
+    ``serve`` takes each token count as text, a fixed count or a seeded
+    uniform range ('256:1024'), and leaves it unset by default, so that the
+    traffic carries token counts only when asked; ``plan`` takes integers.
+    """
+
+    group.add_argument("--llm", action="store_true",
+                       help="take the LLM leg this group describes")
+    group.add_argument("--ttft-slo-ms", type=float, default=200.0,
+                       help="time-to-first-token SLO")
+    group.add_argument("--tpot-slo-ms", type=float, default=10.0,
+                       help="time-per-output-token SLO")
+    for flag, default, what in (("--prompt-tokens", DEFAULT_PROMPT_TOKENS,
+                                 "prompt length"),
+                                ("--output-tokens", DEFAULT_OUTPUT_TOKENS,
+                                 "generated tokens")):
+        group.add_argument(flag, type=str if token_ranges else int,
+                           default=None if token_ranges else default,
+                           help=f"{what} per request"
+                                + (": a count or a seeded range 'LO:HI'"
+                                   if token_ranges else "")
+                                + f" (default: {default})")
+    group.add_argument("--prefill-chunk", type=int, default=256,
+                       help="prompt tokens per prefill engine call")
+    group.add_argument("--kv-capacity", type=int,
+                       help="override per-replica KV capacity in tokens "
+                            "(default: derived from the target's SRAM)")
+    group.add_argument("--step-overhead-ms", type=float, default=0.2,
+                       help="host overhead per prefill chunk / decode step")
+    group.add_argument("--handoff-ms", type=float, default=2.0,
+                       help="prefill-to-decode KV transfer delay")
+
+
+def _add_pipeline_flags(group) -> None:
+    """The pipeline flags ``serve`` and ``plan`` share."""
+
+    group.add_argument("--pipeline", metavar="SPEC",
+                       help="arrow-grammar pipeline, e.g. 'rag = "
+                            "encoder[tokens=512] -> rerank:encoder[tokens=128]"
+                            " -> deit-tiny' (--models is ignored: stages name "
+                            "their own workloads)")
+    group.add_argument("--stage-handoff-ms", type=float, default=1.0,
+                       help="stage-to-stage handoff delay")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,22 +211,27 @@ def _build_parser() -> argparse.ArgumentParser:
                              "dispatch and autoscaling decisions)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list experiments, models, attention modes and targets")
+    subparsers.add_parser(
+        "list", help="list experiments, models, attention modes and targets"
+    ).set_defaults(handler=_command_list)
 
     workloads = subparsers.add_parser(
         "workloads", help="list workload families, knobs and geometry/MAC "
                           "summaries as JSON (or resolve one configured name)")
+    workloads.set_defaults(handler=_command_workloads)
     workloads.add_argument("name", nargs="?",
                            help="optional (configured) workload name to resolve, "
                                 "e.g. 'deit-tiny[tokens=1024]'")
 
     run = subparsers.add_parser("run", help="run one experiment by identifier")
+    run.set_defaults(handler=_command_run)
     run.add_argument("experiment", help="experiment id, e.g. tab1, fig11, fig13")
     run.add_argument("--json", action="store_true", help="print raw JSON instead of markdown")
     run.add_argument("--full", action="store_true",
                      help="use the long (quick=False) settings for training experiments")
 
     sim = subparsers.add_parser("simulate", help="simulate one model on one target")
+    sim.set_defaults(handler=_command_simulate)
     sim.add_argument("model", help="workload name, e.g. deit-tiny")
     sim.add_argument("--target", default="vitality",
                      help="simulation target (see `repro list`)")
@@ -163,6 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = subparsers.add_parser("sweep",
                                 help="simulate a cross product of models and targets")
+    swp.set_defaults(handler=_command_sweep)
     swp.add_argument("--models", default="",
                      help="comma-separated workload names (default: all seed "
                           "models); configured names work inline, e.g. "
@@ -179,6 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dse = subparsers.add_parser(
         "dse", help="design-space exploration: sweep microarchitecture knobs "
                     "and report the latency/energy/area Pareto frontier")
+    dse.set_defaults(handler=_command_dse)
     dse.add_argument("--model", default="deit-tiny",
                      help="workload to explore the space on")
     dse.add_argument("--target", default="vitality",
@@ -201,36 +293,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     srv = subparsers.add_parser("serve",
                                 help="discrete-event inference-serving simulation")
+    srv.set_defaults(handler=_command_serve)
+    _add_run_flags(srv, rate=100.0, duration=10.0, slo_ms=None)
     srv.add_argument("--traffic", default="poisson", choices=TRAFFIC_PATTERNS,
                      help="arrival pattern (default: poisson)")
-    srv.add_argument("--rate", type=float, default=100.0,
-                     help="mean (poisson/bursty) or peak (diurnal) arrivals per second")
-    srv.add_argument("--duration", type=float, default=10.0,
-                     help="length of the arrival window in seconds")
-    srv.add_argument("--models", default="deit-tiny",
-                     help="comma-separated workloads requests are drawn from; "
-                          "configured names work inline, e.g. "
-                          "'deit-tiny[tokens=1024],levit-128'")
-    srv.add_argument("--weights", default="",
-                     help="comma-separated mix weights matching --models")
     srv.add_argument("--period", type=float, default=10.0,
                      help="diurnal cycle length in seconds")
     srv.add_argument("--trace", help="JSON file of [time, model] arrivals "
                                      "for --traffic replay")
     srv.add_argument("--fleet", default="2xvitality",
                      help='replica spec, e.g. "2xvitality,1xgpu:taylor"')
-    srv.add_argument("--policy", default="timeout", choices=BATCH_POLICIES,
-                     help="batch-formation policy (default: timeout)")
-    srv.add_argument("--batch", type=int, default=8,
-                     help="target/max batch size for size and timeout batching")
-    srv.add_argument("--timeout-ms", type=float, default=2.0,
-                     help="batching window for the timeout policy")
     srv.add_argument("--router", default="least-loaded", choices=ROUTERS)
-    srv.add_argument("--slo-ms", type=float,
-                     help="per-request end-to-end latency SLO "
-                          "(default: 50, or 1000 under --llm)")
-    srv.add_argument("--overhead-ms", type=float, default=0.5,
-                     help="host-side dispatch overhead per batch")
     srv.add_argument("--percentiles", default="50,95,99",
                      help="comma-separated latency percentiles to report, "
                           "e.g. 50,95,99,99.9 (p50/p95/p99 always included)")
@@ -252,28 +325,22 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="autoscaler control period")
     srv.add_argument("--provision-ms", type=float, default=500.0,
                      help="delay before a scaled-up replica comes online")
-    srv.add_argument("--summary", default="exact",
-                     choices=("exact", "streaming"),
+    srv.add_argument("--summary", default="exact", choices=SUMMARY_MODES,
                      help="report mode: exact percentiles over every "
                           "request's latency, or "
                           "bounded-memory streaming sketches for "
                           "million-request runs")
-    srv.add_argument("--seed", type=int, default=0)
-    srv.add_argument("--json", action="store_true")
     srv.add_argument("--trace-out", metavar="FILE",
                      help="record the run as Chrome trace-event JSON "
                           "(load in Perfetto; summarize with `repro trace`)")
     srv.add_argument("--metrics-out", metavar="FILE",
                      help="write streaming run metrics in the Prometheus "
                           "text exposition format")
-    srv.add_argument("--quiet", action="store_true",
-                     help="suppress the stderr progress indicator")
     llm = srv.add_argument_group(
         "llm serving", "autoregressive serving: continuous batching, chunked "
-                       "prefill, KV-cache admission, disaggregated pools")
-    llm.add_argument("--llm", action="store_true",
-                     help="serve autoregressively via the LLM simulator "
-                          "(--policy/--router/--autoscale do not apply)")
+                       "prefill, KV-cache admission, disaggregated pools "
+                       "(--policy/--router/--autoscale do not apply)")
+    _add_llm_flags(llm, token_ranges=True)
     llm.add_argument("--scheduler", default="continuous", choices=SCHEDULERS,
                      help="iteration-level (continuous) or request-level "
                           "gang (monolithic) batching")
@@ -282,38 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(with --decode-fleet; replaces --fleet)")
     llm.add_argument("--decode-fleet",
                      help="dedicated decode pool, e.g. 1xvitality")
-    llm.add_argument("--prompt-tokens", default=None,
-                     help="prompt length per request: fixed ('512') or a "
-                          "seeded uniform range ('256:1024')")
-    llm.add_argument("--output-tokens", default=None,
-                     help="generated tokens per request: fixed or a range")
-    llm.add_argument("--prefill-chunk", type=int, default=256,
-                     help="prompt tokens per prefill engine call")
-    llm.add_argument("--kv-capacity", type=int,
-                     help="override per-replica KV capacity in tokens "
-                          "(default: derived from the target's SRAM)")
-    llm.add_argument("--step-overhead-ms", type=float, default=0.2,
-                     help="host overhead per prefill chunk / decode step")
-    llm.add_argument("--handoff-ms", type=float, default=2.0,
-                     help="prefill-to-decode KV transfer delay")
-    llm.add_argument("--ttft-slo-ms", type=float, default=200.0,
-                     help="time-to-first-token SLO")
-    llm.add_argument("--tpot-slo-ms", type=float, default=10.0,
-                     help="time-per-output-token SLO")
     pipe = srv.add_argument_group(
         "pipeline serving", "multi-stage request DAGs: each request "
                             "traverses per-stage replica pools "
                             "(RAG chains, cascade draft->verify)")
-    pipe.add_argument("--pipeline", metavar="SPEC",
-                      help="arrow-grammar pipeline, e.g. 'rag = "
-                           "encoder[tokens=512] -> rerank:encoder[tokens=128]"
-                           " -> deit-tiny' (--models is ignored: stages name "
-                           "their own workloads)")
+    _add_pipeline_flags(pipe)
     pipe.add_argument("--pools", metavar="MAP",
                       help="semicolon-separated stage pools, e.g. "
                            "'encoder=2xvitality;rerank=1xvitality'")
-    pipe.add_argument("--stage-handoff-ms", type=float, default=1.0,
-                      help="stage-to-stage handoff delay")
     pipe.add_argument("--stage-slo-ms", metavar="MAP",
                       help="optional per-stage latency SLOs, e.g. "
                            "'encoder=30;deit-tiny=5' (reported per stage; "
@@ -322,76 +365,33 @@ def _build_parser() -> argparse.ArgumentParser:
     plan = subparsers.add_parser(
         "plan", help="SLO-driven capacity planning: search candidate fleets, "
                      "prune analytically, validate the best in simulation")
-    plan.add_argument("--rate", type=float, default=1200.0,
-                      help="mean arrival rate the fleet must sustain (req/s)")
-    plan.add_argument("--duration", type=float, default=2.0,
-                      help="validation-simulation length in seconds")
-    plan.add_argument("--models", default="deit-tiny",
-                      help="comma-separated workload mix (configured names work)")
-    plan.add_argument("--weights", default="",
-                      help="comma-separated mix weights matching --models")
-    plan.add_argument("--slo-ms", type=float, default=20.0,
-                      help="latency SLO the chosen fleet must meet")
+    plan.set_defaults(handler=_command_plan)
+    _add_run_flags(plan, rate=1200.0, duration=2.0, slo_ms=20.0)
     plan.add_argument("--percentile", type=float, default=99.0,
                       help="SLO percentile, e.g. 99 or 99.9")
     plan.add_argument("--targets", default="vitality",
                       help="comma-separated candidate replica kinds; configured "
                            "design points and :attention pins work inline, "
-                           "e.g. 'vitality,vitality[pe=32x32],gpu:taylor'")
+                           "e.g. 'vitality,vitality[pe=32x32],gpu:taylor'; "
+                           "under --pipeline one kind for every stage, or a "
+                           "per-stage map 'encoder=vitality;deit-tiny=gpu'")
     plan.add_argument("--max-replicas", type=int, default=8,
                       help="largest per-kind replica count to consider")
     plan.add_argument("--top-k", type=int, default=3,
                       help="analytically-feasible candidates to validate in "
                            "the discrete-event simulator")
-    plan.add_argument("--policy", default="timeout", choices=BATCH_POLICIES,
-                      help="batch-formation policy fleets are evaluated under")
-    plan.add_argument("--batch", type=int, default=8,
-                      help="target/max batch size for size and timeout batching")
-    plan.add_argument("--timeout-ms", type=float, default=2.0,
-                      help="batching window for the timeout policy")
-    plan.add_argument("--overhead-ms", type=float, default=0.5,
-                      help="host-side dispatch overhead per batch")
     plan.add_argument("--jobs", type=int, metavar="N",
                       help="validate shortlisted candidates across N "
                            "processes")
-    plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument("--json", action="store_true")
-    plan.add_argument("--quiet", action="store_true",
-                      help="suppress the stderr progress milestones")
-    plan_llm = plan.add_argument_group(
+    _add_llm_flags(plan.add_argument_group(
         "llm planning", "size disaggregated prefill/decode pools against a "
                         "TTFT+TPOT SLO pair (first --models entry, first "
-                        "--targets kind)")
-    plan_llm.add_argument("--llm", action="store_true",
-                          help="plan disaggregated LLM pools instead of a "
-                               "classic fleet (--slo-ms/--policy do not apply)")
-    plan_llm.add_argument("--ttft-slo-ms", type=float, default=200.0,
-                          help="time-to-first-token SLO the pools must meet")
-    plan_llm.add_argument("--tpot-slo-ms", type=float, default=10.0,
-                          help="time-per-output-token SLO")
-    plan_llm.add_argument("--prompt-tokens", type=int, default=512,
-                          help="prompt length per request")
-    plan_llm.add_argument("--output-tokens", type=int, default=64,
-                          help="generated tokens per request")
-    plan_llm.add_argument("--prefill-chunk", type=int, default=256,
-                          help="prompt tokens per prefill engine call")
-    plan_llm.add_argument("--kv-capacity", type=int,
-                          help="override per-replica KV capacity in tokens")
-    plan_llm.add_argument("--step-overhead-ms", type=float, default=0.2,
-                          help="host overhead per prefill chunk / decode step")
-    plan_llm.add_argument("--handoff-ms", type=float, default=2.0,
-                          help="prefill-to-decode KV transfer delay")
-    plan_pipe = plan.add_argument_group(
+                        "--targets kind; --slo-ms/--policy do not apply)"),
+        token_ranges=False)
+    _add_pipeline_flags(plan.add_argument_group(
         "pipeline planning", "size every stage pool of a multi-stage "
                              "pipeline jointly against the end-to-end SLO "
-                             "(--max-replicas bounds each stage's pool)")
-    plan_pipe.add_argument("--pipeline", metavar="SPEC",
-                           help="arrow-grammar pipeline to plan for "
-                                "(--models is ignored; --targets is one kind "
-                                "for every stage, or a per-stage map "
-                                "'encoder=vitality;deit-tiny=gpu')")
-    plan_pipe.add_argument("--stage-handoff-ms", type=float, default=1.0,
-                           help="stage-to-stage handoff delay")
+                             "(--max-replicas bounds each stage's pool)"))
 
     trace = subparsers.add_parser(
         "trace", help="work with trace files recorded by serve --trace-out")
@@ -400,11 +400,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "summarize", help="critical-path breakdown of one trace: time in "
                           "queue vs prefill vs decode vs handoff, per model "
                           "and per replica kind")
+    summarize.set_defaults(handler=_command_trace)
     summarize.add_argument("trace_file", help="Chrome trace-event JSON file")
     summarize.add_argument("--json", action="store_true")
 
     accelerate = subparsers.add_parser("accelerate",
                                        help="run the accelerator comparison for one model")
+    accelerate.set_defaults(handler=_command_accelerate)
     accelerate.add_argument("model", help="workload name, e.g. deit-tiny")
     accelerate.add_argument("--baseline", default=",".join(DEFAULT_BASELINES),
                             help="comma-separated baseline targets to compare against")
@@ -416,6 +418,46 @@ def _split_csv(text: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
+def _parse_csv(text: str, flag: str, kind: type) -> tuple:
+    """Comma-separated ``int`` or ``float`` values of ``flag``."""
+
+    try:
+        return tuple(kind(item) for item in _split_csv(text))
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {noun}, "
+                         f"got {text!r}") from None
+
+
+def _parse_stage_map(text: str, option: str, kind: type = str) -> dict:
+    """``"encoder=2xvitality;rerank=1xvitality"`` -> a stage-keyed dict."""
+
+    mapping = {}
+    for item in text.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip() or not value.strip():
+            raise ValueError(f"{option} entries must be 'stage=value' pairs "
+                             f"separated by ';', got {item!r}")
+        try:
+            mapping[key.strip()] = kind(value.strip())
+        except ValueError:
+            raise ValueError(f"{option} values must be numbers, "
+                             f"got {item!r}") from None
+    if not mapping:
+        raise ValueError(f"{option} names no stages: {text!r}")
+    return mapping
+
+
+def _mix_weights(arguments: argparse.Namespace) -> tuple[float, ...] | None:
+    # "," gives no weights, which the mix rejects against its models.
+    if not arguments.weights:
+        return None
+    return _parse_csv(arguments.weights, "--weights", float)
+
+
 def _make_cache(arguments: argparse.Namespace) -> ResultCache | None:
     """The run's result cache: disk-backed under ``--cache-dir``, else default."""
 
@@ -424,12 +466,7 @@ def _make_cache(arguments: argparse.Namespace) -> ResultCache | None:
     return None
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _command_list() -> int:
+def _command_list(arguments: argparse.Namespace) -> int:
     # The model zoo imports NumPy; only this command needs it.
     from repro.models import available_attention_modes, available_models
 
@@ -474,41 +511,38 @@ def _workload_summary(name: str) -> dict[str, object]:
 
 
 def _command_workloads(arguments: argparse.Namespace) -> int:
-    try:
-        if arguments.name:
-            print(json.dumps(_workload_summary(arguments.name), indent=2))
-            return 0
-        families = []
-        for name, family in FAMILIES.items():
-            families.append({
-                "family": name,
-                "doc": family.doc,
-                "knobs": [
-                    {"name": knob.name, "doc": knob.doc,
-                     "default": (None if knob.default is None
-                                 else knob.render(knob.default))}
-                    for _, knob in sorted(family.schema.knobs.items())
-                ],
-                "reference": _workload_summary(name),
-            })
-        print(json.dumps({"families": families,
-                          "seed_workloads": list_workloads()}, indent=2))
+    if arguments.name:
+        print(json.dumps(_workload_summary(arguments.name), indent=2))
         return 0
-    except (UnknownWorkloadError, KeyError, ValueError) as error:
-        return _fail(str(error.args[0] if error.args else error))
+    families = []
+    for name, family in FAMILIES.items():
+        families.append({
+            "family": name,
+            "doc": family.doc,
+            "knobs": [
+                {"name": knob.name, "doc": knob.doc,
+                 "default": (None if knob.default is None
+                             else knob.render(knob.default))}
+                for _, knob in sorted(family.schema.knobs.items())
+            ],
+            "reference": _workload_summary(name),
+        })
+    print(json.dumps({"families": families,
+                      "seed_workloads": list_workloads()}, indent=2))
+    return 0
 
 
-def _command_run(identifier: str, as_json: bool, full: bool) -> int:
-    spec = get_experiment(identifier)
+def _command_run(arguments: argparse.Namespace) -> int:
+    spec = get_experiment(arguments.experiment)
     kwargs = {}
-    if full and "quick" in inspect.signature(spec.runner).parameters:
+    if arguments.full and "quick" in inspect.signature(spec.runner).parameters:
         kwargs["quick"] = False
-    result = run_experiment(identifier, **kwargs)
-    if as_json:
+    result = run_experiment(arguments.experiment, **kwargs)
+    if arguments.json:
         print(json.dumps(result, indent=2, default=str))
     else:
         print(f"# {spec.paper_reference} — {spec.title}\n")
-        print(render_experiment(identifier, result))
+        print(render_experiment(arguments.experiment, result))
     return 0
 
 
@@ -516,46 +550,42 @@ def _command_simulate(arguments: argparse.Namespace) -> int:
     model = arguments.model
     if arguments.tokens is not None:
         model = configured_name(model, tokens=arguments.tokens)
-    try:
-        spec = RunSpec(
-            model=model,
-            target=arguments.target,
-            attention=arguments.attention,
-            batch_size=arguments.batch,
-            dataflow=arguments.dataflow,
-            pipelined=False if arguments.no_pipeline else None,
-            include_linear=not arguments.attention_only,
-            scale_to_peak=arguments.scale_to_peak,
-        )
-        result = simulate(spec, cache=_make_cache(arguments))
-    except (UnknownTargetError, KeyError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
+    spec = RunSpec(
+        model=model,
+        target=arguments.target,
+        attention=arguments.attention,
+        batch_size=arguments.batch,
+        dataflow=arguments.dataflow,
+        pipelined=False if arguments.no_pipeline else None,
+        include_linear=not arguments.attention_only,
+        scale_to_peak=arguments.scale_to_peak,
+    )
+    result = simulate(spec, cache=_make_cache(arguments))
     if arguments.json or arguments.layers:
         print(result.to_json(include_layers=arguments.layers))
-    else:
-        rows = [{
-            "model": result.model,
-            "target": result.target,
-            "attention_latency_ms": result.attention_latency * 1e3,
-            "end_to_end_latency_ms": result.end_to_end_latency * 1e3,
-            "end_to_end_energy_mj": result.end_to_end_energy * 1e3,
-        }]
-        print(markdown_table(rows))
-        if result.roofline:
-            print("\n## Roofline (per unique layer)\n")
-            print(markdown_table(
-                [{
-                    "layer": record.layer,
-                    "bound": record.bound,
-                    "compute_cycles": record.compute_cycles,
-                    "load_stall": record.load_stall_cycles,
-                    "drain_stall": record.drain_stall_cycles,
-                    "ai_flops_per_byte": record.arithmetic_intensity,
-                    "attained_gbps": record.attained_gbps,
-                } for record in result.roofline],
-                ["layer", "bound", "compute_cycles", "load_stall",
-                 "drain_stall", "ai_flops_per_byte", "attained_gbps"]))
+        return 0
+    rows = [{
+        "model": result.model,
+        "target": result.target,
+        "attention_latency_ms": result.attention_latency * 1e3,
+        "end_to_end_latency_ms": result.end_to_end_latency * 1e3,
+        "end_to_end_energy_mj": result.end_to_end_energy * 1e3,
+    }]
+    print(markdown_table(rows))
+    if result.roofline:
+        print("\n## Roofline (per unique layer)\n")
+        print(markdown_table(
+            [{
+                "layer": record.layer,
+                "bound": record.bound,
+                "compute_cycles": record.compute_cycles,
+                "load_stall": record.load_stall_cycles,
+                "drain_stall": record.drain_stall_cycles,
+                "ai_flops_per_byte": record.arithmetic_intensity,
+                "attained_gbps": record.attained_gbps,
+            } for record in result.roofline],
+            ["layer", "bound", "compute_cycles", "load_stall",
+             "drain_stall", "ai_flops_per_byte", "attained_gbps"]))
     return 0
 
 
@@ -563,75 +593,54 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
     models = split_configured_names(arguments.models) or tuple(list_workloads())
     targets = split_configured_names(arguments.targets)
     if not targets:
-        return _fail("no targets given")
-    try:
-        batch_sizes = tuple(int(size) for size in _split_csv(arguments.batch_sizes))
-    except ValueError:
-        return _fail(f"--batch-sizes must be comma-separated integers, "
-                     f"got {arguments.batch_sizes!r}")
-    try:
-        builder = Sweep().models(*models).targets(*targets).batch_sizes(*batch_sizes or (1,))
-        if arguments.attention_only:
-            builder.attention_only()
-        # Validate names up front so the error names the bad axis value
-        # instead of surfacing mid-sweep.
-        for model in models:
-            get_workload(model)
-        for target in targets:
-            get_target(target)
-        outcome = builder.run(cache=_make_cache(arguments), jobs=arguments.jobs)
-    except (UnknownTargetError, KeyError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
+        raise ValueError("no targets given")
+    batch_sizes = _parse_csv(arguments.batch_sizes, "--batch-sizes", int)
+    builder = Sweep().models(*models).targets(*targets).batch_sizes(*batch_sizes or (1,))
+    if arguments.attention_only:
+        builder.attention_only()
+    # Validate names up front so the error names the bad axis value
+    # instead of surfacing mid-sweep.
+    for model in models:
+        get_workload(model)
+    for target in targets:
+        get_target(target)
+    outcome = builder.run(cache=_make_cache(arguments), jobs=arguments.jobs)
     if arguments.json:
         print(json.dumps(outcome.to_dict(), indent=2))
-    else:
-        print(markdown_table(outcome.to_rows()))
-        disk = f", {outcome.disk_hits} from disk" if outcome.disk_hits else ""
-        print(f"\n{len(outcome.results)} runs — cache: {outcome.hits} hits, "
-              f"{outcome.misses} misses{disk}")
+        return 0
+    print(markdown_table(outcome.to_rows()))
+    disk = f", {outcome.disk_hits} from disk" if outcome.disk_hits else ""
+    print(f"\n{len(outcome.results)} runs — cache: {outcome.hits} hits, "
+          f"{outcome.misses} misses{disk}")
     return 0
 
 
 def _command_dse(arguments: argparse.Namespace) -> int:
-    try:
-        sram_kb = tuple(int(value) for value in _split_csv(arguments.sram_kb))
-    except ValueError:
-        return _fail(f"--sram-kb must be comma-separated integers, "
-                     f"got {arguments.sram_kb!r}")
-    try:
-        dram_gbps = tuple(float(value)
-                          for value in _split_csv(arguments.dram_gbps)) or None
-    except ValueError:
-        return _fail(f"--dram-gbps must be comma-separated numbers, "
-                     f"got {arguments.dram_gbps!r}")
+    sram_kb = _parse_csv(arguments.sram_kb, "--sram-kb", int)
+    dram_gbps = _parse_csv(arguments.dram_gbps, "--dram-gbps", float) or None
     pe = _split_csv(arguments.pe)
     freq = _split_csv(arguments.freq)
     if not (pe and freq and sram_kb):
-        return _fail("the design space needs at least one value per knob "
-                     "(--pe, --freq, --sram-kb)")
-    try:
-        payload = explore_design_space(
-            model=arguments.model, target=arguments.target,
-            pe=pe, freq=freq, sram_kb=sram_kb, dram_gbps=dram_gbps,
-            jobs=arguments.jobs, cache=_make_cache(arguments))
-    except (UnknownTargetError, KeyError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
+        raise ValueError("the design space needs at least one value per knob "
+                         "(--pe, --freq, --sram-kb)")
+    payload = explore_design_space(
+        model=arguments.model, target=arguments.target,
+        pe=pe, freq=freq, sram_kb=sram_kb, dram_gbps=dram_gbps,
+        jobs=arguments.jobs, cache=_make_cache(arguments))
     if arguments.json:
         print(json.dumps(payload, indent=2))
-    else:
-        columns = ["target", "latency_ms", "energy_mj", "area_mm2", "peak_gmacs"]
-        if dram_gbps is not None:
-            columns += ["dram_gbps", "memory_bound_layers"]
-        print(markdown_table(payload["pareto_frontier"], columns))
-        cache_stats = payload["cache"]
-        disk = (f", {cache_stats['disk_hits']} from disk"
-                if cache_stats.get("disk_hits") else "")
-        print(f"\n{len(payload['pareto_frontier'])} Pareto-optimal of "
-              f"{payload['evaluated']} design points "
-              f"(objectives: {', '.join(payload['objectives'])}) — cache: "
-              f"{cache_stats['hits']} hits, {cache_stats['misses']} misses{disk}")
+        return 0
+    columns = ["target", "latency_ms", "energy_mj", "area_mm2", "peak_gmacs"]
+    if dram_gbps is not None:
+        columns += ["dram_gbps", "memory_bound_layers"]
+    print(markdown_table(payload["pareto_frontier"], columns))
+    cache_stats = payload["cache"]
+    disk = (f", {cache_stats['disk_hits']} from disk"
+            if cache_stats.get("disk_hits") else "")
+    print(f"\n{len(payload['pareto_frontier'])} Pareto-optimal of "
+          f"{payload['evaluated']} design points "
+          f"(objectives: {', '.join(payload['objectives'])}) — cache: "
+          f"{cache_stats['hits']} hits, {cache_stats['misses']} misses{disk}")
     return 0
 
 
@@ -639,8 +648,7 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
     """``"50,95,99,99.9"`` -> sorted percentile fractions incl. the defaults."""
 
     fractions = set(DEFAULT_PERCENTILES)
-    for item in _split_csv(text):
-        value = float(item)
+    for value in _parse_csv(text, "--percentiles", float):
         if not 0 < value < 100:
             raise ValueError(f"percentiles must be in (0, 100), got {value}")
         fractions.add(value / 100.0)
@@ -669,19 +677,96 @@ def _build_observability(arguments: argparse.Namespace,
 
 
 def _write_observability(arguments: argparse.Namespace,
-                         obs: Observability | None) -> int | None:
-    """Write --trace-out / --metrics-out files; an exit code on failure."""
+                         obs: Observability | None) -> None:
+    """Write the --trace-out / --metrics-out files."""
 
     if obs is None:
-        return None
+        return
     try:
         if arguments.trace_out:
             write_chrome_trace(obs.trace, arguments.trace_out)
         if arguments.metrics_out:
             write_prometheus(obs.metrics, arguments.metrics_out)
     except OSError as error:
-        return _fail(f"cannot write observability output: {error}")
-    return None
+        raise ValueError(f"cannot write observability output: {error}") from error
+
+
+def _serve_kwargs(arguments: argparse.Namespace, percentiles,
+                  obs: Observability | None) -> dict[str, object]:
+    """The keyword arguments ``serve`` and ``serve_pipeline`` share."""
+
+    return dict(
+        policy=make_policy(arguments.policy, batch_size=arguments.batch,
+                           timeout=arguments.timeout_ms * 1e-3),
+        router=make_router(arguments.router),
+        duration=arguments.duration, seed=arguments.seed,
+        slo_seconds=(DEFAULT_SLO if arguments.slo_ms is None
+                     else arguments.slo_ms * 1e-3),
+        dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
+        percentiles=percentiles,
+        window_seconds=(None if arguments.window_ms is None
+                        else arguments.window_ms * 1e-3),
+        summary=arguments.summary, obs=obs)
+
+
+def _serve_llm(arguments: argparse.Namespace, traffic, percentiles, obs):
+    """The ``serve --llm`` leg: route into the autoregressive simulator."""
+
+    disaggregated = arguments.prefill_fleet or arguments.decode_fleet
+    prompt = TokenDistribution.parse(arguments.prompt_tokens or DEFAULT_PROMPT_TOKENS)
+    output = TokenDistribution.parse(arguments.output_tokens or DEFAULT_OUTPUT_TOKENS)
+    return serve_llm(
+        traffic,
+        fleet=None if disaggregated else arguments.fleet,
+        prefill_fleet=arguments.prefill_fleet or None,
+        decode_fleet=arguments.decode_fleet or None,
+        scheduler=arguments.scheduler,
+        duration=arguments.duration, seed=arguments.seed,
+        prompt_tokens=round(prompt.mean), output_tokens=round(output.mean),
+        prefill_chunk=arguments.prefill_chunk, max_batch=arguments.batch,
+        kv=KVCacheConfig(capacity_tokens=arguments.kv_capacity),
+        step_overhead_seconds=arguments.step_overhead_ms * 1e-3,
+        handoff_seconds=arguments.handoff_ms * 1e-3,
+        ttft_slo_seconds=arguments.ttft_slo_ms * 1e-3,
+        tpot_slo_seconds=arguments.tpot_slo_ms * 1e-3,
+        slo_seconds=(arguments.slo_ms * 1e-3 if arguments.slo_ms
+                     else DEFAULT_LLM_SLO),
+        percentiles=percentiles, summary=arguments.summary, obs=obs)
+
+
+def _serve_pipeline(arguments: argparse.Namespace, traffic, percentiles, obs):
+    """The ``serve --pipeline`` leg: multi-stage DAG over per-stage pools."""
+
+    if not arguments.pools:
+        raise ValueError("--pipeline requires --pools "
+                         "(e.g. 'encoder=2xvitality;deit-tiny=1xvitality')")
+    pools = _parse_stage_map(arguments.pools, "--pools")
+    stage_slo = None
+    if arguments.stage_slo_ms:
+        stage_slo = {
+            stage: slo_ms * 1e-3 for stage, slo_ms in _parse_stage_map(
+                arguments.stage_slo_ms, "--stage-slo-ms", float).items()}
+    return serve_pipeline(
+        traffic, arguments.pipeline, pools, stage_slo_seconds=stage_slo,
+        handoff_seconds=arguments.stage_handoff_ms * 1e-3,
+        **_serve_kwargs(arguments, percentiles, obs))
+
+
+def _serve_classic(arguments: argparse.Namespace, traffic, percentiles, obs):
+    """The classic ``serve`` leg, autoscaled under ``--autoscale``."""
+
+    autoscaler = None
+    if arguments.autoscale:
+        unit = arguments.scale_unit or \
+            Fleet.parse(arguments.fleet).replica_specs[0].label
+        autoscaler = Autoscaler(
+            arguments.autoscale, unit,
+            min_replicas=arguments.scale_min,
+            max_replicas=arguments.scale_max,
+            interval=arguments.scale_interval_ms * 1e-3,
+            provision_seconds=arguments.provision_ms * 1e-3)
+    return serve(traffic, arguments.fleet, autoscaler=autoscaler,
+                 **_serve_kwargs(arguments, percentiles, obs))
 
 
 def _peak_concurrent_replicas(report) -> int:
@@ -698,42 +783,10 @@ def _peak_concurrent_replicas(report) -> int:
         for replica in replicas)
 
 
-def _command_serve_llm(arguments: argparse.Namespace, traffic,
-                       percentiles, obs=None) -> int:
-    """The ``serve --llm`` leg: route into the autoregressive simulator."""
-
-    disaggregated = arguments.prefill_fleet or arguments.decode_fleet
-    try:
-        prompt = TokenDistribution.parse(arguments.prompt_tokens or 512)
-        output = TokenDistribution.parse(arguments.output_tokens or 64)
-        kv = KVCacheConfig(capacity_tokens=arguments.kv_capacity)
-        report = serve_llm(
-            traffic,
-            fleet=None if disaggregated else arguments.fleet,
-            prefill_fleet=arguments.prefill_fleet or None,
-            decode_fleet=arguments.decode_fleet or None,
-            scheduler=arguments.scheduler,
-            duration=arguments.duration, seed=arguments.seed,
-            prompt_tokens=round(prompt.mean), output_tokens=round(output.mean),
-            prefill_chunk=arguments.prefill_chunk, max_batch=arguments.batch,
-            kv=kv, step_overhead_seconds=arguments.step_overhead_ms * 1e-3,
-            handoff_seconds=arguments.handoff_ms * 1e-3,
-            ttft_slo_seconds=arguments.ttft_slo_ms * 1e-3,
-            tpot_slo_seconds=arguments.tpot_slo_ms * 1e-3,
-            slo_seconds=(arguments.slo_ms or 1000.0) * 1e-3,
-            percentiles=percentiles, summary=arguments.summary, obs=obs)
-    except (UnknownTargetError, UnknownWorkloadError, KeyError, ValueError,
-            TypeError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
-    failure = _write_observability(arguments, obs)
-    if failure is not None:
-        return failure
-    if arguments.json:
-        print(report.to_json())
-        return 0
+def _render_serve_llm(arguments: argparse.Namespace, report) -> None:
     fleets = (f"{arguments.prefill_fleet} + {arguments.decode_fleet}"
-              if disaggregated else arguments.fleet)
+              if arguments.prefill_fleet or arguments.decode_fleet
+              else arguments.fleet)
     summary = {"fleet": fleets, "scheduler": arguments.scheduler,
                **report.summary_row()}
     # The classic mean_batch counts requests per engine dispatch, which is
@@ -754,67 +807,9 @@ def _command_serve_llm(arguments: argparse.Namespace, traffic,
           f"{llm['decode_tokens_per_second']:.1f} tok/s); "
           f"TTFT attainment {llm['ttft_attainment']:.1%}, "
           f"TPOT attainment {llm['tpot_attainment']:.1%}")
-    return 0
 
 
-def _parse_stage_map(text: str, option: str) -> dict[str, str]:
-    """``"encoder=2xvitality;rerank=1xvitality"`` -> a stage-keyed dict."""
-
-    mapping: dict[str, str] = {}
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        if not sep or not key.strip() or not value.strip():
-            raise ValueError(f"{option} entries must be 'stage=value' pairs "
-                             f"separated by ';', got {item!r}")
-        mapping[key.strip()] = value.strip()
-    if not mapping:
-        raise ValueError(f"{option} names no stages: {text!r}")
-    return mapping
-
-
-def _command_serve_pipeline(arguments: argparse.Namespace, traffic,
-                            percentiles, obs=None) -> int:
-    """The ``serve --pipeline`` leg: multi-stage DAG over per-stage pools."""
-
-    try:
-        if not arguments.pools:
-            raise ValueError("--pipeline requires --pools "
-                             "(e.g. 'encoder=2xvitality;deit-tiny=1xvitality')")
-        pools = _parse_stage_map(arguments.pools, "--pools")
-        stage_slo = None
-        if arguments.stage_slo_ms:
-            stage_slo = {
-                stage: float(value) * 1e-3
-                for stage, value in _parse_stage_map(
-                    arguments.stage_slo_ms, "--stage-slo-ms").items()}
-        report = serve_pipeline(
-            traffic, arguments.pipeline, pools,
-            make_policy(arguments.policy, batch_size=arguments.batch,
-                        timeout=arguments.timeout_ms * 1e-3),
-            make_router(arguments.router),
-            duration=arguments.duration, seed=arguments.seed,
-            slo_seconds=(50.0 if arguments.slo_ms is None
-                         else arguments.slo_ms) * 1e-3,
-            stage_slo_seconds=stage_slo,
-            handoff_seconds=arguments.stage_handoff_ms * 1e-3,
-            dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
-            percentiles=percentiles,
-            window_seconds=(None if arguments.window_ms is None
-                            else arguments.window_ms * 1e-3),
-            summary=arguments.summary, obs=obs)
-    except (UnknownTargetError, UnknownWorkloadError, KeyError, ValueError,
-            TypeError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
-    failure = _write_observability(arguments, obs)
-    if failure is not None:
-        return failure
-    if arguments.json:
-        print(report.to_json())
-        return 0
+def _render_serve_pipeline(arguments: argparse.Namespace, report) -> None:
     block = report.pipeline
     summary = {"pipeline": block["name"], "policy": arguments.policy,
                "router": arguments.router, **report.summary_row()}
@@ -836,78 +831,9 @@ def _command_serve_pipeline(arguments: argparse.Namespace, traffic,
           f"{len(block['stages'])} stages ({block['handoffs']} handoffs at "
           f"{block['handoff_seconds'] * 1e3:g}ms each) in "
           f"{report.makespan:.3f}s")
-    return 0
 
 
-def _command_serve(arguments: argparse.Namespace) -> int:
-    models = split_configured_names(arguments.models)
-    weights: tuple[float, ...] | None = None
-    if arguments.weights:
-        try:
-            weights = tuple(float(weight) for weight in _split_csv(arguments.weights))
-        except ValueError:
-            return _fail(f"--weights must be comma-separated numbers, "
-                         f"got {arguments.weights!r}")
-    trace = None
-    if arguments.traffic == "replay":
-        if not arguments.trace:
-            return _fail("--traffic replay requires --trace FILE")
-        try:
-            with open(arguments.trace) as handle:
-                trace = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            return _fail(f"cannot read trace {arguments.trace!r}: {error}")
-    tokens = None
-    if arguments.llm and (arguments.prompt_tokens or arguments.output_tokens):
-        try:
-            tokens = TokenProfile.of(prompt=arguments.prompt_tokens or 512,
-                                     output=arguments.output_tokens or 64)
-        except ValueError as error:
-            return _fail(str(error.args[0] if error.args else error))
-    try:
-        percentiles = _parse_percentiles(arguments.percentiles)
-        traffic = make_traffic(arguments.traffic, arguments.rate, models,
-                               weights, period=arguments.period, trace=trace,
-                               tokens=tokens)
-        obs = _build_observability(arguments, percentiles)
-        if arguments.pipeline:
-            if arguments.llm:
-                return _fail("--pipeline and --llm are mutually exclusive")
-            return _command_serve_pipeline(arguments, traffic, percentiles, obs)
-        if arguments.llm:
-            return _command_serve_llm(arguments, traffic, percentiles, obs)
-        autoscaler = None
-        if arguments.autoscale:
-            unit = arguments.scale_unit or \
-                Fleet.parse(arguments.fleet).replica_specs[0].label
-            autoscaler = Autoscaler(
-                arguments.autoscale, unit,
-                min_replicas=arguments.scale_min,
-                max_replicas=arguments.scale_max,
-                interval=arguments.scale_interval_ms * 1e-3,
-                provision_seconds=arguments.provision_ms * 1e-3)
-        report = serve(
-            traffic, arguments.fleet,
-            make_policy(arguments.policy, batch_size=arguments.batch,
-                        timeout=arguments.timeout_ms * 1e-3),
-            make_router(arguments.router),
-            duration=arguments.duration, seed=arguments.seed,
-            slo_seconds=(50.0 if arguments.slo_ms is None
-                         else arguments.slo_ms) * 1e-3,
-            dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
-            autoscaler=autoscaler, percentiles=percentiles,
-            window_seconds=(None if arguments.window_ms is None
-                            else arguments.window_ms * 1e-3),
-            summary=arguments.summary, obs=obs)
-    except (UnknownTargetError, KeyError, ValueError, TypeError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
-    failure = _write_observability(arguments, obs)
-    if failure is not None:
-        return failure
-    if arguments.json:
-        print(report.to_json())
-        return 0
+def _render_serve_classic(arguments: argparse.Namespace, report) -> None:
     summary = {"fleet": report.config["fleet"], "policy": arguments.policy,
                "router": arguments.router, **report.summary_row()}
     print(markdown_table([summary]))
@@ -933,6 +859,45 @@ def _command_serve(arguments: argparse.Namespace) -> int:
           f"{report.makespan:.3f}s — engine cache: {cache.hits} hits, "
           f"{cache.misses} misses, {cache.evictions} evictions "
           f"(bound {cache.max_entries})")
+
+
+def _command_serve(arguments: argparse.Namespace) -> int:
+    models = split_configured_names(arguments.models)
+    weights = _mix_weights(arguments)
+    trace = None
+    if arguments.traffic == "replay":
+        if not arguments.trace:
+            raise ValueError("--traffic replay requires --trace FILE")
+        try:
+            with open(arguments.trace) as handle:
+                trace = json.load(handle)
+        except (OSError, json.JSONDecodeError) as error:
+            raise ValueError(f"cannot read trace {arguments.trace!r}: "
+                             f"{error}") from error
+    tokens = None
+    if arguments.llm and (arguments.prompt_tokens or arguments.output_tokens):
+        tokens = TokenProfile.of(
+            prompt=arguments.prompt_tokens or DEFAULT_PROMPT_TOKENS,
+            output=arguments.output_tokens or DEFAULT_OUTPUT_TOKENS)
+    percentiles = _parse_percentiles(arguments.percentiles)
+    traffic = make_traffic(arguments.traffic, arguments.rate, models,
+                           weights, period=arguments.period, trace=trace,
+                           tokens=tokens)
+    obs = _build_observability(arguments, percentiles)
+    if arguments.pipeline and arguments.llm:
+        raise ValueError("--pipeline and --llm are mutually exclusive")
+    if arguments.pipeline:
+        run, render = _serve_pipeline, _render_serve_pipeline
+    elif arguments.llm:
+        run, render = _serve_llm, _render_serve_llm
+    else:
+        run, render = _serve_classic, _render_serve_classic
+    report = run(arguments, traffic, percentiles, obs)
+    _write_observability(arguments, obs)
+    if arguments.json:
+        print(report.to_json())
+    else:
+        render(arguments, report)
     return 0
 
 
@@ -948,26 +913,21 @@ def _command_plan_llm(arguments: argparse.Namespace, model: str,
                       target: str) -> int:
     """The ``plan --llm`` leg: size disaggregated prefill/decode pools."""
 
-    try:
-        payload = plan_llm_capacity(
-            arguments.rate, model,
-            ttft_slo_seconds=arguments.ttft_slo_ms * 1e-3,
-            tpot_slo_seconds=arguments.tpot_slo_ms * 1e-3,
-            duration=arguments.duration,
-            slo_percentile=arguments.percentile / 100.0, target=target,
-            prompt_tokens=arguments.prompt_tokens,
-            output_tokens=arguments.output_tokens,
-            prefill_chunk=arguments.prefill_chunk, max_batch=arguments.batch,
-            kv=KVCacheConfig(capacity_tokens=arguments.kv_capacity),
-            step_overhead_seconds=arguments.step_overhead_ms * 1e-3,
-            handoff_seconds=arguments.handoff_ms * 1e-3,
-            max_replicas=arguments.max_replicas, top_k=arguments.top_k,
-            seed=arguments.seed, cache=_make_cache(arguments),
-            jobs=arguments.jobs, progress=_plan_progress(arguments))
-    except (UnknownTargetError, UnknownWorkloadError, KeyError, ValueError,
-            TypeError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
+    payload = plan_llm_capacity(
+        arguments.rate, model,
+        ttft_slo_seconds=arguments.ttft_slo_ms * 1e-3,
+        tpot_slo_seconds=arguments.tpot_slo_ms * 1e-3,
+        duration=arguments.duration,
+        slo_percentile=arguments.percentile / 100.0, target=target,
+        prompt_tokens=arguments.prompt_tokens,
+        output_tokens=arguments.output_tokens,
+        prefill_chunk=arguments.prefill_chunk, max_batch=arguments.batch,
+        kv=KVCacheConfig(capacity_tokens=arguments.kv_capacity),
+        step_overhead_seconds=arguments.step_overhead_ms * 1e-3,
+        handoff_seconds=arguments.handoff_ms * 1e-3,
+        max_replicas=arguments.max_replicas, top_k=arguments.top_k,
+        seed=arguments.seed, cache=_make_cache(arguments),
+        jobs=arguments.jobs, progress=_plan_progress(arguments))
     if arguments.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -1009,28 +969,23 @@ def _command_plan_llm(arguments: argparse.Namespace, model: str,
 def _command_plan_pipeline(arguments: argparse.Namespace) -> int:
     """The ``plan --pipeline`` leg: joint per-stage pool sizing."""
 
-    try:
-        targets: "str | dict[str, str]"
-        if "=" in arguments.targets:
-            targets = _parse_stage_map(arguments.targets, "--targets")
-        else:
-            targets = split_configured_names(arguments.targets)[0]
-        payload = plan_pipeline_capacity(
-            arguments.rate, arguments.pipeline,
-            slo_seconds=arguments.slo_ms * 1e-3,
-            slo_percentile=arguments.percentile / 100.0,
-            duration=arguments.duration, targets=targets,
-            max_replicas_per_stage=arguments.max_replicas,
-            top_k=arguments.top_k, policy=arguments.policy,
-            batch_size=arguments.batch, timeout=arguments.timeout_ms * 1e-3,
-            handoff_seconds=arguments.stage_handoff_ms * 1e-3,
-            dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
-            seed=arguments.seed, cache=_make_cache(arguments),
-            jobs=arguments.jobs, progress=_plan_progress(arguments))
-    except (UnknownTargetError, UnknownWorkloadError, KeyError, ValueError,
-            TypeError, IndexError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
+    targets: "str | dict[str, str]"
+    if "=" in arguments.targets:
+        targets = _parse_stage_map(arguments.targets, "--targets")
+    else:
+        targets = split_configured_names(arguments.targets)[0]
+    payload = plan_pipeline_capacity(
+        arguments.rate, arguments.pipeline,
+        slo_seconds=arguments.slo_ms * 1e-3,
+        slo_percentile=arguments.percentile / 100.0,
+        duration=arguments.duration, targets=targets,
+        max_replicas_per_stage=arguments.max_replicas,
+        top_k=arguments.top_k, policy=arguments.policy,
+        batch_size=arguments.batch, timeout=arguments.timeout_ms * 1e-3,
+        handoff_seconds=arguments.stage_handoff_ms * 1e-3,
+        dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
+        seed=arguments.seed, cache=_make_cache(arguments),
+        jobs=arguments.jobs, progress=_plan_progress(arguments))
     if arguments.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -1072,39 +1027,30 @@ def _command_plan(arguments: argparse.Namespace) -> int:
     models = split_configured_names(arguments.models)
     targets = split_configured_names(arguments.targets)
     if not targets and "=" not in arguments.targets:
-        return _fail("no candidate targets given")
-    if not models:
-        return _fail("no workloads given")
+        raise ValueError("no candidate targets given")
+    # Pipeline stages name their own workloads.
+    if not models and not arguments.pipeline:
+        raise ValueError("no workloads given")
     if not 0 < arguments.percentile < 100:
-        return _fail(f"--percentile must be in (0, 100), got {arguments.percentile}")
+        raise ValueError(f"--percentile must be in (0, 100), "
+                         f"got {arguments.percentile}")
     if arguments.pipeline:
         if arguments.llm:
-            return _fail("--pipeline and --llm are mutually exclusive")
+            raise ValueError("--pipeline and --llm are mutually exclusive")
         return _command_plan_pipeline(arguments)
     if arguments.llm:
         return _command_plan_llm(arguments, models[0], targets[0])
-    weights: tuple[float, ...] | None = None
-    if arguments.weights:
-        try:
-            weights = tuple(float(weight) for weight in _split_csv(arguments.weights))
-        except ValueError:
-            return _fail(f"--weights must be comma-separated numbers, "
-                         f"got {arguments.weights!r}")
-    try:
-        payload = plan_capacity(
-            arguments.rate, models, weights=weights,
-            slo_seconds=arguments.slo_ms * 1e-3,
-            slo_percentile=arguments.percentile / 100.0,
-            duration=arguments.duration, targets=targets,
-            max_replicas=arguments.max_replicas, top_k=arguments.top_k,
-            policy=arguments.policy, batch_size=arguments.batch,
-            timeout=arguments.timeout_ms * 1e-3,
-            dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
-            seed=arguments.seed, cache=_make_cache(arguments),
-            jobs=arguments.jobs, progress=_plan_progress(arguments))
-    except (UnknownTargetError, KeyError, ValueError, TypeError) as error:
-        message = error.args[0] if error.args else error
-        return _fail(str(message))
+    payload = plan_capacity(
+        arguments.rate, models, weights=_mix_weights(arguments),
+        slo_seconds=arguments.slo_ms * 1e-3,
+        slo_percentile=arguments.percentile / 100.0,
+        duration=arguments.duration, targets=targets,
+        max_replicas=arguments.max_replicas, top_k=arguments.top_k,
+        policy=arguments.policy, batch_size=arguments.batch,
+        timeout=arguments.timeout_ms * 1e-3,
+        dispatch_overhead_seconds=arguments.overhead_ms * 1e-3,
+        seed=arguments.seed, cache=_make_cache(arguments),
+        jobs=arguments.jobs, progress=_plan_progress(arguments))
     if arguments.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -1145,10 +1091,10 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     """``repro trace summarize``: critical-path breakdown of a trace file."""
 
     try:
-        trace = load_trace(arguments.trace_file)
-        payload = summarize_trace(trace)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        return _fail(f"cannot summarize {arguments.trace_file!r}: {error}")
+        payload = summarize_trace(load_trace(arguments.trace_file))
+    except (OSError, ValueError) as error:
+        raise ValueError(f"cannot summarize {arguments.trace_file!r}: "
+                         f"{error}") from error
     if arguments.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -1157,41 +1103,21 @@ def _command_trace(arguments: argparse.Namespace) -> int:
 
 
 def _command_accelerate(arguments: argparse.Namespace) -> int:
-    model = arguments.model
+    """The Figs. 11-12 rows of one model, against any set of baselines."""
+
+    # Imported on use, so that `import repro.cli` does not load hardware_exps.
+    from repro.experiments.hardware_exps import _fig11_12_rows
+
     baselines = split_configured_names(arguments.baseline)
     if not baselines:
-        return _fail("no baselines given")
-    try:
-        get_workload(model)
-        for baseline in baselines:
-            get_target(baseline)
-    except (KeyError, ValueError) as error:
-        return _fail(str(error.args[0] if error.args else error))
-
-    own = simulate(RunSpec(model, target="vitality"))
-    latency: dict[str, float] = {}
-    energy: dict[str, float] = {}
-    for baseline in baselines:
-        target = get_target(baseline)
-        vitality = own
-        # Against general-purpose platforms the accelerator is scaled to the
-        # platform's peak throughput, as in Figs. 11-12.
-        if target.peak_macs_per_second > get_target("vitality").peak_macs_per_second:
-            vitality = simulate(RunSpec(model, target="vitality",
-                                        scale_to_peak=target.peak_macs_per_second))
-        other = simulate(RunSpec(model, target=baseline))
-        # Attention-only baselines (SALO) get no end-to-end ratio: comparing
-        # their attention-only total against ViTALiTy's full model would
-        # understate their cost (the paper compares SALO on attention only).
-        if other.linear_latency > 0.0 or vitality.linear_latency == 0.0:
-            latency[baseline] = other.end_to_end_latency / vitality.end_to_end_latency
-            energy[baseline] = other.end_to_end_energy / vitality.end_to_end_energy
-        latency[f"attention_{baseline}"] = other.attention_latency / vitality.attention_latency
-        energy[f"attention_{baseline}"] = other.attention_energy / vitality.attention_energy
-
-    payload = {"model": model, "latency_speedup": latency, "energy_efficiency": energy}
+        raise ValueError("no baselines given")
+    get_workload(arguments.model)     # an unknown model is named first
+    models = (arguments.model,)
+    latency = _fig11_12_rows(models, True, baselines)[arguments.model]
+    energy = _fig11_12_rows(models, False, baselines)[arguments.model]
     if arguments.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"model": arguments.model, "latency_speedup": latency,
+                          "energy_efficiency": energy}, indent=2))
     else:
         print(render_experiment("accelerate", {"latency speedup": latency,
                                                "energy efficiency": energy}))
@@ -1201,31 +1127,14 @@ def _command_accelerate(arguments: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     arguments = _build_parser().parse_args(argv)
     configure_logging(arguments.log_level)
-    if arguments.command == "list":
-        return _command_list()
-    if arguments.command == "workloads":
-        return _command_workloads(arguments)
-    if arguments.command == "run":
-        try:
-            return _command_run(arguments.experiment, arguments.json, arguments.full)
-        except KeyError as error:
-            print(error, file=sys.stderr)
-            return 2
-    if arguments.command == "simulate":
-        return _command_simulate(arguments)
-    if arguments.command == "sweep":
-        return _command_sweep(arguments)
-    if arguments.command == "dse":
-        return _command_dse(arguments)
-    if arguments.command == "serve":
-        return _command_serve(arguments)
-    if arguments.command == "plan":
-        return _command_plan(arguments)
-    if arguments.command == "trace":
-        return _command_trace(arguments)
-    if arguments.command == "accelerate":
-        return _command_accelerate(arguments)
-    return 1
+    try:
+        return arguments.handler(arguments)
+    except (KeyError, ValueError, TypeError, IndexError) as error:
+        # The one place an input error (an unknown name, a bad value or an
+        # unreadable file) becomes a message and exit code 2.
+        print(f"error: {error.args[0] if error.args else error}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

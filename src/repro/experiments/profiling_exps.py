@@ -3,13 +3,14 @@
 Table II routes through :mod:`repro.engine`: each (model, formulation) cell
 is one platform :class:`~repro.engine.RunSpec` whose per-step records supply
 the latency columns.  Fig. 1 is a runtime-share profile (fractions of the MHA
-module, not a simulation run) read from :mod:`repro.profiling`.
+module, not a simulation run) read from each platform model.
 """
 
 from __future__ import annotations
 
 from repro.engine import RunSpec, simulate
-from repro.profiling.breakdown import mha_runtime_breakdown_table
+from repro.hardware.platforms import get_platform
+from repro.workloads import get_workload
 
 #: Fig. 1 values from the paper: share of MHA runtime per step and platform.
 PAPER_FIG1 = {
@@ -27,9 +28,15 @@ PAPER_TABLE2_TOTALS = {
 
 
 def fig1_runtime_breakdown(model: str = "deit-tiny") -> dict[str, dict[str, float]]:
-    """Fig. 1: MHA runtime breakdown of DeiT-Tiny on GPU / edge GPU / Pixel 3."""
+    """Fig. 1: MHA runtime breakdown of DeiT-Tiny on GPU / edge GPU / Pixel 3.
 
-    return mha_runtime_breakdown_table(model)
+    Returns ``{platform: {step1_qkv, step2_softmax_map,
+    step3_attention_score}}`` with fractions summing to one per platform.
+    """
+
+    workload = get_workload(model)
+    return {name: get_platform(name).mha_runtime_breakdown(workload)
+            for name in PAPER_FIG1}
 
 
 def _step_columns(model: str, formulation: str, platform: str) -> dict[str, object]:

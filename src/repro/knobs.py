@@ -95,6 +95,12 @@ def is_count(value) -> bool:
             and not isinstance(value, bool) and value >= 1)
 
 
+def is_number(value) -> bool:
+    """True for a real number (a bool is not a number)."""
+
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def parse_positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise KnobError(f"expected a positive integer, got {text!r}")

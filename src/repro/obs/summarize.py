@@ -13,15 +13,30 @@ from __future__ import annotations
 import json
 
 from repro.fold import left_sum
+from repro.knobs import is_number
 
 from .trace import PHASES, PID_FLEET, PID_REQUESTS
 
 
 def load_trace(path) -> dict[str, object]:
+    """Load a trace file, checking every field :func:`summarize_trace` reads."""
+
     with open(path, "r", encoding="utf-8") as handle:
         trace = json.load(handle)
     if not isinstance(trace, dict) or "traceEvents" not in trace:
         raise ValueError(f"{path}: not a Chrome trace (no traceEvents key)")
+    events = trace["traceEvents"]
+    if not (isinstance(events, list)
+            and all(isinstance(event, dict) for event in events)):
+        raise ValueError(f"{path}: traceEvents must be a list of objects")
+    for event in events:
+        if event.get("ph") == "X" and not (
+                is_number(event.get("dur"))
+                and isinstance(event.get("args", {}), dict)
+                and (event.get("pid") != PID_REQUESTS or "tid" in event)):
+            raise ValueError(f"{path}: span {event!r} needs a numeric dur, "
+                             f"an args object and, on the request track, "
+                             f"a tid")
     return trace
 
 

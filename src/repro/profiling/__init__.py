@@ -1,10 +1,12 @@
-"""Profiling utilities: the MHA runtime breakdown (Fig. 1) and FLOPs (Table IV)."""
+"""Profiling utilities: attention FLOPs (Table IV).
 
-from repro.profiling.breakdown import mha_runtime_breakdown_table
+Fig. 1's MHA runtime breakdown is read from the platform models by
+:func:`repro.experiments.profiling_exps.fig1_runtime_breakdown`.
+"""
+
 from repro.profiling.flops import attention_flops, attention_flops_table, METHOD_FLOPS
 
 __all__ = [
-    "mha_runtime_breakdown_table",
     "attention_flops",
     "attention_flops_table",
     "METHOD_FLOPS",

@@ -5,11 +5,18 @@ attention against other linear attentions (Linformer, Performer) and sparse
 methods (Sanger, SViTE, UVC) on DeiT-Tiny.  Following the paper's accounting,
 "FLOPs (Attention)" covers the Q/K/V projections plus the attention-proper
 work (multiply-accumulates counted once), excluding the output projection and
-the MLP module which are identical across methods.
+the MLP module which are identical across methods.  The baseline's and
+ViTALiTy's attention MACs are Table I's multiplication counts
+(:mod:`repro.attention.op_counting`), so a causal layer skips its masked
+triangle here too.
 """
 
 from __future__ import annotations
 
+from repro.attention.op_counting import (
+    count_taylor_attention_ops,
+    count_vanilla_attention_ops,
+)
 from repro.workloads import ModelWorkload, get_workload
 
 #: Methods reported in Table IV with their attention type and the sparsity /
@@ -30,26 +37,6 @@ def _qkv_projection_macs(workload: ModelWorkload) -> int:
     for spec in workload.attention_layers:
         embed = spec.qk_dim * spec.heads
         per_layer = spec.tokens * embed * spec.heads * (2 * spec.qk_dim + spec.v_dim)
-        total += per_layer * spec.repeats
-    return total
-
-
-def _vanilla_attention_macs(workload: ModelWorkload) -> int:
-    total = 0
-    for spec in workload.attention_layers:
-        per_layer = spec.heads * spec.tokens * spec.kv_tokens * (spec.qk_dim + spec.v_dim)
-        total += per_layer * spec.repeats
-    return total
-
-
-def _taylor_attention_macs(workload: ModelWorkload) -> int:
-    total = 0
-    for spec in workload.attention_layers:
-        per_layer = spec.heads * (
-            spec.kv_tokens * spec.qk_dim * spec.v_dim     # G = K_hat^T V
-            + spec.tokens * spec.qk_dim * spec.v_dim       # Q G
-            + spec.tokens * spec.qk_dim                    # Q k_hat_sum^T
-        )
         total += per_layer * spec.repeats
     return total
 
@@ -79,10 +66,6 @@ def _performer_attention_macs(workload: ModelWorkload, num_features: int) -> int
     return total
 
 
-def _sparse_attention_macs(workload: ModelWorkload, density: float) -> int:
-    return int(round(_vanilla_attention_macs(workload) * density))
-
-
 def attention_flops(method: str, model: str = "deit-tiny") -> float:
     """Attention FLOPs (in GFLOPs, MACs counted once) of one method on one model."""
 
@@ -92,21 +75,22 @@ def attention_flops(method: str, model: str = "deit-tiny") -> float:
     workload = get_workload(model)
     qkv = _qkv_projection_macs(workload)
     parameters = METHOD_FLOPS[method]
+    vanilla = count_vanilla_attention_ops(workload).multiplications
 
     if method == "baseline":
-        attention = _vanilla_attention_macs(workload)
+        attention = vanilla
     elif method == "vitality":
-        attention = _taylor_attention_macs(workload)
+        attention = count_taylor_attention_ops(workload).multiplications
     elif method == "linformer":
         attention = _linformer_attention_macs(workload, parameters["projection_dim"])
     elif method == "performer":
         attention = _performer_attention_macs(workload, parameters["num_features"])
     else:  # sparse family: Sanger / SViTE / UVC
-        attention = _sparse_attention_macs(workload, parameters["density"])
+        attention = int(round(vanilla * parameters["density"]))
         if method == "sanger":
             # Sanger additionally runs the low-precision mask prediction; it is
             # quantised 4-bit work, counted here at a quarter of a full MAC.
-            attention += _vanilla_attention_macs(workload) // 8
+            attention += vanilla // 8
 
     return (qkv + attention) / 1e9
 

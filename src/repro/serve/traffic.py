@@ -42,7 +42,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.knobs import KnobError, is_count
+from repro.knobs import KnobError, is_count, is_number
 from repro.workloads import UnknownWorkloadError, get_workload
 
 #: Traffic pattern names accepted by :func:`make_traffic` and the CLI.
@@ -538,19 +538,19 @@ class ReplayTraffic:
         """Build from ``[[time, model], ...]`` or ``[[time, model,
         prompt_tokens, output_tokens], ...]`` records (e.g. parsed JSON)."""
 
+        if not isinstance(records, Iterable):
+            raise ValueError(f"a replay trace must be a list of records, "
+                             f"got {records!r}")
         trace = []
         for record in records:
-            if len(record) == 2:
-                time, model = record
-                trace.append((float(time), str(model)))
-            elif len(record) == 4:
-                time, model, prompt, output = record
-                # Unconverted: int() would truncate a fractional count.
-                trace.append((float(time), str(model), prompt, output))
-            else:
+            if not (isinstance(record, (list, tuple)) and len(record) in (2, 4)
+                    and is_number(record[0])):
                 raise ValueError(f"trace records must be [time, model] or "
                                  f"[time, model, prompt_tokens, output_tokens], "
                                  f"got {record!r}")
+            time, model, *tokens = record
+            # Token counts unconverted: int() would truncate a fractional one.
+            trace.append((float(time), str(model), *tokens))
         return cls(tuple(trace))
 
     def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:

@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import DEFAULT_BASELINES, main
+from repro.experiments.hardware_exps import (
+    FIG11_12_BASELINES,
+    fig11_latency_speedup,
+    fig12_energy_efficiency,
+)
 from repro.experiments.reporting import (
     format_value,
     markdown_table,
@@ -88,6 +93,17 @@ class TestCLI:
         assert main(["accelerate", "deit-tiny", "--baseline", "sanger", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["latency_speedup"]) == {"sanger", "attention_sanger"}
+
+    @pytest.mark.parametrize("model", ["deit-tiny", "levit-128",
+                                       "mobilevit-xs", "deit-base"])
+    def test_accelerate_prints_the_fig11_12_rows(self, model, capsys):
+        assert DEFAULT_BASELINES == FIG11_12_BASELINES
+        assert main(["accelerate", model, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key, figure in (("latency_speedup", fig11_latency_speedup),
+                            ("energy_efficiency", fig12_energy_efficiency)):
+            assert list(payload[key].items()) == \
+                list(figure((model,))[model].items())
 
     def test_accelerate_unknown_model_clean_error(self, capsys):
         assert main(["accelerate", "not-a-model"]) == 2

@@ -631,12 +631,33 @@ def test_cli_serve_output_identical_with_tracing(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
-def test_cli_trace_summarize_rejects_bad_file(tmp_path, capsys):
+@pytest.mark.parametrize("content", [
+    {},
+    {"traceEvents": 5},
+    {"traceEvents": [1]},
+    {"traceEvents": [{"ph": "X", "pid": PID_REQUESTS, "dur": 5.0,
+                      "args": {"phase": "queue"}}]},
+    {"traceEvents": [{"ph": "X", "pid": PID_REQUESTS, "tid": 0, "dur": "5",
+                      "args": {"phase": "queue"}}]},
+    {"traceEvents": [{"ph": "X", "pid": PID_REQUESTS, "tid": 0, "dur": 5.0,
+                      "args": 1}]},
+], ids=["no-events", "events-not-a-list", "event-not-an-object",
+        "span-without-tid", "span-with-string-dur", "args-not-an-object"])
+def test_cli_trace_summarize_rejects_bad_file(tmp_path, capsys, content):
+    """Each bad file exits 2 naming the file, where three of them once
+    died with a TypeError, AttributeError or KeyError traceback."""
+
     bogus = tmp_path / "not_a_trace.json"
-    bogus.write_text("{}")
+    bogus.write_text(json.dumps(content))
     assert main(["trace", "summarize", str(bogus)]) == 2
-    assert "cannot summarize" in capsys.readouterr().err
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: cannot summarize {str(bogus)!r}: {bogus}: ")
+    assert error.count("\n") == 1
+
+
+def test_cli_trace_summarize_rejects_missing_file(tmp_path, capsys):
     assert main(["trace", "summarize", str(tmp_path / "missing.json")]) == 2
+    assert "cannot summarize" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- progress and logging

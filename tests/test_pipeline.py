@@ -551,6 +551,20 @@ class TestPipelineCLI:
                                    "deit-tiny": "1xvitality"}
         assert payload["simulated"] < payload["evaluated"]
 
+    def test_plan_pipeline_ignores_models(self, capsys):
+        """Stages name their own workloads, so an empty --models is no
+        error under --pipeline (it once failed with 'no workloads given')."""
+
+        argv = ["plan", "--rate", "40", "--slo-ms", "40", "--duration", "0.5",
+                "--quiet", "--json", "--max-replicas", "2",
+                "--pipeline", "p = encoder[tokens=64] -> deit-tiny"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["--models", ""]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(argv[:-2] + ["--models", ""]) == 2
+        assert capsys.readouterr().err == "error: no workloads given\n"
+
     def test_serve_pipeline_errors(self, capsys):
         assert main(self.SERVE_ARGS[:-2]) == 2        # --pools missing
         assert "--pools" in capsys.readouterr().err
@@ -558,6 +572,9 @@ class TestPipelineCLI:
         assert "mutually exclusive" in capsys.readouterr().err
         assert main(self.SERVE_ARGS[:-1] + ["garbage"]) == 2
         assert "stage=value" in capsys.readouterr().err
+        assert main(self.SERVE_ARGS + ["--stage-slo-ms", "encoder=abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --stage-slo-ms values must be numbers, got 'encoder=abc'\n")
         bad_model = ["serve", "--rate", "10", "--duration", "0.2", "--quiet",
                      "--pipeline", "x = no-such -> deit-tiny",
                      "--pools", "a=1xvitality"]

@@ -25,10 +25,10 @@ from repro.experiments.hardware_exps import (
 from repro.experiments.profiling_exps import (
     PAPER_FIG1,
     PAPER_TABLE2_TOTALS,
+    fig1_runtime_breakdown,
     table2_latency_profile,
 )
 from repro.profiling import attention_flops
-from repro.profiling.breakdown import mha_runtime_breakdown_table
 
 
 class TestFlops:
@@ -57,10 +57,23 @@ class TestFlops:
         with pytest.raises(KeyError):
             attention_flops("flash")
 
+    def test_causal_prefill_skips_the_masked_triangle(self):
+        """Table IV's baseline MACs are Table I's multiplications, so a
+        causal prefill counts only the unmasked triangle of its scores:
+        Q/K/V 21.74 G plus 9.67 G, not the full square's 19.33 G."""
+
+        assert attention_flops("baseline", "decoder") == \
+            pytest.approx(31.416385536, rel=1e-12)
+        assert attention_flops("baseline", "decoder[causal=false]") == \
+            pytest.approx(41.070624768, rel=1e-12)
+        # Taylor attention streams every key once either way.
+        assert attention_flops("vitality", "decoder") == \
+            attention_flops("vitality", "decoder[causal=false]")
+
 
 class TestBreakdowns:
     def test_fig1_fractions_sum_to_one(self):
-        table = mha_runtime_breakdown_table()
+        table = fig1_runtime_breakdown()
         for platform, breakdown in table.items():
             assert sum(breakdown.values()) == pytest.approx(1.0)
 

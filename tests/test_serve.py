@@ -86,6 +86,24 @@ class TestTraffic:
         assert [(r.arrival, r.model) for r in requests] == \
                [(0.1, "levit-128"), (0.5, "deit-tiny")]
 
+    @pytest.mark.parametrize("records, message", [
+        ([1, 2, 3], "trace records must be .* got 1$"),
+        (5, "replay trace must be a list of records, got 5$"),
+        ([["x", "deit-tiny"]], r"trace records must be .* got \['x', 'deit-tiny'\]$"),
+        ([[None, "deit-tiny"]], r"trace records must be .* got \[None, 'deit-tiny'\]$"),
+        (["ab"], "got 'ab'$"),
+    ], ids=["int-records", "not-a-list", "string-time", "null-time",
+            "string-record"])
+    def test_replay_rejects_malformed_records(self, records, message):
+        """Each names the bad record, where the first three once failed
+        with 'object of type 'int' has no len()', ''int' object is not
+        iterable' and 'could not convert string to float: 'x''."""
+
+        with pytest.raises(ValueError, match=message):
+            ReplayTraffic.from_records(records)
+        with pytest.raises(ValueError, match=message):
+            make_traffic("replay", 1.0, ["deit-tiny"], trace=records)
+
     def test_mix_merges_duplicate_models(self):
         mix = WorkloadMix.of(["deit-tiny", "deit-tiny", "levit-128"],
                              weights=[1.0, 2.0, 3.0])
