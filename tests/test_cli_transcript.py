@@ -212,6 +212,16 @@ def test_parsed_defaults(argv, golden):
     assert _parsed(argv) == golden["parsed"][" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", PARSE_PATHS, ids=" ".join)
+def test_help_renders(argv, capsys):
+    """Help strings are %-formatted only when --help asks for them."""
+
+    with pytest.raises(SystemExit) as done:
+        _build_parser().parse_args([*argv, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: repro")
+
+
 if __name__ == "__main__":
     import builtins
     import tempfile
