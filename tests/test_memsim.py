@@ -29,6 +29,63 @@ from repro.hardware.memsim.config import TilePlan
 GOLDEN_PATH = Path(__file__).parent / "data" / "memsim_golden.json"
 SEED_GOLDEN_PATH = Path(__file__).parent / "data" / "seed_hardware_golden.json"
 
+#: The two design points ``memsim_golden.json`` pins through ``to_dict()``.
+POINT_GOLDENS = ("vitality[dram_gbps=25]", "vitality[pe=128x128,dram_gbps=25]")
+
+#: Runs ``memsim_golden.json`` pins through ``to_dict(include_layers=True)``,
+#: one per branch of the tile pipeline and the per-layer roofline records:
+#: tiles that leave a remainder on m, k and n (several m-chunks); tile knobs
+#: at ideal bandwidth; SRAM-resident streamed operands; a buffer small enough
+#: to shrink ``tile_n``; a PE array scaled to a peak; the G-stationary and
+#: unpipelined variants; a batch; attention layers only; and a decode step.
+LAYER_GOLDENS = {
+    "tile-remainders": RunSpec(
+        "deit-tiny", target="vitality[dram_gbps=25,tile_m=50,tile_k=40,tile_n=56]"),
+    "ideal-dram-tiles": RunSpec("deit-tiny", target="vitality[tile_m=40,tile_n=48]"),
+    "sram-resident-streams": RunSpec(
+        "deit-tiny", target="vitality[dram_gbps=25,sram_kb=800]"),
+    "small-sram": RunSpec("deit-tiny", target="vitality[dram_gbps=8,sram_kb=8]"),
+    "scale-to-peak": RunSpec("deit-tiny", target="vitality[dram_gbps=25]",
+                             scale_to_peak=8.192e12),
+    "g-stationary": RunSpec("levit-128", target="vitality-gstationary[dram_gbps=25]"),
+    "unpipelined": RunSpec("mobilevit-xs",
+                           target="vitality-unpipelined[dram_gbps=25]"),
+    "batch": RunSpec("deit-tiny", target="vitality[pe=32x32,dram_gbps=100]",
+                     batch_size=4),
+    "attention-only": RunSpec("deit-base", target="vitality[dram_gbps=25]",
+                              include_linear=False),
+    "decode": RunSpec("decoder[tokens=1,kv_tokens=2048,phase=decode]",
+                      target="vitality[dram_gbps=25]"),
+}
+
+#: The reduced bandwidth-axis exploration ``memsim_golden.json`` pins whole,
+#: under ``"dse"``.
+DSE_GOLDEN = dict(model="deit-tiny", pe=("32x32", "128x128"), freq=("500mhz",),
+                  sram_kb=(100, 200), dram_gbps=(8.0, 100.0))
+
+#: Every entry of ``memsim_golden.json``, in file order.
+GOLDEN_LABELS = (*POINT_GOLDENS, *LAYER_GOLDENS, "dse")
+
+
+def _golden_entry(label: str) -> object:
+    """One entry of ``memsim_golden.json``, computed now, as a JSON value.
+
+    Regenerate (only when an output change is intended and documented)::
+
+        PYTHONPATH=src:tests python tests/test_memsim.py
+    """
+
+    if label in POINT_GOLDENS:
+        payload = simulate(RunSpec("deit-tiny", target=label),
+                           cache=ResultCache()).to_dict()
+    elif label in LAYER_GOLDENS:
+        payload = simulate(LAYER_GOLDENS[label], cache=ResultCache()).to_dict(
+            include_layers=True)
+    else:
+        payload = explore_design_space(**DSE_GOLDEN, cache=ResultCache())
+    return json.loads(json.dumps(payload))
+
+
 #: The JSON keys every default (analytic-path) result has — and no others.
 DEFAULT_RESULT_KEYS = {
     "model", "target", "attention_latency", "linear_latency",
@@ -137,20 +194,26 @@ class TestMemsimActivation:
 
 @pytest.mark.usefixtures("no_float_sum")
 class TestMemsimGolden:
-    """The memsim outputs for two reference design points are pinned exactly,
-    and activating the subsystem must not move any seed experiment."""
+    """The memsim outputs for two reference design points, the layer records
+    of one run per tiling branch and one bandwidth-axis exploration are
+    pinned exactly, and activating the subsystem must not move any seed
+    experiment."""
 
     @pytest.fixture(scope="class")
     def golden(self):
         return json.loads(GOLDEN_PATH.read_text())
 
-    @pytest.mark.parametrize("target", [
-        "vitality[dram_gbps=25]",
-        "vitality[pe=128x128,dram_gbps=25]",
-    ])
+    def test_golden_holds_exactly_these_entries(self, golden):
+        assert list(golden) == list(GOLDEN_LABELS)
+
+    @pytest.mark.parametrize("target", POINT_GOLDENS)
     def test_design_point_matches_golden_bit_identically(self, golden, target):
         result = simulate(RunSpec("deit-tiny", target=target), cache=ResultCache())
         assert json.loads(json.dumps(result.to_dict())) == golden[target]
+
+    @pytest.mark.parametrize("label", [*LAYER_GOLDENS, "dse"])
+    def test_layer_records_match_golden_bit_identically(self, golden, label):
+        assert _golden_entry(label) == golden[label]
 
     @pytest.fixture(scope="class")
     def seed_golden(self):
@@ -183,17 +246,32 @@ class TestTilePipeline:
         assert plan.tile_m * plan.tile_k <= max(1, config.ibuf_words // 2)
         assert plan.tile_m * plan.tile_n <= max(1, config.obuf_words // 2)
 
-    def test_infinite_bandwidth_single_chunk_matches_analytic_cycles(self):
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 4096), k=st.integers(1, 4096), n=st.integers(1, 4096),
+           rows=st.integers(1, 256), columns=st.integers(1, 256),
+           utilization=st.floats(min_value=1e-6, max_value=1.0),
+           batch=st.integers(1, 16), spare_m=st.integers(0, 4096),
+           stationary_dram=st.booleans(), streamed_dram=st.booleans())
+    @example(m=100, k=64, n=64, rows=64, columns=64, utilization=0.85, batch=1,
+             spare_m=0, stationary_dram=True, streamed_dram=True)
+    def test_infinite_bandwidth_single_chunk_matches_analytic_cycles(
+            self, m, k, n, rows, columns, utilization, batch, spare_m,
+            stationary_dram, streamed_dram):
+        # Array-shaped stationary tiles and one m-chunk, every rate infinite:
+        # the tiled count is the analytic one and nothing stalls.
         trace = simulate_tiled_gemm(
-            100, 64, 64, rows=64, columns=64, utilization=0.85, batch=1,
-            plan=TilePlan(tile_m=100, tile_k=64, tile_n=64),
-            dram_words_per_cycle=math.inf, sram_words_per_cycle=128.0,
-            drain_words_per_cycle=64.0, stationary_dram=True,
-            streamed_dram=True)
-        assert trace.compute_cycles == matmul_cycles(100, 64, 64, rows=64,
-                                                     columns=64,
-                                                     utilization=0.85)
+            m, k, n, rows=rows, columns=columns, utilization=utilization,
+            batch=batch,
+            plan=TilePlan(tile_m=m + spare_m, tile_k=min(k, rows),
+                          tile_n=min(n, columns)),
+            dram_words_per_cycle=math.inf, sram_words_per_cycle=math.inf,
+            drain_words_per_cycle=math.inf, stationary_dram=stationary_dram,
+            streamed_dram=streamed_dram)
+        assert trace.compute_cycles == matmul_cycles(
+            m, k, n, rows=rows, columns=columns, utilization=utilization,
+            batch=batch)
         assert trace.load_stall_cycles == 0
+        assert trace.drain_stall_cycles == 0
 
     def test_stall_decomposition_is_exact(self):
         trace = simulate_tiled_gemm(
@@ -422,3 +500,8 @@ class TestBandwidthAwareDSE:
                                  cache=ResultCache())
         assert payload["evaluated"] == 1
         assert payload["points"][0]["memory_bound_layers"] > 0
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(
+        {label: _golden_entry(label) for label in GOLDEN_LABELS}, indent=2) + "\n")
