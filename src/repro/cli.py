@@ -729,8 +729,8 @@ def _serve_llm(arguments: argparse.Namespace, traffic, percentiles, obs):
         handoff_seconds=arguments.handoff_ms * 1e-3,
         ttft_slo_seconds=arguments.ttft_slo_ms * 1e-3,
         tpot_slo_seconds=arguments.tpot_slo_ms * 1e-3,
-        slo_seconds=(arguments.slo_ms * 1e-3 if arguments.slo_ms
-                     else DEFAULT_LLM_SLO),
+        slo_seconds=(DEFAULT_LLM_SLO if arguments.slo_ms is None
+                     else arguments.slo_ms * 1e-3),
         percentiles=percentiles, summary=arguments.summary, obs=obs)
 
 
@@ -1039,6 +1039,9 @@ def _command_plan(arguments: argparse.Namespace) -> int:
             raise ValueError("--pipeline and --llm are mutually exclusive")
         return _command_plan_pipeline(arguments)
     if arguments.llm:
+        if arguments.weights:
+            raise ValueError("--weights does not apply under --llm, which "
+                             "plans for the first --models entry alone")
         return _command_plan_llm(arguments, models[0], targets[0])
     payload = plan_capacity(
         arguments.rate, models, weights=_mix_weights(arguments),

@@ -26,7 +26,6 @@ and therefore one set of result-cache entries.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Protocol, runtime_checkable
 
 from repro.engine.results import LayerRecord, RunResult, StepRecord
@@ -269,13 +268,8 @@ class VitalityTarget:
         result = accelerator.run_model(workload, include_linear=spec.include_linear)
         layers = _layer_records(result, workload, spec.include_linear)
         breakdown = _table5_breakdown(layers)
-        roofline: tuple[RooflineRecord, ...] = ()
-        if self._memsim is not None:
-            # The accelerator's records align with the simulated layers;
-            # attach the repeat counts the layer records carry.
-            roofline = tuple(
-                replace(record, repeats=layer.repeats)
-                for record, layer in zip(accelerator.rooflines, layers))
+        # The memsim accelerator's records align with the simulated layers.
+        roofline = tuple(accelerator.rooflines) if self._memsim is not None else ()
         return _batch_scaled(spec, result, breakdown, layers, self,
                              roofline=roofline)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from repro.engine import ResultCache, Sweep, get_target, target_area_mm2
+from repro.engine import ResultCache, Sweep, resolve
 from repro.plan.optimizer import pareto_frontier
 
 __all__ = ["explore_design_space", "roofline_experiment", "pareto_frontier"]
@@ -70,13 +70,13 @@ def explore_design_space(model: str = "deit-tiny",
 
     points = []
     for spec, result in zip(outcome.specs, outcome.results):
-        resolved = get_target(spec.target)
+        resolved = resolve(spec)[0]         # memoised: the sweep resolved it
         point = {
             "target": resolved.name,
             "config": result.config,
             "latency_ms": result.end_to_end_latency * 1e3,
             "energy_mj": result.end_to_end_energy * 1e3,
-            "area_mm2": target_area_mm2(spec.target),
+            "area_mm2": getattr(resolved, "area_mm2", None),
             "peak_gmacs": resolved.peak_macs_per_second / 1e9,
         }
         if result.roofline:

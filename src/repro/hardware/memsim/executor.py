@@ -29,41 +29,40 @@ from repro.hardware.common import Dataflow, LayerResult
 from repro.hardware.config import ViTALiTyAcceleratorConfig
 from repro.hardware.core.arrays import MatmulExecution, SystolicArray
 from repro.hardware.core.component import ComponentConfig
-from repro.hardware.memsim.config import MemSimConfig
-from repro.hardware.memsim.roofline import WORD_BYTES, RooflineRecord, classify
+from repro.hardware.memsim.config import WORD_BYTES, MemSimConfig
+from repro.hardware.memsim.roofline import RooflineRecord, classify
 from repro.hardware.memsim.simulator import GemmMemTrace, simulate_tiled_gemm
 from repro.workloads import AttentionLayerSpec, LinearLayerSpec, ModelWorkload
 
 
 class TiledSystolicArray(SystolicArray):
-    """A systolic partition whose GEMMs run the tile-level memory pipeline."""
+    """A systolic partition whose GEMMs run the tile-level memory pipeline,
+    each appending its :class:`GemmMemTrace` to :attr:`traces`."""
 
     def __init__(self, component: ComponentConfig, frequency_hz: float,
                  utilization: float, memsim: MemSimConfig):
         super().__init__(component, frequency_hz, utilization)
         self.memsim = memsim
         self.traces: list[GemmMemTrace] = []
-
-    def take_traces(self) -> list[GemmMemTrace]:
-        """Pop the traces recorded since the last call (one layer's worth)."""
-
-        traces, self.traces = self.traces, []
-        return traces
+        self._dram_rate = memsim.dram_words_per_cycle(frequency_hz)
+        # On-chip ports feed the array edges; one word per edge lane per cycle.
+        self._sram_rate = float(component.rows + component.columns)
+        self._drain_rate = float(component.columns)
 
     def matmul(self, m: int, k: int, n: int, pe_energy_scale: float = 1.0,
                batch: int = 1) -> MatmulExecution:
-        plan = self.memsim.plan(m, k, n, self.rows, self.columns)
-        # On-chip ports feed the array edges; one word per edge lane per cycle.
-        sram_rate = float(self.rows + self.columns)
+        rows, columns, memsim = self.rows, self.columns, self.memsim
+        stationary_words = k * n * batch
+        streamed_words = m * k * batch
         trace = simulate_tiled_gemm(
             m, k, n,
-            rows=self.rows, columns=self.columns, utilization=self.utilization,
-            batch=batch, plan=plan,
-            dram_words_per_cycle=self.memsim.dram_words_per_cycle(self.frequency_hz),
-            sram_words_per_cycle=sram_rate,
-            drain_words_per_cycle=float(self.columns),
-            stationary_dram=not self.memsim.fits_sram(k * n * batch),
-            streamed_dram=not self.memsim.fits_sram(m * k * batch),
+            rows=rows, columns=columns, utilization=self.utilization,
+            batch=batch, plan=memsim.plan(m, k, n, rows, columns),
+            dram_words_per_cycle=self._dram_rate,
+            sram_words_per_cycle=self._sram_rate,
+            drain_words_per_cycle=self._drain_rate,
+            stationary_dram=not memsim.fits_sram(stationary_words),
+            streamed_dram=not memsim.fits_sram(streamed_words),
         )
         self.traces.append(trace)
         energy = (trace.compute_cycles
@@ -73,8 +72,8 @@ class TiledSystolicArray(SystolicArray):
             cycles=trace.cycles,
             macs=trace.macs,
             energy_joules=energy,
-            stationary_loads=k * n * batch,
-            streamed_words=m * k * batch,
+            stationary_loads=stationary_words,
+            streamed_words=streamed_words,
             output_words=m * n * batch,
         )
 
@@ -99,6 +98,8 @@ class MemSimViTALiTyAccelerator(ViTALiTyAccelerator):
                                              utilization, memsim)
         self.sa_diag = TiledSystolicArray(self.config.sa_diag, frequency,
                                           utilization, memsim)
+        # Both partitions record into one list: the current layer's GEMMs.
+        self._traces = self.sa_diag.traces = self.sa_general.traces
         self.rooflines: list[RooflineRecord] = []
 
     def scaled_to_peak(self, peak_macs_per_second: float) -> "MemSimViTALiTyAccelerator":
@@ -107,45 +108,46 @@ class MemSimViTALiTyAccelerator(ViTALiTyAccelerator):
                                          dataflow=self.dataflow,
                                          pipelined=self.pipelined)
 
-    def _record_roofline(self, layer: LayerResult, kind: str) -> None:
-        traces = self.sa_general.take_traces() + self.sa_diag.take_traces()
-        total = traces[0]
-        for trace in traces[1:]:
-            total = total.add(trace)
-        dram_bytes = total.dram_words * WORD_BYTES
+    def _run_layer(self, run, spec, kind: str) -> LayerResult:
+        """Run one layer and append its GEMM traces, summed field by field,
+        as one roofline record carrying the spec's repeat count."""
+
+        self._traces.clear()
+        layer = run(spec)
+        tiles = macs = dram_words = compute = load_stall = drain_stall = 0
+        for trace in self._traces:
+            tiles += trace.tiles
+            macs += trace.macs
+            dram_words += trace.dram_words
+            compute += trace.compute_cycles
+            load_stall += trace.load_stall_cycles
+            drain_stall += trace.drain_stall_cycles
+        dram_bytes = dram_words * WORD_BYTES
         seconds = layer.cycles / self.config.frequency_hz
         attained = dram_bytes / seconds / 1e9 if seconds > 0 else 0.0
-        intensity = (2.0 * total.macs / dram_bytes) if dram_bytes else None
+        intensity = (2.0 * macs / dram_bytes) if dram_bytes else None
         self.rooflines.append(RooflineRecord(
             layer=layer.name,
             kind=kind,
-            repeats=1,
-            tiles=total.tiles,
-            macs=total.macs,
+            repeats=spec.repeats,
+            tiles=tiles,
+            macs=macs,
             dram_bytes=dram_bytes,
-            compute_cycles=total.compute_cycles,
-            load_stall_cycles=total.load_stall_cycles,
-            drain_stall_cycles=total.drain_stall_cycles,
+            compute_cycles=compute,
+            load_stall_cycles=load_stall,
+            drain_stall_cycles=drain_stall,
             arithmetic_intensity=intensity,
             attained_gbps=attained,
             peak_gbps=self.memsim.dram_gbps,
-            bound=classify(total.compute_cycles,
-                           total.load_stall_cycles + total.drain_stall_cycles),
+            bound=classify(compute, load_stall + drain_stall),
         ))
+        return layer
 
     def run_attention_layer(self, spec: AttentionLayerSpec) -> LayerResult:
-        self.sa_general.take_traces()
-        self.sa_diag.take_traces()
-        layer = super().run_attention_layer(spec)
-        self._record_roofline(layer, "attention")
-        return layer
+        return self._run_layer(super().run_attention_layer, spec, "attention")
 
     def run_linear_layer(self, spec: LinearLayerSpec) -> LayerResult:
-        self.sa_general.take_traces()
-        self.sa_diag.take_traces()
-        layer = super().run_linear_layer(spec)
-        self._record_roofline(layer, "linear")
-        return layer
+        return self._run_layer(super().run_linear_layer, spec, "linear")
 
     def run_model(self, workload: ModelWorkload, include_linear: bool = True):
         self.rooflines = []

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Every operand/result word is 16-bit (the accelerators' fixed data width).
-WORD_BYTES = 2
-
 
 @dataclass(frozen=True)
 class RooflineRecord:

@@ -26,14 +26,17 @@ Stalled cycles are idle (clock-gated): the energy model charges the array
 for compute cycles only, and the memory-access energies stay with the
 accelerator's existing traffic accounting.
 
-The sums are evaluated in closed form, not pass by pass.  Each axis splits
-into at most two ``(size, count)`` runs — the full chunks, then the
-remainder — so a pass has at most eight shapes and every total is a sum of
-per-shape values times their counts.  A pass's compute window depends only
-on its m-chunk, so adjacent passes pair different compute windows only
-across an m-chunk boundary; those boundaries are counted per pair of
-m-chunk sizes.  The cost of one GEMM is therefore independent of its tile
-count, and the result is exactly what the pass-by-pass pipeline gives.
+The sums are evaluated in closed form, not pass by pass.  Each axis is
+``tiles - 1`` chunks of its first size followed by one chunk of its last size
+(the remainder, or a full chunk when nothing remains), so a pass has at most
+eight shapes and every total is a sum of per-shape values times their
+counts.  Each stationary ``(n, k)`` tile load is computed once per GEMM, and
+each m-chunk size's streamed loads, drains and compute window once.  A
+pass's compute window depends only on its m-chunk, so adjacent passes pair
+different compute windows only across an m-chunk boundary; those boundaries
+are counted per pair of m-chunk sizes.  The cost of one GEMM is therefore
+independent of its tile count, and the result is exactly what the
+pass-by-pass pipeline gives.
 """
 
 from __future__ import annotations
@@ -60,31 +63,6 @@ class GemmMemTrace:
     def cycles(self) -> int:
         return self.compute_cycles + self.load_stall_cycles + self.drain_stall_cycles
 
-    def add(self, other: "GemmMemTrace") -> "GemmMemTrace":
-        return GemmMemTrace(
-            tiles=self.tiles + other.tiles,
-            compute_cycles=self.compute_cycles + other.compute_cycles,
-            load_stall_cycles=self.load_stall_cycles + other.load_stall_cycles,
-            drain_stall_cycles=self.drain_stall_cycles + other.drain_stall_cycles,
-            dram_words=self.dram_words + other.dram_words,
-            sram_words=self.sram_words + other.sram_words,
-            macs=self.macs + other.macs,
-        )
-
-
-def _transfer_cycles(words: int, words_per_cycle: float) -> int:
-    if words <= 0 or math.isinf(words_per_cycle):
-        return 0
-    return math.ceil(words / words_per_cycle)
-
-
-def _runs(total: int, size: int) -> list[tuple[int, int]]:
-    """``total`` cut into ``size`` chunks, as ``(chunk, count)`` runs in order."""
-
-    full, rest = divmod(total, size)
-    return [(chunk, count) for chunk, count in ((size, full), (rest, 1))
-            if chunk and count]
-
 
 def simulate_tiled_gemm(m: int, k: int, n: int, *,
                         rows: int, columns: int, utilization: float,
@@ -104,73 +82,93 @@ def simulate_tiled_gemm(m: int, k: int, n: int, *,
     is allowed).
     """
 
-    for name, value in (("m", m), ("k", k), ("n", n), ("batch", batch),
-                        ("plan.tile_m", plan.tile_m), ("plan.tile_k", plan.tile_k),
-                        ("plan.tile_n", plan.tile_n)):
-        if not value >= 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
-    if not 0 < utilization <= 1:
-        raise ValueError(f"utilization must be in (0, 1], got {utilization!r}")
-    for name, rate in (("dram_words_per_cycle", dram_words_per_cycle),
-                       ("sram_words_per_cycle", sram_words_per_cycle),
-                       ("drain_words_per_cycle", drain_words_per_cycle)):
-        if not rate > 0:
-            raise ValueError(f"{name} must be > 0 (inf allowed), got {rate!r}")
+    tile_m, tile_k, tile_n = plan.tile_m, plan.tile_k, plan.tile_n
+    if not (m >= 1 and k >= 1 and n >= 1 and batch >= 1 and tile_m >= 1
+            and tile_k >= 1 and tile_n >= 1 and 0 < utilization <= 1
+            and dram_words_per_cycle > 0 and sram_words_per_cycle > 0
+            and drain_words_per_cycle > 0):
+        for name, value in (("m", m), ("k", k), ("n", n), ("batch", batch),
+                            ("plan.tile_m", tile_m), ("plan.tile_k", tile_k),
+                            ("plan.tile_n", tile_n)):
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if not 0 < utilization <= 1:
+            raise ValueError(f"utilization must be in (0, 1], got {utilization!r}")
+        for name, rate in (("dram_words_per_cycle", dram_words_per_cycle),
+                           ("sram_words_per_cycle", sram_words_per_cycle),
+                           ("drain_words_per_cycle", drain_words_per_cycle)):
+            if not rate > 0:
+                raise ValueError(f"{name} must be > 0 (inf allowed), got {rate!r}")
 
+    # A transfer of w words at r words per cycle takes ceil(w / r) cycles: 0
+    # at r = inf, and every chunk holds at least one word.
+    ceil = math.ceil
     stationary_rate = dram_words_per_cycle if stationary_dram else sram_words_per_cycle
     streamed_rate = dram_words_per_cycle if streamed_dram else sram_words_per_cycle
+    m_tiles, k_tiles, n_tiles = -(-m // tile_m), -(-k // tile_k), -(-n // tile_n)
+    first_m = tile_m if m_tiles > 1 else m
+    first_k = tile_k if k_tiles > 1 else k
+    first_n = tile_n if n_tiles > 1 else n
+    last_m = m - (m_tiles - 1) * tile_m
+    last_k = k - (k_tiles - 1) * tile_k
+    last_n = n - (n_tiles - 1) * tile_n
+    # The stationary load of each (n-tile, k-tile) size pair, first or last.
+    stationary_ff = ceil(first_k * first_n / stationary_rate)
+    stationary_fl = ceil(last_k * first_n / stationary_rate)
+    stationary_lf = ceil(first_k * last_n / stationary_rate)
+    stationary_ll = ceil(last_k * last_n / stationary_rate)
 
-    def compute(chunk_m: int) -> int:
-        return math.ceil(chunk_m / utilization)
-
-    def load(chunk_m: int, tile_n: int, tile_k: int) -> int:
-        return (_transfer_cycles(tile_k * tile_n, stationary_rate)
-                + _transfer_cycles(chunk_m * tile_k, streamed_rate))
-
-    def drain(chunk_m: int, tile_n: int) -> int:
-        return _transfer_cycles(chunk_m * tile_n, drain_words_per_cycle)
-
-    m_runs = _runs(m, plan.tile_m)
-    n_runs = _runs(n, plan.tile_n)
-    k_runs = _runs(k, plan.tile_k)
-    m_chunks = sum(count for _, count in m_runs)
-    n_tiles = sum(count for _, count in n_runs)
-    k_tiles = sum(count for _, count in k_runs)
-    # Every m-chunk opens by loading the first (n, k) tile and closes by
-    # draining its last n-tile; only the last k-tile of an n-tile drains.
-    first_n, first_k = n_runs[0][0], k_runs[0][0]
-    last_n = n_runs[-1][0]
+    # Per m-chunk size: its compute window, its opening load (first n-tile
+    # and k-tile), its closing drain (last n-tile; only an n-tile's last
+    # k-tile drains), and the stalls of its other loads and drains: the
+    # cycles each runs past the chunk's window (a comparison, not ``max``).
+    shapes = []
+    for chunk_m in (first_m, last_m) if first_m != last_m else (first_m,):
+        window = ceil(chunk_m / utilization)
+        streamed_f = ceil(chunk_m * first_k / streamed_rate)
+        streamed_l = ceil(chunk_m * last_k / streamed_rate)
+        opening = stationary_ff + streamed_f
+        load_fl = stationary_fl + streamed_l
+        load_lf = stationary_lf + streamed_f
+        load_ll = stationary_ll + streamed_l
+        opening_stall = opening - window if opening > window else 0
+        loads = ((n_tiles - 1) * ((k_tiles - 1) * opening_stall
+                                  + (load_fl - window if load_fl > window else 0))
+                 + (k_tiles - 1) * (load_lf - window if load_lf > window else 0)
+                 + (load_ll - window if load_ll > window else 0)
+                 - opening_stall)
+        drain = ceil(chunk_m * first_n / drain_words_per_cycle)
+        drains = (n_tiles - 1) * (drain - window) if drain > window else 0
+        closing = ceil(chunk_m * last_n / drain_words_per_cycle)
+        shapes.append((window, opening, closing, loads, drains))
+    window_f, opening_f, closing_f, loads_f, drains_f = shapes[0]
+    window_l, opening_l, closing_l, loads_l, drains_l = shapes[-1]
 
     # Array fill once per batched GEMM, as in the analytic model.
-    compute_cycles = rows + columns
-    load_stall = load(m_runs[0][0], first_n, first_k)
-    drain_stall = drain(m_runs[-1][0], last_n)
-    for chunk_m, count in m_runs:
-        # Inside an m-chunk every load and drain overlaps the chunk's own
-        # compute window, except the opening load and the closing drain.
-        window = compute(chunk_m)
-        loads = sum(count_n * count_k * max(0, load(chunk_m, tile_n, tile_k) - window)
-                    for tile_n, count_n in n_runs for tile_k, count_k in k_runs)
-        drains = sum(count_n * max(0, drain(chunk_m, tile_n) - window)
-                     for tile_n, count_n in n_runs)
-        repeats = count * batch
-        compute_cycles += repeats * n_tiles * k_tiles * window
-        load_stall += repeats * (loads - max(0, load(chunk_m, first_n, first_k) - window))
-        drain_stall += repeats * (drains - max(0, drain(chunk_m, last_n) - window))
+    passes = n_tiles * k_tiles
+    compute_cycles = rows + columns + batch * passes * (
+        (m_tiles - 1) * window_f + window_l)
+    load_stall = opening_f + batch * ((m_tiles - 1) * loads_f + loads_l)
+    drain_stall = closing_l + batch * ((m_tiles - 1) * drains_f + drains_l)
+    # Adjacent m-chunks: an opening load overlaps the chunk before, a closing
+    # drain the chunk after.  The last chunk of a batch meets the first of
+    # the next; within a batch, the first-size chunks meet m_tiles - 2 times
+    # and then the last chunk once.
+    if opening_f > window_l:
+        load_stall += (batch - 1) * (opening_f - window_l)
+    if closing_l > window_f:
+        drain_stall += (batch - 1) * (closing_l - window_f)
+    if m_tiles > 1:
+        if opening_f > window_f:
+            load_stall += batch * (m_tiles - 2) * (opening_f - window_f)
+        if opening_l > window_f:
+            load_stall += batch * (opening_l - window_f)
+        if closing_f > window_f:
+            drain_stall += batch * (m_tiles - 2) * (closing_f - window_f)
+        if closing_f > window_l:
+            drain_stall += batch * (closing_f - window_l)
 
-    # Adjacent m-chunks as (before, after, times): a run into itself and into
-    # the next run within every batch, the last run into the first between
-    # batches.  The opening load overlaps the chunk before; the closing drain
-    # overlaps the chunk after.
-    boundaries = [(chunk_m, chunk_m, (count - 1) * batch) for chunk_m, count in m_runs]
-    boundaries += [(before, after, batch)
-                   for (before, _), (after, _) in zip(m_runs, m_runs[1:])]
-    boundaries.append((m_runs[-1][0], m_runs[0][0], batch - 1))
-    for before, after, times in boundaries:
-        load_stall += times * max(0, load(after, first_n, first_k) - compute(before))
-        drain_stall += times * max(0, drain(before, last_n) - compute(after))
-
-    stationary_words = batch * m_chunks * k * n
+    stationary_words = batch * m_tiles * k * n
     streamed_words = batch * n_tiles * m * k
     dram_words = ((stationary_words if stationary_dram else 0)
                   + (streamed_words if streamed_dram else 0))
@@ -178,7 +176,7 @@ def simulate_tiled_gemm(m: int, k: int, n: int, *,
                   + (0 if streamed_dram else streamed_words)
                   + batch * m * n)
     return GemmMemTrace(
-        tiles=batch * m_chunks * n_tiles * k_tiles,
+        tiles=batch * m_tiles * passes,
         compute_cycles=compute_cycles,
         load_stall_cycles=load_stall,
         drain_stall_cycles=drain_stall,

@@ -98,6 +98,8 @@ def get_workload(name: str) -> ModelWorkload:
     are built once and memoised under their canonical name.
     """
 
+    if name in _CONFIGURED:               # a canonical name, built before
+        return _CONFIGURED[name]
     family, config = _resolve(name)
     if config.is_reference:
         return family.reference

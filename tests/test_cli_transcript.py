@@ -92,7 +92,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "plan-classic-json": ("plan", "--models", "deit-tiny,levit-128",
                           "--weights", "1,1", *QUICK_PLAN, "--quiet", "--json"),
     "plan-llm": ("plan", *QUICK_PLAN_LLM),
-    "plan-llm-ignores-weights": ("plan", *QUICK_PLAN_LLM, "--weights", "x",
+    "plan-llm-rejects-weights": ("plan", *QUICK_PLAN_LLM, "--weights", "x",
                                  "--json"),
     "plan-pipeline": ("plan", *QUICK_PLAN_PIPELINE),
     "plan-pipeline-stage-targets": ("plan", *QUICK_PLAN_PIPELINE, "--targets",
@@ -131,6 +131,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                           "--stage-slo-ms", "encoder=abc"),
     "serve-llm-bad-prompt": ("serve", "--llm", "--prompt-tokens", "0"),
     "serve-llm-bad-kv-capacity": ("serve", *QUICK_LLM, "--kv-capacity", "0"),
+    "serve-llm-slo-zero": ("serve", *QUICK_LLM, "--slo-ms", "0"),
     "serve-timeout-nan": ("serve", "--timeout-ms", "nan"),
     "plan-pipeline-llm": ("plan", "--pipeline", PIPELINE, "--llm"),
     "plan-no-models": ("plan", "--models", ""),
