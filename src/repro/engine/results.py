@@ -5,18 +5,23 @@ accelerators or the analytic platform models — results are normalised into a
 :class:`RunResult`: latencies and energies in SI units, an energy breakdown,
 and per-layer step records.  This is what makes results comparable across
 targets, serialisable to JSON, and safe to memoise (all fields are immutable).
+
+The per-layer and per-step records are named tuples: a memsim design point
+builds hundreds of them, and a tuple is built in C, with no per-instance
+``__dict__`` and no per-field ``object.__setattr__``.  Hot paths build them
+with ``tuple.__new__`` and every field in order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.hardware.memsim.roofline import RooflineRecord
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One computational step of a layer on one hardware chunk."""
 
     name: str
@@ -25,22 +30,14 @@ class StepRecord:
     energy_joules: float
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "chunk": self.chunk,
-            "latency_seconds": self.latency_seconds,
-            "energy_joules": self.energy_joules,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "StepRecord":
-        return cls(name=payload["name"], chunk=payload["chunk"],
-                   latency_seconds=payload["latency_seconds"],
-                   energy_joules=payload["energy_joules"])
+        return cls._make(payload[name] for name in cls._fields)
 
 
-@dataclass(frozen=True)
-class LayerRecord:
+class LayerRecord(NamedTuple):
     """One simulated layer: its latency/energy per occurrence and repeat count."""
 
     name: str
@@ -48,7 +45,7 @@ class LayerRecord:
     repeats: int
     latency_seconds: float             # one occurrence
     energy_joules: float               # one occurrence
-    steps: tuple[StepRecord, ...] = field(default_factory=tuple)
+    steps: tuple[StepRecord, ...] = ()
 
     def to_dict(self) -> dict[str, object]:
         return {

@@ -143,21 +143,26 @@ def _batch_scaled(spec: RunSpec, result: ModelResult,
 
 def _layer_records(result: ModelResult, workload: ModelWorkload,
                    include_linear: bool) -> tuple[LayerRecord, ...]:
-    """Attach repeat counts (from the workload specs) to the simulated layers."""
+    """Attach repeat counts (from the workload specs) to the simulated layers.
+
+    Every record is built in C, with ``tuple.__new__`` and all of its fields
+    in order: a memsim design point builds hundreds of them.
+    """
 
     kinds = [("attention", spec.repeats) for spec in workload.attention_layers]
     if include_linear:
         kinds += [("linear", spec.repeats) for spec in workload.linear_layers]
+    new = tuple.__new__
     records = []
     for layer, (kind, repeats) in zip(result.layers, kinds):
         frequency = layer.frequency_hz
-        steps = tuple(
-            StepRecord(step.name, step.chunk, step.cycles / frequency, step.energy_joules)
-            for step in layer.steps
-        )
-        records.append(LayerRecord(name=layer.name, kind=kind, repeats=repeats,
-                                   latency_seconds=layer.latency_seconds,
-                                   energy_joules=layer.energy_joules, steps=steps))
+        steps = tuple([
+            new(StepRecord, (step.name, step.chunk, step.cycles / frequency,
+                             step.energy_joules))
+            for step in layer.steps])
+        records.append(new(LayerRecord, (
+            layer.name, kind, repeats, layer.latency_seconds,
+            layer.energy_joules, steps)))
     return tuple(records)
 
 

@@ -19,7 +19,8 @@ fits the array geometry and the half-buffers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.knobs import KnobConfig, KnobError
 
@@ -40,9 +41,9 @@ def buffer_words(sram_kb: float) -> int:
     return int(sram_kb * 1024) // BUFFER_PARTITIONS // WORD_BYTES
 
 
-@dataclass(frozen=True)
-class TilePlan:
-    """The effective tile sizes for one GEMM on one array."""
+class TilePlan(NamedTuple):
+    """The effective tile sizes for one GEMM on one array (a named tuple:
+    :meth:`MemSimConfig.plan` builds one per GEMM)."""
 
     tile_m: int
     tile_k: int
@@ -55,6 +56,9 @@ class MemSimConfig:
 
     ``dram_gbps`` may be ``inf`` (pure tiling study, loads never stall);
     ``tile_*`` of ``None`` means "derive the largest fitting tile per GEMM".
+    ``ibuf_half`` / ``wbuf_half`` / ``obuf_half`` are derived at
+    construction: the double-buffered half of each buffer (at least one
+    word), the most words any single tile may occupy.
     """
 
     dram_gbps: float
@@ -64,6 +68,14 @@ class MemSimConfig:
     ibuf_words: int
     wbuf_words: int
     obuf_words: int
+    ibuf_half: int = field(init=False, repr=False, compare=False)
+    wbuf_half: int = field(init=False, repr=False, compare=False)
+    obuf_half: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ibuf_half", max(1, self.ibuf_words // 2))
+        object.__setattr__(self, "wbuf_half", max(1, self.wbuf_words // 2))
+        object.__setattr__(self, "obuf_half", max(1, self.obuf_words // 2))
 
     @classmethod
     def from_design(cls, design: KnobConfig | None,
@@ -92,7 +104,6 @@ class MemSimConfig:
         return config
 
     def _validate(self, rows: int, columns: int, sram_kb: float) -> None:
-        half = self._half
         if self.tile_k is not None and self.tile_k > rows:
             raise KnobError(
                 f"tile_k={self.tile_k} exceeds the {rows} stationary rows of "
@@ -106,31 +117,27 @@ class MemSimConfig:
         tile_k = self.tile_k if self.tile_k is not None else rows
         tile_n = self.tile_n if self.tile_n is not None else columns
         if self.tile_k is not None and self.tile_n is not None \
-                and tile_k * tile_n > half(self.wbuf_words):
+                and tile_k * tile_n > self.wbuf_half:
             raise KnobError(
                 f"stationary tile tile_k={tile_k} x tile_n={tile_n} "
                 f"({tile_k * tile_n} words) exceeds the double-buffered "
-                f"weight-buffer half ({half(self.wbuf_words)} words at "
+                f"weight-buffer half ({self.wbuf_half} words at "
                 f"sram_kb={sram_kb:g}); shrink the tile or raise sram_kb")
         if self.tile_m is not None:
-            if self.tile_k is not None and self.tile_m * tile_k > half(self.ibuf_words):
+            if self.tile_k is not None and self.tile_m * tile_k > self.ibuf_half:
                 raise KnobError(
                     f"input tile tile_m={self.tile_m} x tile_k={tile_k} "
                     f"({self.tile_m * tile_k} words) exceeds the "
                     f"double-buffered input-buffer half "
-                    f"({half(self.ibuf_words)} words at sram_kb={sram_kb:g}); "
+                    f"({self.ibuf_half} words at sram_kb={sram_kb:g}); "
                     f"shrink the tile or raise sram_kb")
-            if self.tile_n is not None and self.tile_m * tile_n > half(self.obuf_words):
+            if self.tile_n is not None and self.tile_m * tile_n > self.obuf_half:
                 raise KnobError(
                     f"output tile tile_m={self.tile_m} x tile_n={tile_n} "
                     f"({self.tile_m * tile_n} words) exceeds the "
                     f"double-buffered output-buffer half "
-                    f"({half(self.obuf_words)} words at sram_kb={sram_kb:g}); "
+                    f"({self.obuf_half} words at sram_kb={sram_kb:g}); "
                     f"shrink the tile or raise sram_kb")
-
-    @staticmethod
-    def _half(words: int) -> int:
-        return max(1, words // 2)
 
     def plan(self, m: int, k: int, n: int, rows: int, columns: int) -> TilePlan:
         """Effective tile sizes for an ``(m x k) @ (k x n)`` GEMM.
@@ -138,30 +145,33 @@ class MemSimConfig:
         Explicit knobs are clamped to the problem and array dimensions;
         derived defaults start at the array-shaped stationary tile and
         shrink until every tile fits its double-buffered half-capacity.
+        Each clamp is a comparison (a builtin ``min``/``max`` call costs
+        several times more, and this runs once per GEMM).
         """
 
-        half = self._half
-        tile_k = min(k, rows, self.tile_k if self.tile_k is not None else k)
-        tile_n = min(n, columns, self.tile_n if self.tile_n is not None else n)
-        if tile_k * tile_n > half(self.wbuf_words):
-            tile_n = max(1, half(self.wbuf_words) // tile_k)
-        tile_m_cap = min(half(self.ibuf_words) // tile_k,
-                         half(self.obuf_words) // tile_n)
-        tile_m = min(m, self.tile_m if self.tile_m is not None else m,
-                     max(1, tile_m_cap))
-        return TilePlan(tile_m=tile_m, tile_k=tile_k, tile_n=tile_n)
+        tile_k = k if k < rows else rows
+        if self.tile_k is not None and self.tile_k < tile_k:
+            tile_k = self.tile_k
+        tile_n = n if n < columns else columns
+        if self.tile_n is not None and self.tile_n < tile_n:
+            tile_n = self.tile_n
+        if tile_k * tile_n > self.wbuf_half:
+            tile_n = self.wbuf_half // tile_k
+            if tile_n < 1:
+                tile_n = 1
+        tile_m = self.ibuf_half // tile_k
+        output_rows = self.obuf_half // tile_n
+        if output_rows < tile_m:
+            tile_m = output_rows
+        if tile_m < 1:
+            tile_m = 1
+        if m < tile_m:
+            tile_m = m
+        if self.tile_m is not None and self.tile_m < tile_m:
+            tile_m = self.tile_m
+        return tuple.__new__(TilePlan, (tile_m, tile_k, tile_n))
 
     def dram_words_per_cycle(self, frequency_hz: float) -> float:
         """DRAM interface rate in 16-bit words per clock cycle (may be inf)."""
 
         return self.dram_gbps * 1e9 / WORD_BYTES / frequency_hz
-
-    def fits_sram(self, words: int) -> bool:
-        """Whether a whole operand is resident in one on-chip buffer.
-
-        Residency is judged against the full buffer capacity (double
-        buffering constrains *tiles*, not what can live on chip); operands
-        larger than a buffer stream from DRAM tile by tile.
-        """
-
-        return words <= self.ibuf_words

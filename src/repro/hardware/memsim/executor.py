@@ -37,13 +37,24 @@ from repro.workloads import AttentionLayerSpec, LinearLayerSpec, ModelWorkload
 
 class TiledSystolicArray(SystolicArray):
     """A systolic partition whose GEMMs run the tile-level memory pipeline,
-    each appending its :class:`GemmMemTrace` to :attr:`traces`."""
+    each appending its :class:`GemmMemTrace` to :attr:`traces`.
+
+    Everything a GEMM reads of the array is fixed here, at construction:
+    its shape, the residency bound, the PE energy per active cycle and the
+    DRAM, SRAM and drain rates.
+    """
 
     def __init__(self, component: ComponentConfig, frequency_hz: float,
                  utilization: float, memsim: MemSimConfig):
         super().__init__(component, frequency_hz, utilization)
         self.memsim = memsim
         self.traces: list[GemmMemTrace] = []
+        self._rows, self._columns = component.rows, component.columns
+        # Residency is judged against a whole buffer (double buffering
+        # constrains tiles, not what can live on chip): a larger operand
+        # streams from DRAM tile by tile.
+        self._resident_words = memsim.ibuf_words
+        self._energy_per_cycle = component.energy_per_cycle(frequency_hz)
         self._dram_rate = memsim.dram_words_per_cycle(frequency_hz)
         # On-chip ports feed the array edges; one word per edge lane per cycle.
         self._sram_rate = float(component.rows + component.columns)
@@ -51,23 +62,21 @@ class TiledSystolicArray(SystolicArray):
 
     def matmul(self, m: int, k: int, n: int, pe_energy_scale: float = 1.0,
                batch: int = 1) -> MatmulExecution:
-        rows, columns, memsim = self.rows, self.columns, self.memsim
+        rows, columns = self._rows, self._columns
         stationary_words = k * n * batch
         streamed_words = m * k * batch
         trace = simulate_tiled_gemm(
             m, k, n,
             rows=rows, columns=columns, utilization=self.utilization,
-            batch=batch, plan=memsim.plan(m, k, n, rows, columns),
+            batch=batch, plan=self.memsim.plan(m, k, n, rows, columns),
             dram_words_per_cycle=self._dram_rate,
             sram_words_per_cycle=self._sram_rate,
             drain_words_per_cycle=self._drain_rate,
-            stationary_dram=not memsim.fits_sram(stationary_words),
-            streamed_dram=not memsim.fits_sram(streamed_words),
+            stationary_dram=stationary_words > self._resident_words,
+            streamed_dram=streamed_words > self._resident_words,
         )
         self.traces.append(trace)
-        energy = (trace.compute_cycles
-                  * self.component.energy_per_cycle(self.frequency_hz)
-                  * pe_energy_scale)
+        energy = trace.compute_cycles * self._energy_per_cycle * pe_energy_scale
         return MatmulExecution(
             cycles=trace.cycles,
             macs=trace.macs,
@@ -84,7 +93,8 @@ class MemSimViTALiTyAccelerator(ViTALiTyAccelerator):
     Behaves exactly like :class:`ViTALiTyAccelerator` except that every
     systolic GEMM pays for its memory traffic in cycles, and each simulated
     layer appends a :class:`RooflineRecord` to :attr:`rooflines` (aligned
-    with the layers of the last :meth:`run_model` call).
+    with the layers of the last :meth:`run_model` call, which
+    :meth:`attention_energy_breakdown` leaves as they are).
     """
 
     def __init__(self, config: ViTALiTyAcceleratorConfig, memsim: MemSimConfig,
@@ -126,21 +136,11 @@ class MemSimViTALiTyAccelerator(ViTALiTyAccelerator):
         seconds = layer.cycles / self.config.frequency_hz
         attained = dram_bytes / seconds / 1e9 if seconds > 0 else 0.0
         intensity = (2.0 * macs / dram_bytes) if dram_bytes else None
-        self.rooflines.append(RooflineRecord(
-            layer=layer.name,
-            kind=kind,
-            repeats=spec.repeats,
-            tiles=tiles,
-            macs=macs,
-            dram_bytes=dram_bytes,
-            compute_cycles=compute,
-            load_stall_cycles=load_stall,
-            drain_stall_cycles=drain_stall,
-            arithmetic_intensity=intensity,
-            attained_gbps=attained,
-            peak_gbps=self.memsim.dram_gbps,
-            bound=classify(compute, load_stall + drain_stall),
-        ))
+        # Every RooflineRecord field, in order, built in C.
+        self.rooflines.append(tuple.__new__(RooflineRecord, (
+            layer.name, kind, spec.repeats, tiles, macs, dram_bytes, compute,
+            load_stall, drain_stall, intensity, attained, self.memsim.dram_gbps,
+            classify(compute, load_stall + drain_stall))))
         return layer
 
     def run_attention_layer(self, spec: AttentionLayerSpec) -> LayerResult:
@@ -152,3 +152,12 @@ class MemSimViTALiTyAccelerator(ViTALiTyAccelerator):
     def run_model(self, workload: ModelWorkload, include_linear: bool = True):
         self.rooflines = []
         return super().run_model(workload, include_linear=include_linear)
+
+    def attention_energy_breakdown(self, workload: ModelWorkload):
+        # The breakdown runs every attention layer again; its records must
+        # not join those of the last run_model call.
+        rooflines, self.rooflines = self.rooflines, []
+        try:
+            return super().attention_energy_breakdown(workload)
+        finally:
+            self.rooflines = rooflines

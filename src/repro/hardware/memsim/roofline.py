@@ -11,18 +11,19 @@ array spends most of its time waiting on the memory system — and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RooflineRecord:
+class RooflineRecord(NamedTuple):
     """Memory-system accounting for one simulated layer (one occurrence).
 
     Cycle counts cover the layer's systolic-partition GEMMs (the tiled ops);
     ``arithmetic_intensity`` is FLOPs (2 x MACs) per DRAM byte, ``None`` when
     the layer's working set was entirely SRAM-resident, and
     ``attained_gbps`` is the DRAM traffic divided by the layer's wall-clock
-    latency (so overlap with compute shows up as attained < peak).
+    latency (so overlap with compute shows up as attained < peak).  A named
+    tuple, like the engine's layer and step records: one is built for every
+    simulated layer.
     """
 
     layer: str
@@ -44,39 +45,11 @@ class RooflineRecord:
         return self.load_stall_cycles + self.drain_stall_cycles
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "layer": self.layer,
-            "kind": self.kind,
-            "repeats": self.repeats,
-            "tiles": self.tiles,
-            "macs": self.macs,
-            "dram_bytes": self.dram_bytes,
-            "compute_cycles": self.compute_cycles,
-            "load_stall_cycles": self.load_stall_cycles,
-            "drain_stall_cycles": self.drain_stall_cycles,
-            "arithmetic_intensity": self.arithmetic_intensity,
-            "attained_gbps": self.attained_gbps,
-            "peak_gbps": self.peak_gbps,
-            "bound": self.bound,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "RooflineRecord":
-        return cls(
-            layer=payload["layer"],
-            kind=payload["kind"],
-            repeats=payload["repeats"],
-            tiles=payload["tiles"],
-            macs=payload["macs"],
-            dram_bytes=payload["dram_bytes"],
-            compute_cycles=payload["compute_cycles"],
-            load_stall_cycles=payload["load_stall_cycles"],
-            drain_stall_cycles=payload["drain_stall_cycles"],
-            arithmetic_intensity=payload["arithmetic_intensity"],
-            attained_gbps=payload["attained_gbps"],
-            peak_gbps=payload["peak_gbps"],
-            bound=payload["bound"],
-        )
+        return cls._make(payload[name] for name in cls._fields)
 
 
 def classify(compute_cycles: int, stall_cycles: int) -> str:

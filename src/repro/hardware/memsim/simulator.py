@@ -82,7 +82,7 @@ def simulate_tiled_gemm(m: int, k: int, n: int, *,
     is allowed).
     """
 
-    tile_m, tile_k, tile_n = plan.tile_m, plan.tile_k, plan.tile_n
+    tile_m, tile_k, tile_n = plan
     if not (m >= 1 and k >= 1 and n >= 1 and batch >= 1 and tile_m >= 1
             and tile_k >= 1 and tile_n >= 1 and 0 < utilization <= 1
             and dram_words_per_cycle > 0 and sram_words_per_cycle > 0

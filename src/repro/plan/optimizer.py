@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import logging
 from functools import partial
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, target_area_mm2
@@ -95,18 +95,24 @@ def pareto_frontier(points: Sequence[dict], keys: Sequence[str]) -> list[dict]:
     A point is dominated when some other point is no worse on every key and
     strictly better on at least one.  Ties (identical coordinates) survive
     together.  Returns the frontier sorted by the first key.
+
+    Each point's coordinates are read once, as a tuple.  Another tuple
+    dominates when it sorts before the point's own and is no worse on every
+    key.  A tuple no worse on every key holds no nan, so it sorts before
+    exactly when it differs, that is, when it is strictly better on some
+    key.  The sort check runs in C and rejects about half of the pairs.
     """
 
+    coordinates = [tuple([point[key] for key in keys]) for point in points]
     frontier = []
-    for point in points:
-        dominated = any(
-            all(other[key] <= point[key] for key in keys)
-            and any(other[key] < point[key] for key in keys)
-            for other in points if other is not point
-        )
-        if not dominated:
-            frontier.append(point)
-    return sorted(frontier, key=lambda point: tuple(point[key] for key in keys))
+    for point, own in zip(points, coordinates):
+        for other in coordinates:
+            if other < own and all(map(le, other, own)):
+                break
+        else:
+            frontier.append((own, point))
+    frontier.sort(key=itemgetter(0))
+    return [point for _, point in frontier]
 
 
 def _kind_area(kind: str) -> float | None:

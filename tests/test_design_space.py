@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.engine import (
@@ -399,7 +400,63 @@ class TestDiskCache:
         assert RunResult.from_dict(payload) == result
 
 
+def _all_any_frontier(points, keys):
+    """The definition ``pareto_frontier`` had before it read each point's
+    coordinates once, kept verbatim."""
+
+    frontier = []
+    for point in points:
+        dominated = any(
+            all(other[key] <= point[key] for key in keys)
+            and any(other[key] < point[key] for key in keys)
+            for other in points if other is not point
+        )
+        if not dominated:
+            frontier.append(point)
+    return sorted(frontier, key=lambda point: tuple(point[key] for key in keys))
+
+
+#: A small pool, so that ties on one key, equal coordinates, signed zeros,
+#: infinities and nans (two distinct objects) are all common.
+_COORDINATES = st.sampled_from(
+    [-math.inf, -2.5, -1, -0.0, 0.0, 0, 1, 1.5, 2, 3.25, math.inf,
+     math.nan, float("nan")])
+
+
+@st.composite
+def _point_clouds(draw):
+    """``(points, keys)``: 0-12 points, some of them the same dict object
+    twice and some a copy of another point (equal coordinates, distinct
+    objects), in a drawn order."""
+
+    keys = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
+    points = draw(st.lists(
+        st.fixed_dictionaries({key: _COORDINATES for key in keys}), max_size=10))
+    if points:
+        for index, same in draw(st.lists(
+                st.tuples(st.integers(0, len(points) - 1), st.booleans()),
+                max_size=4)):
+            points.append(points[index] if same else dict(points[index]))
+    return draw(st.permutations(points)), keys
+
+
 class TestDesignSpaceExploration:
+    @settings(max_examples=400, deadline=None)
+    @given(cloud=_point_clouds())
+    @example(cloud=([{"a": 1.0, "b": 2.0}] * 2 + [{"a": 1.0, "b": 2.0}],
+                    ("a", "b")))
+    @example(cloud=([{"a": -0.0, "b": 1}, {"a": 0.0, "b": 1}, {"a": 0, "b": 0.5}],
+                    ("a", "b")))
+    @example(cloud=([{"a": math.inf, "b": 0.0}, {"a": 1.0, "b": math.inf},
+                     {"a": math.inf, "b": math.inf}, {"a": 1.0, "b": 1.0}],
+                    ("a", "b")))
+    def test_pareto_frontier_matches_the_all_any_definition(self, cloud):
+        points, keys = cloud
+        frontier = pareto_frontier(points, keys)
+        expected = _all_any_frontier(points, keys)
+        # The same point objects, in the same order.
+        assert [id(point) for point in frontier] == [id(point) for point in expected]
+
     def test_pareto_frontier_drops_dominated_points(self):
         points = [
             {"name": "a", "latency": 1.0, "energy": 2.0},

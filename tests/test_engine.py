@@ -18,8 +18,10 @@ import repro
 from repro.engine import (
     ATTENTION_MODES,
     DATAFLOWS,
+    LayerRecord,
     ResultCache,
     RunSpec,
+    StepRecord,
     Sweep,
     UnknownTargetError,
     VitalityTarget,
@@ -32,6 +34,7 @@ from repro.engine import (
     sweep,
 )
 from repro.hardware import (
+    RooflineRecord,
     SangerAccelerator,
     StepResult,
     ViTALiTyAccelerator,
@@ -40,6 +43,7 @@ from repro.hardware import (
     pipeline_speedup,
     sequential_latency,
 )
+from repro.hardware.memsim import TilePlan
 from repro.workloads import get_workload, list_workloads, scaled_to_tokens
 
 
@@ -707,3 +711,45 @@ class TestRunResult:
         assert payload["end_to_end_latency"] == pytest.approx(result.end_to_end_latency)
         step_names = [step["name"] for step in payload["layers"][0]["steps"]]
         assert len(step_names) == 6   # the six Taylor-attention steps
+
+
+def _records() -> list:
+    """One record of each type, as a memsim run builds them."""
+
+    result = simulate(RunSpec("deit-tiny", target="vitality[dram_gbps=25]"),
+                      cache=ResultCache())
+    layer = result.layers[0]
+    return [layer.steps[0], layer, result.roofline[0],
+            TilePlan(tile_m=64, tile_k=32, tile_n=16)]
+
+
+class TestRecords:
+    """The per-step, per-layer, roofline and tile-plan records are values:
+    immutable, and unchanged by pickle at every protocol and by deepcopy."""
+
+    def test_each_type_is_covered(self):
+        assert [type(record) for record in _records()] == [
+            StepRecord, LayerRecord, RooflineRecord, TilePlan]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_assignment_raises_attribute_error(self, index):
+        record = _records()[index]
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_pickle_and_deepcopy_return_an_equal_record(self, index):
+        record = _records()[index]
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies.append(copy.deepcopy(record))
+        for clone in copies:
+            assert type(clone) is type(record)
+            assert clone == record
+            # The repr names every nested type and field value.
+            assert repr(clone) == repr(record)
+
+    def test_tile_plan_builds_from_keywords(self):
+        plan = TilePlan(tile_m=64, tile_k=32, tile_n=16)
+        assert (plan.tile_m, plan.tile_k, plan.tile_n) == (64, 32, 16)

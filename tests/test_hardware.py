@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attention import count_taylor_attention_ops
+from repro.engine import RunSpec, get_target
 from repro.hardware import (
     AccumulatorArray,
     AdderArray,
@@ -186,6 +191,32 @@ class TestViTALiTyAccelerator:
     def test_scaled_to_peak_validation(self):
         with pytest.raises(ValueError):
             ViTALiTyAccelerator().scaled_to_peak(0)
+
+    @pytest.mark.parametrize("target", ["vitality", "vitality[dram_gbps=25]"])
+    @pytest.mark.parametrize("model", ["deit-tiny", "levit-128", "mobilevit-xs",
+                                       "decoder"])
+    def test_attention_steps_perform_table1_operations(self, model, target):
+        """Per repeat, each attention layer's steps perform Table I's Taylor
+        counts: the systolic MACs are its multiplications, the divider
+        operations its divisions, and the accumulator and adder operations
+        its additions beyond the matmul accumulations."""
+
+        spec = RunSpec(model, target=target)
+        workload = spec.workload()
+        # The accelerator the engine target simulates this spec on.
+        result = get_target(target)._accelerator(spec).run_model(workload)
+        assert 0 < len(workload.attention_layers) < len(result.layers)
+        for layer_spec, layer in zip(workload.attention_layers, result.layers):
+            counts = count_taylor_attention_ops(
+                dataclasses.replace(layer_spec, repeats=1))
+            operations = Counter()
+            for step in layer.steps:
+                operations[step.chunk] += step.operations
+            assert (operations["systolic"] + operations["sa_diag"]
+                    == counts.multiplications)
+            assert operations["divider"] == counts.divisions
+            assert (operations["accumulator"] + operations["adder"]
+                    == counts.additions - counts.multiplications)
 
     def test_levit_asymmetric_layer_runs(self):
         layer = ViTALiTyAccelerator().run_attention_layer(LEVIT_128.attention_layers[-1])

@@ -17,14 +17,21 @@ from repro.engine import ResultCache, RunSpec, get_target, simulate
 from repro.engine.results import RunResult
 from repro.experiments import run_experiment
 from repro.experiments.dse_exps import explore_design_space, roofline_experiment
-from repro.hardware import KnobError, VITALITY_SCHEMA, matmul_cycles
+from repro.hardware import (
+    KnobError,
+    VITALITY_SCHEMA,
+    build_vitality_config,
+    matmul_cycles,
+)
 from repro.hardware.memsim import (
     GemmMemTrace,
     MemSimConfig,
+    MemSimViTALiTyAccelerator,
     buffer_words,
     simulate_tiled_gemm,
 )
 from repro.hardware.memsim.config import TilePlan
+from repro.workloads import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "memsim_golden.json"
 SEED_GOLDEN_PATH = Path(__file__).parent / "data" / "seed_hardware_golden.json"
@@ -190,6 +197,29 @@ class TestMemsimActivation:
                           cache=ResultCache())
         payload = json.loads(json.dumps(result.to_dict(include_layers=True)))
         assert RunResult.from_dict(payload) == result
+
+    def test_energy_breakdown_leaves_the_rooflines_of_run_model(self):
+        # The breakdown runs every attention layer again; the records must
+        # stay aligned with the layers of the last run_model call.
+        design = VITALITY_SCHEMA.parse("dram_gbps=25")
+        config = build_vitality_config(design)
+        accelerator = MemSimViTALiTyAccelerator(config, MemSimConfig.from_design(
+            design, config.memory.sram_kb, config.sa_general.rows,
+            config.sa_general.columns))
+        workload = get_workload("deit-tiny")
+        model = accelerator.run_model(workload)
+        records = list(accelerator.rooflines)
+        assert len(records) == len(model.layers) == 5
+        breakdown = accelerator.attention_energy_breakdown(workload)
+        assert accelerator.rooflines == records
+        engine = simulate(RunSpec("deit-tiny", target="vitality[dram_gbps=25]"),
+                          cache=ResultCache())
+        assert list(engine.roofline) == records
+        assert engine.breakdown() == {
+            "data_access": breakdown.data_access,
+            "other_processors": breakdown.other_processors,
+            "systolic_array": breakdown.systolic_array,
+        }
 
 
 @pytest.mark.usefixtures("no_float_sum")
