@@ -425,9 +425,9 @@ _COORDINATES = st.sampled_from(
 
 @st.composite
 def _point_clouds(draw):
-    """``(points, keys)``: 0-12 points, some of them the same dict object
-    twice and some a copy of another point (equal coordinates, distinct
-    objects), in a drawn order."""
+    """``(points, keys)``: up to 10 drawn points plus up to 4 more, each the
+    same dict object as a drawn point or a copy of one (equal coordinates,
+    distinct objects), in a drawn order."""
 
     keys = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
     points = draw(st.lists(
