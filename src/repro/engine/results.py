@@ -6,65 +6,21 @@ accelerators or the analytic platform models — results are normalised into a
 and per-layer step records.  This is what makes results comparable across
 targets, serialisable to JSON, and safe to memoise (all fields are immutable).
 
-The per-layer and per-step records are named tuples: a memsim design point
-builds hundreds of them, and a tuple is built in C, with no per-instance
-``__dict__`` and no per-field ``object.__setattr__``.  Hot paths build them
-with ``tuple.__new__`` and every field in order.
+The per-layer and per-step records (:class:`LayerRecord`,
+:class:`StepRecord`) are the ones the hardware models build themselves
+(:mod:`repro.hardware.common`); the roofline records come from the
+tile-level memory simulator.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
+from repro.hardware.common import LayerRecord, StepRecord
 from repro.hardware.memsim.roofline import RooflineRecord
 
-
-class StepRecord(NamedTuple):
-    """One computational step of a layer on one hardware chunk."""
-
-    name: str
-    chunk: str
-    latency_seconds: float
-    energy_joules: float
-
-    def to_dict(self) -> dict[str, object]:
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "StepRecord":
-        return cls._make(payload[name] for name in cls._fields)
-
-
-class LayerRecord(NamedTuple):
-    """One simulated layer: its latency/energy per occurrence and repeat count."""
-
-    name: str
-    kind: str                          # "attention" | "linear" | "profile"
-    repeats: int
-    latency_seconds: float             # one occurrence
-    energy_joules: float               # one occurrence
-    steps: tuple[StepRecord, ...] = ()
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "repeats": self.repeats,
-            "latency_seconds": self.latency_seconds,
-            "energy_joules": self.energy_joules,
-            "steps": [step.to_dict() for step in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "LayerRecord":
-        return cls(name=payload["name"], kind=payload["kind"],
-                   repeats=payload["repeats"],
-                   latency_seconds=payload["latency_seconds"],
-                   energy_joules=payload["energy_joules"],
-                   steps=tuple(StepRecord.from_dict(step)
-                               for step in payload.get("steps", ())))
+__all__ = ["LayerRecord", "RooflineRecord", "RunResult", "StepRecord"]
 
 
 @dataclass(frozen=True)

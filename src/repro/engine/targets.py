@@ -35,7 +35,6 @@ from repro.hardware import (
     KnobConfig,
     MemSimConfig,
     MemSimViTALiTyAccelerator,
-    ModelResult,
     PLATFORM_SCHEMA,
     SALO_SCHEMA,
     SALOAccelerator,
@@ -48,6 +47,7 @@ from repro.hardware import (
     build_sanger_config,
     build_vitality_config,
     get_platform,
+    run_model,
 )
 from repro.hardware.memsim.roofline import RooflineRecord
 from repro.workloads import ModelWorkload
@@ -118,60 +118,41 @@ def _reject_unsupported(spec: RunSpec, target: str, *fields: str) -> None:
                              f"(got {getattr(spec, name)!r})")
 
 
-def _batch_scaled(spec: RunSpec, result: ModelResult,
-                  breakdown: dict[str, float], layers: tuple[LayerRecord, ...],
-                  target: "Target",
+def _batch_scaled(spec: RunSpec, target: "Target", workload: ModelWorkload,
+                  totals: tuple, breakdown: dict[str, float] | None = None,
                   roofline: tuple[RooflineRecord, ...] = ()) -> RunResult:
-    """Normalise a cycle-level :class:`ModelResult` into a :class:`RunResult`."""
+    """A :class:`RunResult` from one :func:`~repro.hardware.run_model` call's
+    totals, scaled by the spec's batch.
 
-    batch = spec.batch_size
-    return RunResult(
-        model=result.model,
-        target=target.name,
-        attention_latency=result.attention_latency * batch,
-        linear_latency=result.linear_latency * batch,
-        attention_energy=result.attention_energy * batch,
-        linear_energy=result.linear_energy * batch,
-        end_to_end_latency=result.end_to_end_latency * batch,
-        end_to_end_energy=result.end_to_end_energy * batch,
-        energy_breakdown=tuple((key, value * batch) for key, value in breakdown.items()),
-        layers=layers,
-        config=getattr(target, "config_text", ""),
-        roofline=roofline,
-    )
-
-
-def _layer_records(result: ModelResult, workload: ModelWorkload,
-                   include_linear: bool) -> tuple[LayerRecord, ...]:
-    """Attach repeat counts (from the workload specs) to the simulated layers.
-
-    Every record is built in C, with ``tuple.__new__`` and all of its fields
-    in order: a memsim design point builds hundreds of them.
+    ``breakdown`` defaults to the attention/linear energy split.
     """
 
-    kinds = [("attention", spec.repeats) for spec in workload.attention_layers]
-    if include_linear:
-        kinds += [("linear", spec.repeats) for spec in workload.linear_layers]
-    new = tuple.__new__
-    records = []
-    for layer, (kind, repeats) in zip(result.layers, kinds):
-        frequency = layer.frequency_hz
-        steps = tuple([
-            new(StepRecord, (step.name, step.chunk, step.cycles / frequency,
-                             step.energy_joules))
-            for step in layer.steps])
-        records.append(new(LayerRecord, (
-            layer.name, kind, repeats, layer.latency_seconds,
-            layer.energy_joules, steps)))
-    return tuple(records)
+    attention_latency, attention_energy, linear_latency, linear_energy, layers = totals
+    if breakdown is None:
+        breakdown = {"attention": attention_energy, "linear": linear_energy}
+    batch = spec.batch_size
+    return RunResult(
+        model=workload.name,
+        target=target.name,
+        attention_latency=attention_latency * batch,
+        linear_latency=linear_latency * batch,
+        attention_energy=attention_energy * batch,
+        linear_energy=linear_energy * batch,
+        end_to_end_latency=(attention_latency + linear_latency) * batch,
+        end_to_end_energy=(attention_energy + linear_energy) * batch,
+        energy_breakdown=tuple((key, value * batch) for key, value in breakdown.items()),
+        layers=layers,
+        config=target.config_text,
+        roofline=roofline,
+    )
 
 
 def _table5_breakdown(layers: tuple[LayerRecord, ...]) -> dict[str, float]:
     """Table V energy split of the attention module, from the step records.
 
-    Mirrors ``ViTALiTyAccelerator.attention_energy_breakdown`` (same
-    per-layer accumulation order, so the totals are bit-identical) without
-    re-simulating the attention layers.
+    Each category sums its steps' energy within a layer, then adds
+    ``category x repeats`` layer by layer.  Together the three categories
+    add up to the attention energy, to within float rounding.
     """
 
     data_access = other_processors = systolic_array = 0.0
@@ -270,12 +251,11 @@ class VitalityTarget:
         _check_attention_mode(spec, "taylor", self.name)
         accelerator = self._accelerator(spec)
         workload = spec.workload()
-        result = accelerator.run_model(workload, include_linear=spec.include_linear)
-        layers = _layer_records(result, workload, spec.include_linear)
-        breakdown = _table5_breakdown(layers)
+        totals = run_model(accelerator, workload, include_linear=spec.include_linear)
         # The memsim accelerator's records align with the simulated layers.
         roofline = tuple(accelerator.rooflines) if self._memsim is not None else ()
-        return _batch_scaled(spec, result, breakdown, layers, self,
+        return _batch_scaled(spec, self, workload, totals,
+                             breakdown=_table5_breakdown(totals[-1]),
                              roofline=roofline)
 
 
@@ -305,12 +285,10 @@ class SangerTarget:
     def simulate(self, spec: RunSpec) -> RunResult:
         _check_attention_mode(spec, "vanilla", self.name)
         _reject_unsupported(spec, self.name, "dataflow", "pipelined", "scale_to_peak")
-        accelerator = SangerAccelerator(self._config)
         workload = spec.workload()
-        result = accelerator.run_model(workload, include_linear=spec.include_linear)
-        breakdown = {"attention": result.attention_energy, "linear": result.linear_energy}
-        layers = _layer_records(result, workload, spec.include_linear)
-        return _batch_scaled(spec, result, breakdown, layers, self)
+        totals = run_model(SangerAccelerator(self._config), workload,
+                           include_linear=spec.include_linear)
+        return _batch_scaled(spec, self, workload, totals)
 
 
 class SALOTarget:
@@ -350,12 +328,10 @@ class SALOTarget:
     def simulate(self, spec: RunSpec) -> RunResult:
         _check_attention_mode(spec, "vanilla", self.name)
         _reject_unsupported(spec, self.name, "dataflow", "pipelined", "scale_to_peak")
-        accelerator = SALOAccelerator(self._budget, self._pattern)
         workload = spec.workload()
-        result = accelerator.run_model(workload)
-        breakdown = {"attention": result.attention_energy, "linear": 0.0}
-        layers = _layer_records(result, workload, include_linear=False)
-        return _batch_scaled(spec, result, breakdown, layers, self)
+        totals = run_model(SALOAccelerator(self._budget, self._pattern), workload,
+                           include_linear=False)
+        return _batch_scaled(spec, self, workload, totals)
 
 
 class PlatformTarget:

@@ -8,6 +8,8 @@ accelerator.  This subpackage provides:
   lane-array processors, memory-hierarchy energies, the intra-layer pipeline
   model, and the design-point knob grammar with per-family area/power/energy
   scaling (:mod:`core`);
+* the step and layer records every model builds, and the one layer loop
+  that runs a workload on any of them (:mod:`common`);
 * a cycle-level model of the ViTALiTy accelerator — chunked micro-architecture
   (systolic array split into SA-General/SA-Diag plus accumulator/adder/divider
   arrays), the intra-layer pipeline, and the down-forward accumulation vs
@@ -28,21 +30,10 @@ from repro.hardware.config import (
     SangerAcceleratorConfig,
     MemoryEnergyConfig,
 )
-from repro.hardware.common import StepResult, LayerResult, ModelResult, Dataflow
-from repro.hardware.core.arrays import (
-    SystolicArray,
-    matmul_cycles,
-    AccumulatorArray,
-    AdderArray,
-    DividerArray,
-)
+from repro.hardware.common import Dataflow, LayerRecord, StepRecord, run_model
+from repro.hardware.core.arrays import LaneArray, SystolicArray, matmul_cycles
 from repro.knobs import KnobConfig, KnobError, KnobSchema
-from repro.hardware.core.memory import EnergyBreakdown, MemoryTrafficModel
-from repro.hardware.core.pipeline import (
-    pipeline_latency,
-    pipeline_speedup,
-    sequential_latency,
-)
+from repro.hardware.core.pipeline import pipeline_latency, sequential_latency
 from repro.hardware.accelerator import ViTALiTyAccelerator
 from repro.hardware.sanger import SangerAccelerator
 from repro.hardware.salo import SALOAccelerator, SALOConfig
@@ -83,17 +74,14 @@ __all__ = [
     "build_sanger_config",
     "build_salo_configs",
     "build_platform",
-    "StepResult",
-    "LayerResult",
-    "ModelResult",
+    "StepRecord",
+    "LayerRecord",
+    "run_model",
     "Dataflow",
     "SystolicArray",
     "matmul_cycles",
-    "AccumulatorArray",
-    "AdderArray",
-    "DividerArray",
+    "LaneArray",
     "pipeline_latency",
-    "pipeline_speedup",
     "sequential_latency",
     "ViTALiTyAccelerator",
     "SangerAccelerator",
@@ -102,8 +90,6 @@ __all__ = [
     "Platform",
     "PLATFORMS",
     "get_platform",
-    "EnergyBreakdown",
-    "MemoryTrafficModel",
     "linear_attention_processor_requirements",
     "MemSimConfig",
     "MemSimViTALiTyAccelerator",

@@ -6,12 +6,12 @@ are built from — and, crucially, the *knobs* that turn each frozen Table III
 design point into a family of design points:
 
 * :mod:`component` — per-chunk geometry (:class:`ComponentConfig`) and
-  memory-hierarchy energies (:class:`MemoryEnergyConfig`), each with a
-  ``scaled(...)`` method implementing the area/power/energy scaling rules;
+  memory-hierarchy energies (:class:`MemoryEnergyConfig`, which also prices
+  a layer's SRAM and DRAM words), each with a ``scaled(...)`` method
+  implementing the area/power/energy scaling rules;
 * :mod:`arrays` — the tile-level systolic-array model and the lane-array
-  pre/post processors (accumulator / adder / divider);
-* :mod:`memory` — word-level memory-traffic accounting and the Table V
-  energy-breakdown container;
+  model of the pre/post processors (accumulator / adder / divider), each
+  returning a GEMM's or an operation batch's cycles and energy;
 * :mod:`pipeline` — the intra-layer chunk-occupancy pipeline model;
 * :mod:`families` — per-family knob schemas and builders materialising a
   parsed design point into the family's concrete configuration.
@@ -26,38 +26,20 @@ the seed Table III models.
 """
 
 from repro.hardware.core.component import ComponentConfig, MemoryEnergyConfig
-from repro.hardware.core.arrays import (
-    AccumulatorArray,
-    AdderArray,
-    DividerArray,
-    MatmulExecution,
-    SystolicArray,
-    matmul_cycles,
-)
-from repro.hardware.core.memory import EnergyBreakdown, MemoryTrafficModel
-from repro.hardware.core.pipeline import (
-    pipeline_latency,
-    pipeline_speedup,
-    sequential_latency,
-)
+from repro.hardware.core.arrays import LaneArray, SystolicArray, matmul_cycles
+from repro.hardware.core.pipeline import pipeline_latency, sequential_latency
 from repro.knobs import KnobConfig, Knob, KnobError, KnobSchema
 
 __all__ = [
-    "AccumulatorArray",
-    "AdderArray",
     "ComponentConfig",
-    "DividerArray",
-    "EnergyBreakdown",
     "Knob",
     "KnobConfig",
     "KnobError",
     "KnobSchema",
-    "MatmulExecution",
+    "LaneArray",
     "MemoryEnergyConfig",
-    "MemoryTrafficModel",
     "SystolicArray",
     "matmul_cycles",
     "pipeline_latency",
-    "pipeline_speedup",
     "sequential_latency",
 ]

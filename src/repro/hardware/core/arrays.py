@@ -25,16 +25,20 @@ Algorithm 1 —
   key column sum by ``n`` in Step 1) and multiple-divisors mode (the row-wise
   division producing the final score in Step 6).
 
-An operation batch of ``count`` element-wise operations occupies
-``ceil(count / lanes)`` cycles and is charged the chunk's per-cycle power for
-those cycles.  Lane counts come from the component geometry, so a design
-point with a narrower PE array automatically narrows its processor arrays.
+The three differ only in geometry and in the operations sent to them, so
+one :class:`LaneArray` models each: an operation batch of ``count``
+element-wise operations occupies ``ceil(count / lanes)`` cycles and is
+charged the chunk's per-cycle power for those cycles.  Lane counts come from
+the component geometry, so a design point with a narrower PE array
+automatically narrows its processor arrays.
+
+Both array models return ``(cycles, energy_joules)``; the accelerator that
+issues the work also counts the words it moves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.hardware.core.component import ComponentConfig
 
@@ -61,18 +65,6 @@ def matmul_cycles(m: int, k: int, n: int, rows: int, columns: int,
     return streaming + rows + columns
 
 
-@dataclass
-class MatmulExecution:
-    """Outcome of running one matrix multiplication on the array."""
-
-    cycles: int
-    macs: int
-    energy_joules: float
-    stationary_loads: int        # words loaded into the PE registers
-    streamed_words: int          # activation words streamed through the array
-    output_words: int            # result words drained from the array
-
-
 class SystolicArray:
     """A systolic array chunk (SA-General or SA-Diag) with an energy model."""
 
@@ -81,6 +73,7 @@ class SystolicArray:
         self.component = component
         self.frequency_hz = frequency_hz
         self.utilization = utilization
+        self.energy_per_cycle = component.energy_per_cycle(frequency_hz)
 
     @property
     def rows(self) -> int:
@@ -90,13 +83,9 @@ class SystolicArray:
     def columns(self) -> int:
         return self.component.columns
 
-    @property
-    def num_pes(self) -> int:
-        return self.component.lanes
-
     def matmul(self, m: int, k: int, n: int, pe_energy_scale: float = 1.0,
-               batch: int = 1) -> MatmulExecution:
-        """Execute ``batch`` ``(m x k) @ (k x n)`` products and account cycles/energy.
+               batch: int = 1) -> tuple[int, float]:
+        """``(cycles, energy_joules)`` of ``batch`` ``(m x k) @ (k x n)`` products.
 
         ``pe_energy_scale`` models per-MAC energy overheads such as the
         reconfigurable-PE cost of the G-stationary dataflow; ``batch`` streams
@@ -105,73 +94,23 @@ class SystolicArray:
         """
 
         cycles = matmul_cycles(m, k, n, self.rows, self.columns, self.utilization, batch=batch)
-        macs = m * k * n * batch
-        energy = cycles * self.component.energy_per_cycle(self.frequency_hz) * pe_energy_scale
-        return MatmulExecution(
-            cycles=cycles,
-            macs=macs,
-            energy_joules=energy,
-            stationary_loads=k * n * batch,
-            streamed_words=m * k * batch,
-            output_words=m * n * batch,
-        )
+        return cycles, cycles * self.energy_per_cycle * pe_energy_scale
 
 
-@dataclass
-class VectorExecution:
-    """Outcome of one element-wise / reduction batch on a processor array."""
-
-    cycles: int
-    operations: int
-    energy_joules: float
-
-
-class _LaneArray:
-    """Common behaviour of the lane-parallel pre/post-processor chunks."""
+class LaneArray:
+    """A lane-parallel pre/post-processor chunk: the accumulator, adder or
+    divider array."""
 
     def __init__(self, component: ComponentConfig, frequency_hz: float):
         self.component = component
         self.frequency_hz = frequency_hz
+        self.lanes = component.lanes
+        self.energy_per_cycle = component.energy_per_cycle(frequency_hz)
 
-    @property
-    def lanes(self) -> int:
-        return self.component.lanes
+    def run(self, operations: int) -> tuple[int, float]:
+        """``(cycles, energy_joules)`` of ``operations`` element-wise operations."""
 
-    def _run(self, operations: int) -> VectorExecution:
         if operations < 0:
             raise ValueError("operation count must be non-negative")
-        if operations == 0:
-            return VectorExecution(cycles=0, operations=0, energy_joules=0.0)
         cycles = math.ceil(operations / self.lanes)
-        energy = cycles * self.component.energy_per_cycle(self.frequency_hz)
-        return VectorExecution(cycles=cycles, operations=operations, energy_joules=energy)
-
-
-class AccumulatorArray(_LaneArray):
-    """Column-wise summation unit."""
-
-    def column_sum(self, tokens: int, features: int) -> VectorExecution:
-        """Accumulate ``tokens`` values for each of ``features`` columns."""
-
-        return self._run(tokens * features)
-
-
-class AdderArray(_LaneArray):
-    """Element-wise addition/subtraction unit."""
-
-    def elementwise(self, count: int) -> VectorExecution:
-        return self._run(count)
-
-
-class DividerArray(_LaneArray):
-    """Element-wise division unit with single- and multiple-divisor modes."""
-
-    def single_divisor(self, count: int) -> VectorExecution:
-        """Divide ``count`` elements by one shared divisor (Step 1 of Algorithm 1)."""
-
-        return self._run(count)
-
-    def multiple_divisors(self, count: int) -> VectorExecution:
-        """Divide ``count`` elements by per-row divisors (Step 6 of Algorithm 1)."""
-
-        return self._run(count)
+        return cycles, cycles * self.energy_per_cycle

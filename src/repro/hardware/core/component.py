@@ -4,7 +4,7 @@ A :class:`ComponentConfig` describes one hardware chunk — a systolic-array
 partition, an adder array, a divider array — by its lane geometry and its
 synthesised area/power at the reference design point.  A
 :class:`MemoryEnergyConfig` describes the per-access energies of the
-four-level memory hierarchy.
+four-level memory hierarchy and prices a layer's SRAM and DRAM words.
 
 Both carry a ``scaled(...)`` method implementing the technology-model scaling
 rules every design point is derived through:
@@ -81,6 +81,13 @@ class MemoryEnergyConfig:
     sram_access: float = 0.25e-12
     dram_access: float = 60e-12
     sram_kb: int = 200  # 50 KB per Q/K/V/O buffer
+
+    def access_energy(self, sram_words: int, dram_words: int = 0) -> float:
+        """Energy of moving words through the hierarchy: every SRAM word
+        also crosses the NoC, and every DRAM word pays one DRAM access."""
+
+        return (sram_words * self.sram_access + sram_words * self.noc_access
+                + dram_words * self.dram_access)
 
     def scaled(self, sram_kb: int | None = None,
                sram_access: float | None = None,

@@ -18,19 +18,20 @@ of all step latencies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Sequence
 
-if TYPE_CHECKING:   # StepResult is only an annotation here; avoid an import cycle
-    from repro.hardware.common import StepResult
+#: One step as the hardware models account it: ``(name, chunk, cycles,
+#: energy_joules)``, with integer cycles.
+Step = tuple[str, str, int, float]
 
 
-def sequential_latency(steps: list[StepResult]) -> int:
+def sequential_latency(steps: Sequence[Step]) -> int:
     """Total cycles when every step runs back to back (no overlap)."""
 
-    return sum(step.cycles for step in steps)
+    return sum(cycles for _, _, cycles, _ in steps)
 
 
-def pipeline_latency(steps: list[StepResult]) -> int:
+def pipeline_latency(steps: Sequence[Step]) -> int:
     """Cycles with intra-layer pipelining across chunks.
 
     Steps mapped to different chunks overlap; the dominant chunk bounds the
@@ -38,22 +39,12 @@ def pipeline_latency(steps: list[StepResult]) -> int:
     overhead.
     """
 
-    if not steps:
-        return 0
     busy_per_chunk: dict[str, int] = {}
-    for step in steps:
-        busy_per_chunk[step.chunk] = busy_per_chunk.get(step.chunk, 0) + step.cycles
+    for _, chunk, cycles, _ in steps:
+        busy_per_chunk[chunk] = busy_per_chunk.get(chunk, 0) + cycles
+    if not busy_per_chunk:
+        return 0
     dominant_chunk = max(busy_per_chunk, key=busy_per_chunk.get)
-    dominant_cycles = busy_per_chunk[dominant_chunk]
-    non_dominant = [step.cycles for step in steps if step.chunk != dominant_chunk]
-    fill_overhead = max(non_dominant) if non_dominant else 0
-    return dominant_cycles + fill_overhead
-
-
-def pipeline_speedup(steps: list[StepResult]) -> float:
-    """Ratio of sequential to pipelined latency (>= 1)."""
-
-    pipelined = pipeline_latency(steps)
-    if pipelined == 0:
-        return 1.0
-    return sequential_latency(steps) / pipelined
+    fill_overhead = max((cycles for _, chunk, cycles, _ in steps
+                         if chunk != dominant_chunk), default=0)
+    return busy_per_chunk[dominant_chunk] + fill_overhead

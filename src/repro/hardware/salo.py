@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fold import left_sum
-from repro.hardware.common import LayerResult, ModelResult, StepResult
+from repro.hardware.common import LayerRecord, layer_record
 from repro.hardware.config import ViTALiTyAcceleratorConfig
 from repro.hardware.core.arrays import SystolicArray
-from repro.workloads import AttentionLayerSpec, ModelWorkload
+from repro.hardware.core.pipeline import sequential_latency
+from repro.workloads import AttentionLayerSpec
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,11 @@ class SALOConfig:
 
 
 class SALOAccelerator:
-    """SALO modelled under the ViTALiTy hardware budget."""
+    """SALO modelled under the ViTALiTy hardware budget.
+
+    It models the attention layers only, so it runs a workload through
+    :func:`~repro.hardware.common.run_model` with ``include_linear=False``.
+    """
 
     def __init__(self, budget: ViTALiTyAcceleratorConfig | None = None,
                  config: SALOConfig | None = None):
@@ -50,36 +54,20 @@ class SALOAccelerator:
     def frequency_hz(self) -> float:
         return self.budget.frequency_hz
 
-    def run_attention_layer(self, spec: AttentionLayerSpec) -> LayerResult:
+    def run_attention_layer(self, spec: AttentionLayerSpec) -> tuple[int, LayerRecord]:
         """Window + global attention for one multi-head layer."""
 
         n, d, dv, h = spec.tokens, spec.qk_dim, spec.v_dim, spec.heads
         keys_per_query = min(spec.kv_tokens, self.config.window + self.config.global_tokens)
-        qk = self.array.matmul(n, d, keys_per_query)
-        sv = self.array.matmul(n, keys_per_query, dv)
+        qk_cycles, qk_energy = self.array.matmul(n, d, keys_per_query)
+        sv_cycles, sv_energy = self.array.matmul(n, keys_per_query, dv)
         softmax_cycles = (n * keys_per_query) // self.budget.divider_array.lanes + 1
         softmax_energy = softmax_cycles * self.budget.divider_array.energy_per_cycle(self.frequency_hz)
-        steps = [
-            StepResult("window_qk", "systolic", qk.cycles * h, qk.energy_joules * h, qk.macs * h),
-            StepResult("softmax", "divider", softmax_cycles * h, softmax_energy * h,
-                       n * keys_per_query * h),
-            StepResult("window_sv", "systolic", sv.cycles * h, sv.energy_joules * h, sv.macs * h),
-        ]
-        cycles = sum(step.cycles for step in steps)
-        energy = left_sum(step.energy_joules for step in steps)
-        return LayerResult(name=f"salo_attention(n={n},d={d},h={h})", cycles=cycles,
-                           energy_joules=energy, frequency_hz=self.frequency_hz, steps=steps)
-
-    def run_model(self, workload: ModelWorkload) -> ModelResult:
-        attention_cycles = 0
-        attention_energy = 0.0
-        layers = []
-        for spec in workload.attention_layers:
-            layer = self.run_attention_layer(spec)
-            attention_cycles += layer.cycles * spec.repeats
-            attention_energy += layer.energy_joules * spec.repeats
-            layers.append(layer)
-        return ModelResult(model=workload.name, device="salo",
-                           attention_cycles=attention_cycles, attention_energy=attention_energy,
-                           linear_cycles=0, linear_energy=0.0,
-                           frequency_hz=self.frequency_hz, layers=layers)
+        steps = (
+            ("window_qk", "systolic", qk_cycles * h, qk_energy * h),
+            ("softmax", "divider", softmax_cycles * h, softmax_energy * h),
+            ("window_sv", "systolic", sv_cycles * h, sv_energy * h),
+        )
+        return layer_record(f"salo_attention(n={n},d={d},h={h})", "attention",
+                            spec.repeats, sequential_latency(steps),
+                            self.frequency_hz, steps)

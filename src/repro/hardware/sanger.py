@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 
-from repro.fold import left_sum
-from repro.hardware.common import LayerResult, ModelResult, StepResult
+from repro.hardware.common import LayerRecord, layer_record, linear_layer
 from repro.hardware.config import SangerAcceleratorConfig
 from repro.hardware.core.arrays import SystolicArray, matmul_cycles
-from repro.hardware.core.memory import MemoryTrafficModel
-from repro.workloads import AttentionLayerSpec, LinearLayerSpec, ModelWorkload
+from repro.workloads import AttentionLayerSpec, LinearLayerSpec
 
 
 class SangerAccelerator:
@@ -51,17 +49,13 @@ class SangerAccelerator:
     # -- attention -------------------------------------------------------------------------
 
     def run_attention_layer(self, spec: AttentionLayerSpec,
-                            density: float | None = None) -> LayerResult:
+                            density: float | None = None) -> tuple[int, LayerRecord]:
         """Execute one multi-head vanilla attention layer with dynamic sparsity."""
 
         n, m = spec.tokens, spec.kv_tokens
         d, dv, h = spec.qk_dim, spec.v_dim, spec.heads
         density = self.density if density is None else density
-        memory = MemoryTrafficModel(self.config.memory)
-        steps: list[StepResult] = []
         frequency = self.config.frequency_hz
-
-        memory.access_dram(h * (n * d + m * d + m * dv + n * dv))
 
         # 1. Low-precision prediction of the attention mask (dense 4-bit QK^T).
         prediction_cycles = h * matmul_cycles(n, d, m,
@@ -69,83 +63,45 @@ class SangerAccelerator:
                                               self.config.pre_processor.columns,
                                               utilization=self.config.pe_utilization)
         prediction_energy = prediction_cycles * self.config.pre_processor.energy_per_cycle(frequency)
-        memory.access_sram(h * (n * d + m * d))
-        steps.append(StepResult("predict_mask", "pre_processor", prediction_cycles,
-                                prediction_energy, h * n * m * d))
 
         # 2. Pack & split the irregular mask into balanced PE rows.
         pack_cycles = h * math.ceil(n * m / self.config.pack_and_split.lanes)
         pack_energy = pack_cycles * self.config.pack_and_split.energy_per_cycle(frequency)
-        steps.append(StepResult("pack_and_split", "pack_split", pack_cycles, pack_energy,
-                                h * n * m))
 
         # 3/4/5. Sparse QK^T, softmax (EXP + divide), sparse SV on the RePE array.
         effective = density / self.load_balance_efficiency
-        sparse_qk = self.re_pe.matmul(n, d, max(1, int(round(m * effective))))
-        sparse_sv = self.re_pe.matmul(n, max(1, int(round(m * effective))), dv)
+        kept = max(1, int(round(m * effective)))
+        qk_cycles, qk_energy = self.re_pe.matmul(n, d, kept)
+        sv_cycles, sv_energy = self.re_pe.matmul(n, kept, dv)
         softmax_ops = int(h * n * m * density)
         softmax_cycles = math.ceil(softmax_ops / self.config.divider_array.lanes)
         softmax_energy = softmax_cycles * (
             self.config.divider_array.energy_per_cycle(frequency)
         )
-        memory.access_sram(h * int(n * m * density) * 2 + h * (n * dv + m * dv))
-        steps.append(StepResult("sparse_qk", "re_pe", sparse_qk.cycles * h,
-                                sparse_qk.energy_joules * h, sparse_qk.macs * h))
-        steps.append(StepResult("softmax", "divider", softmax_cycles, softmax_energy,
-                                softmax_ops))
-        steps.append(StepResult("sparse_sv", "re_pe", sparse_sv.cycles * h,
-                                sparse_sv.energy_joules * h, sparse_sv.macs * h))
 
-        steps.append(StepResult("memory", "memory", 0, memory.energy_joules,
-                                sram_accesses=memory.sram_accesses))
+        # Q, K, V and the output cross DRAM; the predicted operands, the kept
+        # scores and the value traffic cross the SRAM.
+        dram_words = h * (n * d + m * d + m * dv + n * dv)
+        sram_words = (h * (n * d + m * d) + h * int(n * m * density) * 2
+                      + h * (n * dv + m * dv))
+        steps = (
+            ("predict_mask", "pre_processor", prediction_cycles, prediction_energy),
+            ("pack_and_split", "pack_split", pack_cycles, pack_energy),
+            ("sparse_qk", "re_pe", qk_cycles * h, qk_energy * h),
+            ("softmax", "divider", softmax_cycles, softmax_energy),
+            ("sparse_sv", "re_pe", sv_cycles * h, sv_energy * h),
+            ("memory", "memory", 0,
+             self.config.memory.access_energy(sram_words, dram_words)),
+        )
 
         # Sanger pipelines prediction with the sparse computation across rows;
         # the dominant stage bounds the latency, the other is partially hidden.
-        compute_cycles = (sparse_qk.cycles + sparse_sv.cycles) * h + softmax_cycles
+        compute_cycles = (qk_cycles + sv_cycles) * h + softmax_cycles
         cycles = max(prediction_cycles, compute_cycles) + min(prediction_cycles, compute_cycles) // 4
-        energy = left_sum(step.energy_joules for step in steps)
-        return LayerResult(name=f"sanger_attention(n={n},d={d},h={h})", cycles=cycles,
-                           energy_joules=energy, frequency_hz=frequency, steps=steps)
+        return layer_record(f"sanger_attention(n={n},d={d},h={h})", "attention",
+                            spec.repeats, cycles, frequency, steps)
 
     # -- linear layers --------------------------------------------------------------------------
 
-    def run_linear_layer(self, spec: LinearLayerSpec) -> LayerResult:
-        execution = self.re_pe.matmul(spec.tokens, spec.in_features, spec.out_features)
-        memory = MemoryTrafficModel(self.config.memory)
-        memory.access_dram(spec.in_features * spec.out_features)
-        memory.access_sram(execution.streamed_words + execution.output_words)
-        steps = [
-            StepResult("gemm", "re_pe", execution.cycles, execution.energy_joules, execution.macs),
-            StepResult("memory", "memory", 0, memory.energy_joules,
-                       sram_accesses=memory.sram_accesses),
-        ]
-        return LayerResult(name=f"linear({spec.tokens}x{spec.in_features}x{spec.out_features})",
-                           cycles=execution.cycles,
-                           energy_joules=left_sum(s.energy_joules for s in steps),
-                           frequency_hz=self.config.frequency_hz, steps=steps)
-
-    # -- whole model -------------------------------------------------------------------------------
-
-    def run_model(self, workload: ModelWorkload, include_linear: bool = True) -> ModelResult:
-        attention_cycles = 0
-        attention_energy = 0.0
-        layers: list[LayerResult] = []
-        for spec in workload.attention_layers:
-            layer = self.run_attention_layer(spec)
-            attention_cycles += layer.cycles * spec.repeats
-            attention_energy += layer.energy_joules * spec.repeats
-            layers.append(layer)
-
-        linear_cycles = 0
-        linear_energy = 0.0
-        if include_linear:
-            for spec in workload.linear_layers:
-                layer = self.run_linear_layer(spec)
-                linear_cycles += layer.cycles * spec.repeats
-                linear_energy += layer.energy_joules * spec.repeats
-                layers.append(layer)
-
-        return ModelResult(model=workload.name, device=self.config.name,
-                           attention_cycles=attention_cycles, attention_energy=attention_energy,
-                           linear_cycles=linear_cycles, linear_energy=linear_energy,
-                           frequency_hz=self.config.frequency_hz, layers=layers)
+    def run_linear_layer(self, spec: LinearLayerSpec) -> tuple[int, LayerRecord]:
+        return linear_layer(self.re_pe, "re_pe", self.config.memory, spec)

@@ -40,6 +40,9 @@ class EpochStats:
     #: Mean occupancy (fraction of non-negligible entries) of the sparse
     #: residual component across attention layers — the Fig. 14 metric.
     sparse_occupancy: float | None = None
+    #: Mean density of the predicted sparsity mask across attention layers
+    #: (the fraction of entries the mask keeps).
+    mask_density: float | None = None
     extra: dict[str, float] = field(default_factory=dict)
 
 
@@ -48,7 +51,8 @@ class Trainer:
 
     The trainer also polls every attention module's ``last_stats`` after each
     step, aggregating the ViTALiTy sparse-component occupancy so the Fig. 14
-    "sparse part vanishes over training" curve can be reproduced.
+    "sparse part vanishes over training" curve can be reproduced, and the
+    density of the predicted sparsity mask beside it.
     """
 
     def __init__(self, model: Module, config: TrainingConfig,
@@ -91,8 +95,11 @@ class Trainer:
             if isinstance(module, AttentionModule) and module.last_stats:
                 if "sparse_residual_occupancy" in module.last_stats:
                     occupancies.append(module.last_stats["sparse_residual_occupancy"])
-                if "mask_density" in module.last_stats:
-                    densities.append(module.last_stats["mask_density"])
+                # The SPARSE baseline writes ``mask_density``, ViTALiTy's
+                # sparse component ``sparse_mask_density``.
+                for key in ("mask_density", "sparse_mask_density"):
+                    if key in module.last_stats:
+                        densities.append(module.last_stats[key])
         stats: dict[str, float] = {}
         if occupancies:
             stats["sparse_occupancy"] = float(np.mean(occupancies))
@@ -107,6 +114,7 @@ class Trainer:
         loss_meter = AverageMeter("loss")
         accuracy_meter = AverageMeter("accuracy")
         occupancy_meter = AverageMeter("sparse_occupancy")
+        density_meter = AverageMeter("mask_density")
 
         for images, labels in loader:
             images_t = Tensor(images)
@@ -130,6 +138,8 @@ class Trainer:
             attention_stats = self._attention_stats()
             if "sparse_occupancy" in attention_stats:
                 occupancy_meter.update(attention_stats["sparse_occupancy"], batch)
+            if "mask_density" in attention_stats:
+                density_meter.update(attention_stats["mask_density"], batch)
 
         self.schedule.step()
         stats = EpochStats(
@@ -137,6 +147,7 @@ class Trainer:
             train_loss=loss_meter.average,
             train_accuracy=accuracy_meter.average,
             sparse_occupancy=occupancy_meter.average if occupancy_meter.weight else None,
+            mask_density=density_meter.average if density_meter.weight else None,
         )
         self.history.append(stats)
         return stats

@@ -208,6 +208,9 @@ class TestTrainerAndFinetuner:
         result = tiny_finetuner.run_scheme("vitality", epochs=1)
         assert len(result.sparse_occupancy_per_epoch) == 1
         assert 0.0 <= result.sparse_occupancy_per_epoch[0] <= 1.0
+        # The mask keeps at least each row's argmax, so its density is positive.
+        [epoch] = result.history
+        assert 0.0 < epoch.mask_density <= 1.0
 
     def test_weight_transfer_preserves_values(self, tiny_finetuner):
         baseline, _ = tiny_finetuner.pretrained_baseline()

@@ -36,11 +36,10 @@ from repro.engine import (
 from repro.hardware import (
     RooflineRecord,
     SangerAccelerator,
-    StepResult,
     ViTALiTyAccelerator,
     get_platform,
     pipeline_latency,
-    pipeline_speedup,
+    run_model,
     sequential_latency,
 )
 from repro.hardware.memsim import TilePlan
@@ -51,37 +50,30 @@ class TestPipelineEdgeCases:
     def test_empty_step_list(self):
         assert pipeline_latency([]) == 0
         assert sequential_latency([]) == 0
-        assert pipeline_speedup([]) == 1.0
 
     def test_single_chunk_no_overlap(self):
-        steps = [StepResult("a", "systolic", 40, 0.0), StepResult("b", "systolic", 60, 0.0)]
+        steps = [("a", "systolic", 40, 0.0), ("b", "systolic", 60, 0.0)]
         assert pipeline_latency(steps) == sequential_latency(steps) == 100
-        assert pipeline_speedup(steps) == 1.0
 
     def test_single_step(self):
-        steps = [StepResult("only", "adder", 7, 0.0)]
-        assert pipeline_latency(steps) == 7
-        assert pipeline_speedup(steps) == 1.0
+        steps = [("only", "adder", 7, 0.0)]
+        assert pipeline_latency(steps) == sequential_latency(steps) == 7
 
     def test_tie_between_chunks(self):
         """Two chunks with equal busy time: either is dominant, the other is
         the fill overhead, so the pipelined latency equals the sequential one."""
 
-        steps = [StepResult("a", "systolic", 50, 0.0), StepResult("b", "adder", 50, 0.0)]
+        steps = [("a", "systolic", 50, 0.0), ("b", "adder", 50, 0.0)]
         assert pipeline_latency(steps) == 100 == sequential_latency(steps)
-        assert pipeline_speedup(steps) == 1.0
 
     def test_three_way_tie_still_bounded_by_sequential(self):
-        steps = [StepResult("a", "x", 30, 0.0), StepResult("b", "y", 30, 0.0),
-                 StepResult("c", "z", 30, 0.0)]
+        steps = [("a", "x", 30, 0.0), ("b", "y", 30, 0.0), ("c", "z", 30, 0.0)]
         assert pipeline_latency(steps) == 60
-        assert pipeline_latency(steps) <= sequential_latency(steps)
-        assert pipeline_speedup(steps) == pytest.approx(1.5)
+        assert sequential_latency(steps) == 90
 
     def test_zero_cycle_steps(self):
-        steps = [StepResult("a", "systolic", 100, 0.0), StepResult("m", "memory", 0, 0.0)]
-        assert pipeline_latency(steps) == 100
-        assert pipeline_speedup(steps) == 1.0
+        steps = [("a", "systolic", 100, 0.0), ("m", "memory", 0, 0.0)]
+        assert pipeline_latency(steps) == sequential_latency(steps) == 100
 
 
 class TestRunSpec:
@@ -471,18 +463,22 @@ class TestEngineMatchesHardwareModels:
 
     def test_vitality_run_matches_direct_accelerator(self):
         workload = get_workload("deit-tiny")
-        direct = ViTALiTyAccelerator().run_model(workload)
+        attention_latency, attention_energy, linear_latency, linear_energy, layers = (
+            run_model(ViTALiTyAccelerator(), workload))
         engine = simulate(RunSpec("deit-tiny", target="vitality"), cache=ResultCache())
-        assert engine.attention_latency == direct.attention_latency
-        assert engine.end_to_end_latency == direct.end_to_end_latency
-        assert engine.end_to_end_energy == direct.end_to_end_energy
+        assert engine.attention_latency == attention_latency
+        assert engine.end_to_end_latency == attention_latency + linear_latency
+        assert engine.end_to_end_energy == attention_energy + linear_energy
+        assert engine.layers == layers
 
     def test_sanger_run_matches_direct_accelerator(self):
         workload = get_workload("levit-128")
-        direct = SangerAccelerator().run_model(workload)
+        attention_latency, attention_energy, _, linear_energy, layers = run_model(
+            SangerAccelerator(), workload)
         engine = simulate(RunSpec("levit-128", target="sanger"), cache=ResultCache())
-        assert engine.attention_latency == direct.attention_latency
-        assert engine.end_to_end_energy == direct.end_to_end_energy
+        assert engine.attention_latency == attention_latency
+        assert engine.end_to_end_energy == attention_energy + linear_energy
+        assert engine.layers == layers
 
     def test_platform_run_matches_direct_platform(self):
         workload = get_workload("deit-tiny")
@@ -491,13 +487,26 @@ class TestEngineMatchesHardwareModels:
         assert engine.end_to_end_latency == platform.end_to_end_latency(workload)
         assert engine.end_to_end_energy == platform.end_to_end_energy(workload)
 
-    def test_vitality_breakdown_matches_table5_method(self):
-        workload = get_workload("deit-base")
-        direct = ViTALiTyAccelerator().attention_energy_breakdown(workload)
-        engine = simulate(RunSpec("deit-base", target="vitality"), cache=ResultCache())
-        breakdown = engine.breakdown()
-        assert breakdown["data_access"] == direct.data_access
-        assert breakdown["systolic_array"] == direct.systolic_array
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("include_linear", [True, False])
+    @pytest.mark.parametrize("model", ["deit-tiny", "deit-base", "levit-128",
+                                       "mobilevit-xs", "decoder"])
+    @pytest.mark.parametrize("target", ["vitality", "vitality-gstationary",
+                                        "vitality-unpipelined",
+                                        "vitality[dram_gbps=25]",
+                                        "vitality[pe=32x32,dram_gbps=8]"])
+    def test_vitality_breakdown_partitions_attention_energy(
+            self, target, model, include_linear, batch_size):
+        """Table V's three categories split the attention energy: together
+        they add up to it, to within float rounding."""
+
+        result = simulate(RunSpec(model, target=target, include_linear=include_linear,
+                                  batch_size=batch_size), cache=ResultCache())
+        breakdown = result.breakdown()
+        assert list(breakdown) == ["data_access", "other_processors", "systolic_array"]
+        total = (breakdown["data_access"] + breakdown["other_processors"]
+                 + breakdown["systolic_array"])
+        assert total == pytest.approx(result.attention_energy, rel=1e-12, abs=0.0)
 
     def test_variant_targets_match_spec_overrides(self):
         cache = ResultCache()

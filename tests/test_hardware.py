@@ -10,17 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attention import count_taylor_attention_ops
-from repro.engine import RunSpec, get_target
+from repro.engine import ResultCache, RunSpec, get_target, simulate
 from repro.hardware import (
-    AccumulatorArray,
-    AdderArray,
-    Dataflow,
-    DividerArray,
+    LaneArray,
     MemoryEnergyConfig,
     SALOAccelerator,
     SangerAccelerator,
     SangerAcceleratorConfig,
-    StepResult,
     SystolicArray,
     ViTALiTyAccelerator,
     ViTALiTyAcceleratorConfig,
@@ -28,10 +24,10 @@ from repro.hardware import (
     linear_attention_processor_requirements,
     matmul_cycles,
     pipeline_latency,
+    run_model,
     sequential_latency,
 )
-from repro.hardware.core.memory import MemoryTrafficModel
-from repro.workloads import DEIT_BASE, DEIT_TINY, LEVIT_128, AttentionLayerSpec, LinearLayerSpec
+from repro.workloads import DEIT_TINY, LEVIT_128, AttentionLayerSpec, LinearLayerSpec
 
 
 class TestSystolicArray:
@@ -62,17 +58,18 @@ class TestSystolicArray:
     def test_energy_proportional_to_cycles(self):
         config = ViTALiTyAcceleratorConfig()
         array = SystolicArray(config.sa_general, config.frequency_hz, utilization=1.0)
-        short = array.matmul(32, 64, 64)
-        long = array.matmul(320, 64, 64)
-        assert long.energy_joules > short.energy_joules
-        assert long.macs == 10 * short.macs
+        short_cycles, short_energy = array.matmul(32, 64, 64)
+        long_cycles, long_energy = array.matmul(320, 64, 64)
+        assert long_energy > short_energy
+        assert long_energy / short_energy == pytest.approx(long_cycles / short_cycles)
 
     def test_pe_energy_scale(self):
         config = ViTALiTyAcceleratorConfig()
         array = SystolicArray(config.sa_general, config.frequency_hz)
-        plain = array.matmul(64, 64, 64)
-        scaled = array.matmul(64, 64, 64, pe_energy_scale=1.2)
-        assert scaled.energy_joules == pytest.approx(plain.energy_joules * 1.2)
+        plain_cycles, plain_energy = array.matmul(64, 64, 64)
+        scaled_cycles, scaled_energy = array.matmul(64, 64, 64, pe_energy_scale=1.2)
+        assert scaled_cycles == plain_cycles
+        assert scaled_energy == pytest.approx(plain_energy * 1.2)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 300), k=st.integers(1, 300), n=st.integers(1, 300))
@@ -89,94 +86,103 @@ class TestProcessorsAndPipeline:
 
     def test_accumulator_cycles(self):
         config = self._config()
-        acc = AccumulatorArray(config.accumulator_array, config.frequency_hz)
-        result = acc.column_sum(tokens=197, features=64)
-        assert result.cycles == int(np.ceil(197 * 64 / 64))
+        acc = LaneArray(config.accumulator_array, config.frequency_hz)
+        cycles, _ = acc.run(197 * 64)
+        assert cycles == int(np.ceil(197 * 64 / 64))
 
     def test_adder_and_divider(self):
         config = self._config()
-        adder = AdderArray(config.adder_array, config.frequency_hz)
-        divider = DividerArray(config.divider_array, config.frequency_hz)
-        assert adder.elementwise(128).cycles == 2
-        assert divider.single_divisor(64).cycles == 1
-        assert divider.multiple_divisors(65).cycles == 2
+        adder = LaneArray(config.adder_array, config.frequency_hz)
+        divider = LaneArray(config.divider_array, config.frequency_hz)
+        assert adder.run(128)[0] == 2
+        assert divider.run(64)[0] == 1
+        assert divider.run(65)[0] == 2
 
     def test_zero_operations(self):
         config = self._config()
-        adder = AdderArray(config.adder_array, config.frequency_hz)
-        assert adder.elementwise(0).cycles == 0
+        adder = LaneArray(config.adder_array, config.frequency_hz)
+        assert adder.run(0) == (0, 0.0)
         with pytest.raises(ValueError):
-            adder.elementwise(-1)
+            adder.run(-1)
 
     def test_pipeline_latency_bounded_by_sequential(self):
-        steps = [StepResult("a", "systolic", 100, 0.0), StepResult("b", "adder", 30, 0.0),
-                 StepResult("c", "divider", 20, 0.0)]
+        steps = [("a", "systolic", 100, 0.0), ("b", "adder", 30, 0.0),
+                 ("c", "divider", 20, 0.0)]
         assert pipeline_latency(steps) <= sequential_latency(steps)
         assert pipeline_latency(steps) >= 100
 
     def test_pipeline_single_chunk_no_gain(self):
-        steps = [StepResult("a", "systolic", 50, 0.0), StepResult("b", "systolic", 70, 0.0)]
+        steps = [("a", "systolic", 50, 0.0), ("b", "systolic", 70, 0.0)]
         assert pipeline_latency(steps) == sequential_latency(steps)
 
     def test_pipeline_empty(self):
         assert pipeline_latency([]) == 0
 
-    def test_memory_traffic_model(self):
-        memory = MemoryTrafficModel(MemoryEnergyConfig())
-        memory.access_sram(1000)
-        memory.access_dram(10)
-        assert memory.energy_joules > 0
-        with pytest.raises(ValueError):
-            memory.access_sram(-1)
+    def test_memory_access_energy(self):
+        """Every SRAM word also crosses the NoC; every DRAM word pays one access."""
+
+        memory = MemoryEnergyConfig()
+        assert memory.access_energy(1000, dram_words=10) == (
+            1000 * memory.sram_access + 1000 * memory.noc_access
+            + 10 * memory.dram_access)
+        assert memory.access_energy(1000) < memory.access_energy(1000, dram_words=10)
 
 
 class TestViTALiTyAccelerator:
     def test_attention_layer_has_all_steps(self):
         accelerator = ViTALiTyAccelerator()
-        layer = accelerator.run_attention_layer(DEIT_TINY.attention_layers[0])
+        cycles, layer = accelerator.run_attention_layer(DEIT_TINY.attention_layers[0])
         step_names = {step.name.split(":")[0] for step in layer.steps}
         assert {"1", "2", "3", "4", "5", "6"} <= step_names
-        assert layer.cycles > 0
+        assert cycles > 0
+        assert layer.latency_seconds == cycles / accelerator.frequency_hz
         assert layer.energy_joules > 0
 
     def test_pipelining_reduces_latency(self):
         spec = DEIT_TINY.attention_layers[0]
-        pipelined = ViTALiTyAccelerator(pipelined=True).run_attention_layer(spec)
-        sequential = ViTALiTyAccelerator(pipelined=False).run_attention_layer(spec)
-        assert pipelined.cycles < sequential.cycles
+        pipelined_cycles, pipelined = ViTALiTyAccelerator(pipelined=True).run_attention_layer(spec)
+        sequential_cycles, sequential = ViTALiTyAccelerator(pipelined=False).run_attention_layer(spec)
+        assert pipelined_cycles < sequential_cycles
         assert pipelined.energy_joules == pytest.approx(sequential.energy_joules)
 
     def test_down_forward_saves_energy_over_g_stationary(self):
         """Table V: down-forward accumulation has lower overall energy."""
 
-        down_forward = ViTALiTyAccelerator(dataflow=Dataflow.DOWN_FORWARD)
-        g_stationary = ViTALiTyAccelerator(dataflow=Dataflow.G_STATIONARY)
-        for workload in (DEIT_BASE, LEVIT_128):
-            ours = down_forward.attention_energy_breakdown(workload)
-            theirs = g_stationary.attention_energy_breakdown(workload)
-            assert ours.overall < theirs.overall
+        cache = ResultCache()
+        for model in ("deit-base", "levit-128"):
+            ours = simulate(RunSpec(model, target="vitality"), cache=cache).breakdown()
+            theirs = simulate(RunSpec(model, target="vitality-gstationary"),
+                              cache=cache).breakdown()
+            assert sum(ours.values()) < sum(theirs.values())
             # ... while G-stationary has lower data-access energy (it keeps G in the PEs).
-            assert theirs.data_access < ours.data_access
+            assert theirs["data_access"] < ours["data_access"]
             # And the pre/post-processor energy is identical across dataflows.
-            assert ours.other_processors == pytest.approx(theirs.other_processors)
+            assert ours["other_processors"] == pytest.approx(theirs["other_processors"])
 
-    def test_model_result_aggregates_layers(self):
-        accelerator = ViTALiTyAccelerator()
-        result = accelerator.run_model(DEIT_TINY)
-        assert result.attention_cycles > 0
-        assert result.linear_cycles > result.attention_cycles   # projections dominate DeiT
-        assert result.end_to_end_latency == pytest.approx(
-            result.attention_latency + result.linear_latency)
+    def test_run_model_aggregates_layers(self):
+        attention_latency, attention_energy, linear_latency, _, layers = run_model(
+            ViTALiTyAccelerator(), DEIT_TINY)
+        assert attention_latency > 0
+        assert linear_latency > attention_latency   # projections dominate DeiT
+        attention = [layer for layer in layers if layer.kind == "attention"]
+        assert len(attention) == len(DEIT_TINY.attention_layers)
+        assert len(layers) - len(attention) == len(DEIT_TINY.linear_layers)
+        assert attention_latency == pytest.approx(
+            sum(layer.latency_seconds * layer.repeats for layer in attention))
+        assert attention_energy == pytest.approx(
+            sum(layer.energy_joules * layer.repeats for layer in attention))
 
     def test_attention_only_mode(self):
-        result = ViTALiTyAccelerator().run_model(DEIT_TINY, include_linear=False)
-        assert result.linear_cycles == 0
+        _, _, linear_latency, linear_energy, layers = run_model(
+            ViTALiTyAccelerator(), DEIT_TINY, include_linear=False)
+        assert linear_latency == linear_energy == 0.0
+        assert all(layer.kind == "attention" for layer in layers)
 
     def test_full_utilization_is_no_slower_than_half(self):
         def attention_latency(utilization: float) -> float:
             config = ViTALiTyAcceleratorConfig(systolic_utilization=utilization)
-            return ViTALiTyAccelerator(config).run_model(
-                DEIT_TINY, include_linear=False).attention_latency
+            return run_model(ViTALiTyAccelerator(config), DEIT_TINY,
+                             include_linear=False)[0]
 
         assert attention_latency(1.0) <= attention_latency(0.5)
 
@@ -184,8 +190,8 @@ class TestViTALiTyAccelerator:
         accelerator = ViTALiTyAccelerator()
         scaled = accelerator.scaled_to_peak(accelerator.peak_macs_per_second * 3)
         assert scaled.peak_macs_per_second > accelerator.peak_macs_per_second
-        base_linear = accelerator.run_model(DEIT_TINY).linear_cycles
-        scaled_linear = scaled.run_model(DEIT_TINY).linear_cycles
+        base_linear = run_model(accelerator, DEIT_TINY)[2]
+        scaled_linear = run_model(scaled, DEIT_TINY)[2]
         assert scaled_linear < base_linear
 
     def test_scaled_to_peak_validation(self):
@@ -203,24 +209,46 @@ class TestViTALiTyAccelerator:
 
         spec = RunSpec(model, target=target)
         workload = spec.workload()
-        # The accelerator the engine target simulates this spec on.
-        result = get_target(target)._accelerator(spec).run_model(workload)
-        assert 0 < len(workload.attention_layers) < len(result.layers)
-        for layer_spec, layer in zip(workload.attention_layers, result.layers):
+        # The accelerator the engine target simulates this spec on, with a
+        # counter around every array it issues work to.
+        accelerator = get_target(target)._accelerator(spec)
+        operations = Counter()
+
+        def count_macs(chunk, array):
+            matmul = array.matmul
+
+            def counted(m, k, n, pe_energy_scale=1.0, batch=1):
+                operations[chunk] += m * k * n * batch
+                return matmul(m, k, n, pe_energy_scale=pe_energy_scale, batch=batch)
+            array.matmul = counted
+
+        def count_operations(chunk, array):
+            run = array.run
+
+            def counted(count):
+                operations[chunk] += count
+                return run(count)
+            array.run = counted
+
+        count_macs("sa_general", accelerator.sa_general)
+        count_macs("sa_diag", accelerator.sa_diag)
+        for chunk in ("accumulator", "adder", "divider"):
+            count_operations(chunk, getattr(accelerator, chunk))
+        assert workload.attention_layers
+        for layer_spec in workload.attention_layers:
             counts = count_taylor_attention_ops(
                 dataclasses.replace(layer_spec, repeats=1))
-            operations = Counter()
-            for step in layer.steps:
-                operations[step.chunk] += step.operations
-            assert (operations["systolic"] + operations["sa_diag"]
+            operations.clear()
+            accelerator.run_attention_layer(layer_spec)
+            assert (operations["sa_general"] + operations["sa_diag"]
                     == counts.multiplications)
             assert operations["divider"] == counts.divisions
             assert (operations["accumulator"] + operations["adder"]
                     == counts.additions - counts.multiplications)
 
     def test_levit_asymmetric_layer_runs(self):
-        layer = ViTALiTyAccelerator().run_attention_layer(LEVIT_128.attention_layers[-1])
-        assert layer.cycles > 0
+        cycles, _ = ViTALiTyAccelerator().run_attention_layer(LEVIT_128.attention_layers[-1])
+        assert cycles > 0
 
     def test_table3_budget_parity(self):
         """ViTALiTy and Sanger configurations have comparable area and power (Table III)."""
@@ -237,15 +265,15 @@ class TestViTALiTyAccelerator:
 class TestSangerSALOPlatforms:
     def test_sanger_layer_and_model(self):
         sanger = SangerAccelerator()
-        layer = sanger.run_attention_layer(DEIT_TINY.attention_layers[0])
-        assert layer.cycles > 0
-        result = sanger.run_model(DEIT_TINY)
-        assert result.end_to_end_latency > 0
+        cycles, _ = sanger.run_attention_layer(DEIT_TINY.attention_layers[0])
+        assert cycles > 0
+        attention_latency, _, linear_latency, _, _ = run_model(sanger, DEIT_TINY)
+        assert attention_latency > 0 and linear_latency > 0
 
     def test_sanger_density_scales_latency(self):
-        sparse = SangerAccelerator(density=0.1).run_model(DEIT_TINY, include_linear=False)
-        dense = SangerAccelerator(density=0.9).run_model(DEIT_TINY, include_linear=False)
-        assert sparse.attention_latency < dense.attention_latency
+        sparse = run_model(SangerAccelerator(density=0.1), DEIT_TINY, include_linear=False)
+        dense = run_model(SangerAccelerator(density=0.9), DEIT_TINY, include_linear=False)
+        assert sparse[0] < dense[0]
 
     def test_sanger_validation(self):
         with pytest.raises(ValueError):
@@ -256,15 +284,15 @@ class TestSangerSALOPlatforms:
     def test_vitality_beats_sanger_on_attention(self):
         """Headline result: ViTALiTy is several times faster than Sanger on attention."""
 
-        vitality = ViTALiTyAccelerator().run_model(DEIT_TINY, include_linear=False)
-        sanger = SangerAccelerator().run_model(DEIT_TINY, include_linear=False)
-        speedup = sanger.attention_latency / vitality.attention_latency
+        vitality = run_model(ViTALiTyAccelerator(), DEIT_TINY, include_linear=False)
+        sanger = run_model(SangerAccelerator(), DEIT_TINY, include_linear=False)
+        speedup = sanger[0] / vitality[0]
         assert 2.0 < speedup < 20.0
 
     def test_salo_slower_than_vitality(self):
-        vitality = ViTALiTyAccelerator().run_model(DEIT_TINY, include_linear=False)
-        salo = SALOAccelerator().run_model(DEIT_TINY)
-        assert salo.attention_latency > vitality.attention_latency
+        vitality = run_model(ViTALiTyAccelerator(), DEIT_TINY, include_linear=False)
+        salo = run_model(SALOAccelerator(), DEIT_TINY, include_linear=False)
+        assert salo[0] > vitality[0]
 
     def test_platform_lookup(self):
         assert get_platform("gpu").name == "gpu"

@@ -19,14 +19,17 @@ from repro.experiments import run_experiment
 from repro.experiments.dse_exps import explore_design_space, roofline_experiment
 from repro.hardware import (
     KnobError,
+    SystolicArray,
     VITALITY_SCHEMA,
     build_vitality_config,
     matmul_cycles,
+    run_model,
 )
 from repro.hardware.memsim import (
     GemmMemTrace,
     MemSimConfig,
     MemSimViTALiTyAccelerator,
+    TiledSystolicArray,
     buffer_words,
     simulate_tiled_gemm,
 )
@@ -198,28 +201,37 @@ class TestMemsimActivation:
         payload = json.loads(json.dumps(result.to_dict(include_layers=True)))
         assert RunResult.from_dict(payload) == result
 
-    def test_energy_breakdown_leaves_the_rooflines_of_run_model(self):
-        # The breakdown runs every attention layer again; the records must
-        # stay aligned with the layers of the last run_model call.
+    def test_each_partition_is_built_once(self, monkeypatch):
+        # The memsim accelerator builds its two tiled partitions, and no
+        # analytic ones, also when scaled to a peak.  Its roofline records
+        # align with the layer records, as the engine returns them.
+        built = []
+        original = SystolicArray.__init__
+
+        def counting(array, *args, **kwargs):
+            built.append(type(array))
+            original(array, *args, **kwargs)
+
+        monkeypatch.setattr(SystolicArray, "__init__", counting)
         design = VITALITY_SCHEMA.parse("dram_gbps=25")
         config = build_vitality_config(design)
         accelerator = MemSimViTALiTyAccelerator(config, MemSimConfig.from_design(
             design, config.memory.sram_kb, config.sa_general.rows,
             config.sa_general.columns))
-        workload = get_workload("deit-tiny")
-        model = accelerator.run_model(workload)
-        records = list(accelerator.rooflines)
-        assert len(records) == len(model.layers) == 5
-        breakdown = accelerator.attention_energy_breakdown(workload)
-        assert accelerator.rooflines == records
+        assert built == [TiledSystolicArray, TiledSystolicArray]
+        assert accelerator.sa_general.traces is accelerator.sa_diag.traces
+        scaled = accelerator.scaled_to_peak(4 * accelerator.peak_macs_per_second)
+        assert built == [TiledSystolicArray] * 4
+        assert type(scaled) is MemSimViTALiTyAccelerator
+        assert scaled.memsim is accelerator.memsim
+        layers = run_model(accelerator, get_workload("deit-tiny"))[-1]
+        assert [(record.layer, record.kind, record.repeats)
+                for record in accelerator.rooflines] == [
+            (layer.name, layer.kind, layer.repeats) for layer in layers]
         engine = simulate(RunSpec("deit-tiny", target="vitality[dram_gbps=25]"),
                           cache=ResultCache())
-        assert list(engine.roofline) == records
-        assert engine.breakdown() == {
-            "data_access": breakdown.data_access,
-            "other_processors": breakdown.other_processors,
-            "systolic_array": breakdown.systolic_array,
-        }
+        assert engine.layers == layers
+        assert list(engine.roofline) == accelerator.rooflines
 
 
 @pytest.mark.usefixtures("no_float_sum")
